@@ -124,14 +124,18 @@ def _order_text(order) -> str:
     return "none" if order is None else str(order)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         detail = exc.strerror or str(exc)
         raise CommandError(EXIT_INPUT, f"cannot read {path}: {detail}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or NaN/Infinity
         raise CommandError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
 
 
@@ -209,7 +213,7 @@ def _cmd_gw(args) -> tuple:
             EXIT_USAGE, f"--order {order} is below --dmax {args.dmax}"
         )
     mirror = enumerative.build_mirror_map(max(order, 2))
-    kappa = enumerative.yukawa_normalized(order)
+    kappa = mirror.normalized_coupling(order)
     try:
         table = enumerative.extract_instantons(kappa, args.dmax)
     except enumerative.IntegralityError as exc:
@@ -353,7 +357,7 @@ def _cmd_glsm_kahler(args) -> tuple:
         source = args.input_path
     try:
         r = glsm.kahler_parameter(magnitudes, charges)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CommandError(EXIT_INPUT, str(exc))
     formatted = [f"{v:.12g}" if v != 0 else "0" for v in r]
 

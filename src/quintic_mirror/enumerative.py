@@ -1,13 +1,16 @@
 """Mirror map, Yukawa coupling, curve counts, quantum ring.
 
-The pipeline runs entirely over exact rationals: period solutions from
-the hypergeometric recurrence feed the mirror map
-q = z exp(phi1/phi0), the normalized coupling
+The pipeline runs entirely over exact rationals, and each stage runs
+once: one Frobenius solve gives phi0 and phi1, one exp gives the mirror
+map q = z exp(phi1/phi0), and one Lagrange reversion gives z(q).  The
+:class:`MirrorMap` keeps phi0, so the normalized coupling
 
     kappa(q) = Y(z(q)) * (theta_q z / z)^3 / phi0(z(q))^2,
     Y(z) = 5 / (1 - 3125 z),
 
-and the triangular extraction of the degree-d counts n_d from
+is assembled from it with one composition (phi0) and one series inverse
+(Y(z(q)) = 5 (1 - 3125 z(q))^-1, no composition), followed by the
+triangular extraction of the degree-d counts n_d from
 
     kappa(q) = 5 + sum_{d >= 1} n_d d^3 q^d / (1 - q^d).
 
@@ -44,20 +47,35 @@ class IntegralityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MirrorMap:
-    """q as a series in z, and its compositional inverse."""
+    """q as a series in z, its compositional inverse, and the period phi0 behind them."""
 
     q_of_z: TruncatedSeries
     z_of_q: TruncatedSeries
+    phi0: TruncatedSeries
 
-
-def _mirror_from_components(
-    phi0: TruncatedSeries, phi1: TruncatedSeries
-) -> MirrorMap:
-    ratio = phi1 / phi0
-    if not QQ.is_zero(ratio.coefficient(0)):
-        raise ValueError("logarithm-free period ratio has a constant term")
-    q_of_z = ratio.exp().mul_by_power(1)
-    return MirrorMap(q_of_z, q_of_z.reversion())
+    def normalized_coupling(self, order: int) -> TruncatedSeries:
+        """kappa(q) = 5 + 2875 q + ... through q^order, from this map alone."""
+        if not 1 <= order <= self.phi0.order:
+            raise ValueError(f"coupling order must lie in 1..{self.phi0.order}")
+        # z(q) runs one order past phi0 (the reversion keeps the extra
+        # coefficient picked up by the leading factor of z), which is exactly
+        # what the log-derivative below needs to stay at phi0's order.
+        z_of_q = self.z_of_q
+        # theta_q z / z, with the common factor q cancelled so the quotient
+        # has an invertible constant term.
+        log_derivative = z_of_q.theta().div_by_power(1) / z_of_q.div_by_power(1)
+        phi0_of_q = self.phi0.compose(z_of_q)
+        # Y(z(q)) by one inverse; z(q) = q + O(q^2) makes this agree with
+        # Y composed with z(q) through every retained order.
+        y_of_q = (1 - z_of_q.scale(UNNORMALIZED_COUPLING_POLE)).inverse().scale(5)
+        kappa = (
+            y_of_q
+            * log_derivative
+            * log_derivative
+            * log_derivative
+            / (phi0_of_q * phi0_of_q)
+        )
+        return kappa.truncate(order)
 
 
 def build_mirror_map(order: int) -> MirrorMap:
@@ -69,7 +87,12 @@ def build_mirror_map(order: int) -> MirrorMap:
     if order < 2:
         raise ValueError("mirror map needs truncation order >= 2")
     bundle = frobenius_at_zero(order, modulus_degree=2)
-    return _mirror_from_components(bundle.component(0), bundle.component(1))
+    phi0 = bundle.component(0)
+    ratio = bundle.component(1) / phi0
+    if not QQ.is_zero(ratio.coefficient(0)):
+        raise ValueError("logarithm-free period ratio has a constant term")
+    q_of_z = ratio.exp().mul_by_power(1)
+    return MirrorMap(q_of_z, q_of_z.reversion(), phi0)
 
 
 def unnormalized_coupling(order: int) -> TruncatedSeries:
@@ -82,27 +105,7 @@ def yukawa_normalized(order: int) -> TruncatedSeries:
     """The coupling kappa(q) = 5 + 2875 q + ... through q^order."""
     if order < 1:
         raise ValueError("coupling needs truncation order >= 1")
-    work = max(order, 2)
-    bundle = frobenius_at_zero(work, modulus_degree=2)
-    phi0 = bundle.component(0)
-    mirror = _mirror_from_components(phi0, bundle.component(1))
-    # z(q) runs one order past `work` (the reversion keeps the extra
-    # coefficient picked up by the leading factor of z), which is exactly
-    # what the log-derivative below needs to stay at order `work`.
-    z_of_q = mirror.z_of_q
-
-    # theta_q z / z, with the common factor q cancelled so the quotient
-    # has an invertible constant term.
-    log_derivative = z_of_q.theta().div_by_power(1) / z_of_q.div_by_power(1)
-    phi0_of_q = phi0.compose(z_of_q)
-    kappa = (
-        unnormalized_coupling(work).compose(z_of_q)
-        * log_derivative
-        * log_derivative
-        * log_derivative
-        / (phi0_of_q * phi0_of_q)
-    )
-    return kappa.truncate(order)
+    return build_mirror_map(max(order, 2)).normalized_coupling(order)
 
 
 @dataclass(frozen=True)

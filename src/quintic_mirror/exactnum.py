@@ -15,6 +15,7 @@ arithmetic.  No floats appear in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -286,6 +287,26 @@ class CyclotomicElement:
         return self * o.inverse()
 
 
+def _convolve(ring, a: Sequence, b: Sequence, order: int) -> tuple:
+    """Coefficients 0..order of the product of a and b, one ring operation at a time."""
+    out = [ring.zero() for _ in range(order + 1)]
+    for i in range(min(len(a), order + 1)):
+        x = a[i]
+        if ring.is_zero(x):
+            continue
+        for j in range(min(len(b), order + 1 - i)):
+            y = b[j]
+            if not ring.is_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def _integer_form(coeffs: Sequence) -> tuple:
+    """Rationals as (integer numerators, common denominator)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 @dataclass(frozen=True)
 class RationalField:
     """Descriptor for QQ; elements are ``fractions.Fraction``."""
@@ -311,6 +332,24 @@ class RationalField:
         if x == 0:
             raise ZeroDivisionError("division by zero in QQ")
         return Fraction(1) / x
+
+    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
+        """Coefficients 0..order of the product of a and b.
+
+        Each operand is scaled once to integers over the lcm of its
+        denominators, the convolution runs on Python ints, and each output
+        coefficient becomes one Fraction over the product of the two
+        denominators.
+        """
+        a, den_a = _integer_form(a[: order + 1])
+        b, den_b = _integer_form(b[: order + 1])
+        out = [0] * (order + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[: order + 1 - i]):
+                    out[i + j] += x * y
+        den = den_a * den_b
+        return tuple(Fraction(c, den) for c in out)
 
     def element_to_json(self, x):
         return rational_str(x)
@@ -358,6 +397,9 @@ class NilpotentRing:
     def invert(self, x):
         return self.coerce(x).inverse()
 
+    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
+        return _convolve(self, a, b, order)
+
     def element_to_json(self, x):
         return [rational_str(c) for c in x.coeffs]
 
@@ -393,6 +435,9 @@ class CyclotomicField:
 
     def invert(self, x):
         return self.coerce(x).inverse()
+
+    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
+        return _convolve(self, a, b, order)
 
     def element_to_json(self, x):
         return [rational_str(c) for c in x.coeffs]
@@ -511,20 +556,18 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs), self.shift)
 
     def __mul__(self, other):
+        """Product truncated at the smaller order; shifts add.
+
+        The convolution is the ring descriptor's ``series_product``: over QQ
+        it runs on integer numerators over one common denominator per
+        operand, over the other rings one ring operation at a time.
+        """
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_ring(other)
         n = min(self.order, other.order)
-        out = [self.ring.zero() for _ in range(n + 1)]
-        for i in range(min(self.order, n) + 1):
-            a = self.coeffs[i]
-            if self.ring.is_zero(a):
-                continue
-            for j in range(min(other.order, n - i) + 1):
-                b = other.coeffs[j]
-                if not self.ring.is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, tuple(out), self.shift + other.shift)
+        out = self.ring.series_product(self.coeffs, other.coeffs, n)
+        return TruncatedSeries(self.ring, out, self.shift + other.shift)
 
     __rmul__ = __mul__
 
@@ -660,9 +703,10 @@ class TruncatedSeries:
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse b with self(b(x)) = x.
 
-        Needs constant term 0 and a unit linear coefficient.  Solved term
-        by term: once b is correct through order m, the defect of
-        self(b) - x at order m+1 is linear in the next coefficient.
+        Needs constant term 0 and a unit linear coefficient.  Lagrange
+        inversion: with h = (self/x)^-1, [x^m] b = (1/m) [x^(m-1)] h^m.
+        The powers h^m are built one product at a time, so an order-n
+        reversion costs n series products, O(n^3) ring operations.
         """
         if self.has_shift():
             raise ValueError("reversion needs a shift-free series")
@@ -670,15 +714,14 @@ class TruncatedSeries:
             raise ValueError("reversion needs constant term 0")
         if self.order < 1 or not self.ring.is_unit(self.coeffs[1]):
             raise ValueError("reversion needs a unit linear coefficient")
-        n = self.order
-        a1_inv = self.ring.invert(self.coeffs[1])
-        b = [self.ring.zero() for _ in range(n + 1)]
-        b[1] = a1_inv
-        for m in range(2, n + 1):
-            candidate = TruncatedSeries(self.ring, tuple(b[: m + 1]), self.ring.zero())
-            defect = self.truncate(m).compose(candidate).coeffs[m]
-            b[m] = -(a1_inv * defect)
-        return TruncatedSeries(self.ring, tuple(b), self.ring.zero())
+        ring = self.ring
+        h = self.div_by_power(1).inverse()
+        b = [ring.zero(), h.coeffs[0]]
+        power = h
+        for m in range(2, self.order + 1):
+            power = power * h
+            b.append(power.coeffs[m - 1] * ring.invert(ring.coerce(m)))
+        return TruncatedSeries(ring, tuple(b), ring.zero())
 
     # -- serialization -------------------------------------------------
 

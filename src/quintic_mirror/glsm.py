@@ -37,7 +37,7 @@ def _int_matrix(rows, allow_negative: bool = True) -> tuple:
         new = []
         for x in row:
             xi = int(x)
-            if xi != x:
+            if isinstance(x, bool) or xi != x:
                 raise ValueError(f"entry {x!r} is not an integer")
             if not allow_negative and xi < 0:
                 raise ValueError(f"entry {xi} is negative")
@@ -249,7 +249,7 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     """r = (-1/(2 pi)) sum_k log|c_k| chi_k, one charge vector chi_k per coordinate.
 
     The one floating-point computation in the package; everything else
-    is exact.  Magnitudes must be positive.
+    is exact.  Magnitudes must be positive and finite, charges integers.
     """
     if len(magnitudes) != len(charges):
         raise ValueError("need one charge vector per magnitude")
@@ -258,11 +258,12 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     width = len(charges[0])
     if any(len(chi) != width for chi in charges):
         raise ValueError("charge vectors have inconsistent lengths")
+    charges = _int_matrix(charges)
     out = [0.0] * width
     for c, chi in zip(magnitudes, charges):
         c = float(c)
-        if c <= 0.0:
-            raise ValueError(f"magnitude {c} is not positive")
+        if not (0.0 < c < math.inf):
+            raise ValueError(f"magnitude {c} is not positive and finite")
         factor = -math.log(c) / (2.0 * math.pi)
         for a in range(width):
             out[a] += factor * chi[a]

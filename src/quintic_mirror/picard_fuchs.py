@@ -36,17 +36,6 @@ BASIS_IDEMPOTENT_AT_INFINITY = "idempotent-basis-at-infinity"
 BASIS_POWER_AT_INFINITY = "alpha-power-basis-at-infinity"
 
 
-def poly_mul(p, q) -> tuple:
-    """Product of two rational polynomials given as low-to-high coefficients."""
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += Fraction(a) * Fraction(b)
-    return tuple(out)
-
-
 def eval_theta_poly(coeffs, x, ring):
     """Evaluate a rational theta-polynomial at a ring element, by Horner."""
     acc = ring.zero()
@@ -67,7 +56,7 @@ class PeriodOperator:
         p0 = (Fraction(0),) * 4 + (Fraction(1),)
         p1 = (Fraction(1),)
         for k in range(1, 5):
-            p1 = poly_mul(p1, (Fraction(k), Fraction(5)))
+            p1 = QQ.series_product(p1, (Fraction(k), Fraction(5)), len(p1))
         p1 = tuple(Fraction(-5) * c for c in p1)
         return PeriodOperator((p0, p1))
 

@@ -304,7 +304,7 @@ def k3_semistable_check(ks) -> bool:
     total = 0
     for k in ks:
         n = int(k)
-        if n != k or n <= 0:
+        if isinstance(k, bool) or n != k or n <= 0:
             raise ValueError("fiber multiplicities must be positive integers")
         total += n
     return total == 24

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from quintic_mirror import cli
+from quintic_mirror import cli, enumerative
 from quintic_mirror.enumerative import IntegralityError
+from quintic_mirror.exactnum import TruncatedSeries
 
 _SHEAR_TRIPLE = [
     [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
@@ -233,3 +235,64 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
     code, out, err = _run(capsys, ["periods", "--format", "structured", "--order", "2"])
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("glsm kahler", '{"magnitudes": [NaN, 1.0], "charges": [[1, 0], [0, 1]]}'),
+        ("glsm kahler", '{"magnitudes": [Infinity, 1.0], "charges": [[1, 0], [0, 1]]}'),
+        ("glsm kahler", '{"magnitudes": [1e400, 1.0], "charges": [[1, 0], [0, 1]]}'),
+        ("glsm kahler", '{"magnitudes": [1%s, 1.0], "charges": [[1, 0], [0, 1]]}' % ("0" * 400)),
+        ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[1.5, 0], [0, 1]]}'),
+        ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[true, 0], [0, 1]]}'),
+        ("syz k3", json.dumps({"multiplicities": [True] * 24})),
+    ],
+    ids=["nan", "infinity", "overflow", "integer-overflow", "fractional-charge", "boolean-charge", "boolean-multiplicity"],
+)
+def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, text) -> None:
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, command.split() + ["--in", str(path)])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input:")
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        (12, "21429ab075469d4ffe07ef8d186406a8137741e33d9e58057550a9b087b53c6a"),
+        (20, "f3d3cbb02afd761c4857633d0e6eec2f9f79f1cc55cddd4920ce660627de5aac"),
+        (40, "e023ae6ce1375fdb370cbd7294e44dd0e71612359b64278527595dd5a15dbba3"),
+    ],
+)
+def test_gw_structured_output_digest_is_frozen(capsys, order, digest) -> None:
+    # Digests of the output of the two-pass pipeline with the term-by-term
+    # reversion; the current kernels must reproduce it byte for byte.
+    code, out, err = _run(
+        capsys, ["gw", "--dmax", str(order), "--order", str(order), "--format", "structured"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_gw_solves_and_reverts_once(capsys, monkeypatch) -> None:
+    calls = {"frobenius": 0, "reversion": 0}
+    frobenius = enumerative.frobenius_at_zero
+    reversion = TruncatedSeries.reversion
+
+    def counted_frobenius(*args, **kwargs):
+        calls["frobenius"] += 1
+        return frobenius(*args, **kwargs)
+
+    def counted_reversion(self):
+        calls["reversion"] += 1
+        return reversion(self)
+
+    monkeypatch.setattr(enumerative, "frobenius_at_zero", counted_frobenius)
+    monkeypatch.setattr(TruncatedSeries, "reversion", counted_reversion)
+    code, out, err = _run(capsys, ["gw", "--dmax", "5", "--order", "8"])
+    assert code == 0
+    assert calls == {"frobenius": 1, "reversion": 1}

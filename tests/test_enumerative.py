@@ -119,6 +119,24 @@ def test_yukawa_frozen_coefficients() -> None:
     assert kappa.coefficient(4) == 15517926796875
 
 
+def test_coupling_by_inverse_matches_composition() -> None:
+    # Y(z(q)) = 5 (1 - 3125 z(q))^-1 agrees with Y composed with z(q) at
+    # every retained order, because z(q) = q + O(q^2).
+    z_of_q = build_mirror_map(8).z_of_q
+    by_inverse = (1 - z_of_q.scale(3125)).inverse().scale(5)
+    by_composition = unnormalized_coupling(8).compose(z_of_q)
+    assert by_inverse.truncate(8).coeffs == by_composition.coeffs
+
+
+def test_coupling_from_one_mirror_map_matches_yukawa() -> None:
+    mirror = build_mirror_map(6)
+    for order in range(1, 7):
+        assert mirror.normalized_coupling(order).coeffs == yukawa_normalized(order).coeffs
+    for order in (0, 7):
+        with pytest.raises(ValueError):
+            mirror.normalized_coupling(order)
+
+
 def test_yukawa_small_orders() -> None:
     kappa = yukawa_normalized(1)
     assert kappa.order == 1

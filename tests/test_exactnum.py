@@ -7,6 +7,7 @@ import pytest
 
 from quintic_mirror.exactnum import (
     QQ,
+    ZETA5_FIELD,
     CyclotomicElement,
     NilpotentElement,
     NilpotentRing,
@@ -267,3 +268,90 @@ def test_series_json_shape() -> None:
     assert "shift" not in doc
     shifted = TruncatedSeries.from_coefficients(QQ, [1], shift=Fraction(2, 5))
     assert shifted.to_json()["shift"] == "2/5"
+
+
+# -- Lagrange reversion and the integer QQ product ---------------------------
+
+
+def _random_element(ring, rng: random.Random):
+    if ring == QQ:
+        return _random_fraction(rng)
+    parts = tuple(_random_fraction(rng) for _ in range(4))
+    if ring == ZETA5_FIELD:
+        return CyclotomicElement(parts)
+    return NilpotentElement(parts)
+
+
+def _random_reversible(ring, rng: random.Random, order: int) -> TruncatedSeries:
+    linear = _random_element(ring, rng)
+    while not ring.is_unit(linear):
+        linear = _random_element(ring, rng)
+    rest = [_random_element(ring, rng) for _ in range(order - 1)]
+    return TruncatedSeries.from_coefficients(ring, [0, linear] + rest)
+
+
+def _naive_product(ring, p, q, order: int) -> list:
+    out = [ring.zero()] * (order + 1)
+    for i in range(min(len(p), order + 1)):
+        for j in range(min(len(q), order + 1 - i)):
+            out[i + j] = out[i + j] + p[i] * q[j]
+    return out
+
+
+def _naive_compose(ring, outer, inner, order: int) -> list:
+    result = [ring.zero()] * (order + 1)
+    for c in reversed(outer[: order + 1]):
+        result = _naive_product(ring, result, inner, order)
+        result[0] = result[0] + c
+    return result
+
+
+def _reference_reversion(f: TruncatedSeries) -> tuple:
+    """O(n^4) reversion: fix each coefficient from the defect of f(b) - x."""
+    ring = f.ring
+    a1_inv = ring.invert(f.coeffs[1])
+    b = [ring.zero(), a1_inv]
+    for m in range(2, f.order + 1):
+        defect = _naive_compose(ring, f.coeffs[: m + 1], b + [ring.zero()], m)[m]
+        b.append(-(a1_inv * defect))
+    return tuple(b)
+
+
+@pytest.mark.parametrize("ring", [QQ, NilpotentRing(4), ZETA5_FIELD], ids=str)
+def test_lagrange_reversion_is_a_two_sided_inverse(ring) -> None:
+    rng = random.Random(11)
+    for order in (1, 2, 5, 7):
+        f = _random_reversible(ring, rng, order)
+        b = f.reversion()
+        x = TruncatedSeries.variable(ring, order).coeffs
+        assert b.order == order
+        assert f.compose(b).coeffs == x
+        assert b.compose(f).coeffs == x
+
+
+@pytest.mark.parametrize("ring", [QQ, NilpotentRing(4), ZETA5_FIELD], ids=str)
+def test_lagrange_reversion_matches_term_by_term_reference(ring) -> None:
+    rng = random.Random(12)
+    for order in (1, 3, 6):
+        f = _random_reversible(ring, rng, order)
+        assert f.reversion().coeffs == _reference_reversion(f)
+
+
+def test_qq_integer_product_matches_fraction_convolution() -> None:
+    # Mixed denominators, runs of zero coefficients and unequal lengths.
+    rng = random.Random(13)
+    for _ in range(40):
+        p = [_random_fraction(rng) for _ in range(rng.randint(1, 9))]
+        q = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(1, 9))]
+        start = rng.randrange(len(p))
+        p[start : start + 3] = [Fraction(0)] * len(p[start : start + 3])
+        full = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                full[i + j] += a * b
+        order = rng.randrange(len(full))
+        got = QQ.series_product(tuple(p), tuple(q), order)
+        assert got == tuple(full[: order + 1])
+        assert all(type(c) is Fraction for c in got)
+        product = TruncatedSeries.from_coefficients(QQ, p) * TruncatedSeries.from_coefficients(QQ, q)
+        assert product.coeffs == tuple(full[: min(len(p), len(q))])

@@ -163,3 +163,15 @@ def test_kahler_parameter_guards() -> None:
         kahler_parameter([1.0, 1.0], [[1, 0]])
     with pytest.raises(ValueError):
         kahler_parameter([], [])
+
+
+def test_kahler_parameter_rejects_non_finite_magnitudes() -> None:
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            kahler_parameter([bad, 1.0], [[1, 0], [0, 1]])
+
+
+def test_kahler_parameter_rejects_non_integer_charges() -> None:
+    for bad in (1.5, True, False):
+        with pytest.raises(ValueError):
+            kahler_parameter([0.5, 2.0], [[bad, 0], [0, 1]])

@@ -218,3 +218,10 @@ def test_sl2_self_conjugacy_witnesses() -> None:
     assert sl2_mirror_selfconjugacy(0) == ((1, 0), (0, 1))
     for k in range(1, 11):
         assert sl2_mirror_selfconjugacy(k) == ((0, -1), (1, 0))
+
+
+def test_k3_rejects_boolean_multiplicities() -> None:
+    with pytest.raises(ValueError):
+        k3_semistable_check([True] * 24)
+    with pytest.raises(ValueError):
+        k3_semistable_check([False, 24])
