@@ -55,13 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
+# Ceiling on every series order and degree bound (--order, --dmax).  The
+# series kernels cost at least the cube of the order in growing integers,
+# so an order of 10^12 would never finish; with the ceiling it fails at once.
+MAX_ORDER = 1000
+
+
+def _order(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORDER}")
     return value
 
 
@@ -531,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "periods", parents=[common], help="period solutions and operator residual"
     )
-    p.add_argument("--order", type=_positive_int, default=12)
+    p.add_argument("--order", type=_order, default=12)
     p.set_defaults(handler=_cmd_periods)
 
     p = sub.add_parser(
@@ -542,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gw", parents=[common], help="mirror map, coupling, and curve counts"
     )
-    p.add_argument("--order", type=_positive_int, default=12)
-    p.add_argument("--dmax", type=_positive_int, default=3)
+    p.add_argument("--order", type=_order, default=12)
+    p.add_argument("--dmax", type=_order, default=3)
     p.set_defaults(handler=_cmd_gw)
 
     p = sub.add_parser(

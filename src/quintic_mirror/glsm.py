@@ -15,6 +15,7 @@ The only floating-point computation in the whole package lives here, in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -249,7 +250,8 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     """r = (-1/(2 pi)) sum_k log|c_k| chi_k, one charge vector chi_k per coordinate.
 
     The one floating-point computation in the package; everything else
-    is exact.  Magnitudes must be positive and finite, charges integers.
+    is exact.  Magnitudes must be positive and finite real numbers (not
+    booleans or strings), charges integers.
     """
     if len(magnitudes) != len(charges):
         raise ValueError("need one charge vector per magnitude")
@@ -261,6 +263,8 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     charges = _int_matrix(charges)
     out = [0.0] * width
     for c, chi in zip(magnitudes, charges):
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise ValueError(f"magnitude {c!r} is not a number")
         c = float(c)
         if not (0.0 < c < math.inf):
             raise ValueError(f"magnitude {c} is not positive and finite")

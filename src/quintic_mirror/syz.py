@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from .glsm import _int_matrix
 from .linalg import rational_rank, smith_normal_form, unimodular_inverse
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
@@ -38,18 +39,6 @@ VERTEX_TYPE_OTHER = "other"
 
 class ProductConditionError(ValueError):
     """The three monodromies at a vertex do not multiply to the identity."""
-
-
-def _int_rows_3(rows) -> tuple:
-    out = []
-    for row in rows:
-        r = tuple(int(x) for x in row)
-        if len(r) != 3 or any(r[i] != row[i] for i in range(3)):
-            raise ValueError("need a 3x3 integer matrix")
-        out.append(r)
-    if len(out) != 3:
-        raise ValueError("need a 3x3 integer matrix")
-    return tuple(out)
 
 
 def _matmul3(a, b) -> tuple:
@@ -71,7 +60,9 @@ class UnipotentMonodromy3:
 
     @staticmethod
     def from_rows(rows) -> "UnipotentMonodromy3":
-        entries = _int_rows_3(rows)
+        entries = _int_matrix(rows)
+        if len(entries) != 3 or len(entries[0]) != 3:
+            raise ValueError("need a 3x3 integer matrix")
         a, b, c = entries
         det = (
             a[0] * (b[1] * c[2] - b[2] * c[1])

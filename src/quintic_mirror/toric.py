@@ -1,11 +1,17 @@
 """Lattice polytopes, polar duality, and hypersurface moduli counts.
 
 Polytopes are stored by their vertex lists (extreme points only, sorted).
-Facets of a full-dimensional polytope are found by brute force over
-vertex subsets, which is the right tool at the sizes that appear here
-(simplices in dimension four and small test polytopes).  The polar dual
-uses the inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on
-the primal side becomes the dual vertex -n/c.
+Facets of a full-dimensional polytope in Z^d are found by brute force
+over every d-subset of the input points (not only the vertices): the
+hyperplane through a subset has as primitive normal its integer cofactor
+vector, the signed (d-1)-minors of the difference vectors divided by
+their gcd, and it is a facet when no two points lie strictly on opposite
+sides.  For n points that costs O(C(n, d) * n) dot products, which is
+the right tool at the sizes that appear here (simplices in dimension
+four and small test polytopes).  Lower-dimensional polytopes are reduced
+to full dimension inside their affine hull.  The polar dual uses the
+inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the primal
+side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts,
@@ -16,16 +22,14 @@ exponent matrix with their pairing.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (
-    canonical_kernel_basis,
-    integer_kernel_basis,
-    rational_rank,
-    solve_rational,
-)
+from .glsm import _int_matrix
+from .linalg import integer_kernel_basis, rational_rank, solve_rational
 
 LatticePoint = tuple
 
@@ -43,17 +47,11 @@ class InfeasibleWitnessError(ValueError):
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _lattice_point(p) -> tuple:
-    out = []
-    for x in p:
-        xi = int(x)
-        if xi != x:
-            raise ValueError(f"coordinate {x!r} is not an integer")
-        out.append(xi)
-    return tuple(out)
+    return _int_matrix([p])[0]
 
 
 @dataclass(frozen=True)
@@ -241,28 +239,73 @@ class LatticePolytope:
         return f"LatticePolytope(vertices={list(self._vertices)!r})"
 
 
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every division is exact, so entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1]
+
+
+def _hyperplane_normal(rows) -> Optional[tuple]:
+    """Primitive integer normal to the span of d - 1 vectors in Z^d, up to
+    sign: the signed maximal minors divided by their gcd.  None when the
+    vectors are dependent, which is exactly when every minor vanishes."""
+    minors = [
+        _bareiss_det([r[:i] + r[i + 1:] for r in rows]) * (-1) ** i
+        for i in range(len(rows[0]))
+    ]
+    g = math.gcd(*minors)
+    if g == 0:
+        return None
+    return tuple(m // g for m in minors)
+
+
 def _full_dim_facets(points, ambient: int) -> tuple:
     """Brute-force facet search: every hyperplane spanned by a subset of
-    points that keeps all points on one side."""
+    points that keeps all points on one side, oriented outwards."""
     if ambient == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
         return (Facet((-1,), -lo), Facet((1,), hi))
     found = set()
     for subset in itertools.combinations(points, ambient):
-        diffs = [
-            tuple(x - b for x, b in zip(p, subset[0])) for p in subset[1:]
-        ]
-        kernel = canonical_kernel_basis(diffs)
-        if len(kernel) != 1:
+        base = subset[0]
+        normal = _hyperplane_normal(
+            [[x - b for x, b in zip(p, base)] for p in subset[1:]]
+        )
+        if normal is None:
             continue
-        normal = kernel[0]
-        offset = _dot(normal, subset[0])
-        values = [_dot(normal, p) for p in points]
-        if all(v <= offset for v in values):
+        offset = _dot(normal, base)
+        above = below = False
+        for p in points:
+            value = _dot(normal, p)
+            if value > offset:
+                above = True
+            elif value < offset:
+                below = True
+            else:
+                continue
+            if above and below:
+                break
+        else:
+            if above:
+                normal, offset = tuple(-n for n in normal), -offset
             found.add(Facet(normal, offset))
-        elif all(v >= offset for v in values):
-            found.add(Facet(tuple(-n for n in normal), -offset))
     return tuple(sorted(found, key=lambda f: (f.normal, f.offset)))
 
 

@@ -15,6 +15,24 @@ _SHEAR_TRIPLE = [
     [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
     [[1, 0, -1], [0, 1, -1], [0, 0, 1]],
 ]
+# the same triple with one entry 1 written as JSON true
+_BOOLEAN_SHEAR_TRIPLE = [
+    [[True, 0, 1], [0, 1, 0], [0, 0, 1]],
+    _SHEAR_TRIPLE[1],
+    _SHEAR_TRIPLE[2],
+]
+
+# polytope inputs whose structured output is frozen below
+_CUBE_POINTS = [[x, y, z] for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)]
+# e_1..e_4, -(1,1,1,1) and the origin, moved by a unimodular matrix
+_SIMPLEX4_POINTS = [
+    [1, 2, 0, -1], [0, 1, 1, 0], [0, 0, 1, 3], [0, 0, 0, 1], [-1, -3, -2, -3], [0, 0, 0, 0],
+]
+_CLOUD3_POINTS = [
+    [-3, -2, -3], [-3, 0, 0], [-3, 1, -1], [-2, -3, 1], [-2, 2, 2], [-1, -3, 1],
+    [-1, -2, 0], [-1, 1, -3], [0, -2, 1], [1, -3, 1], [1, -2, -3], [1, 0, -3],
+    [1, 2, -2], [1, 3, 2], [2, -3, -3], [3, -2, -1], [3, 1, -3],
+]
 
 
 def _run(capsys, argv: list) -> tuple:
@@ -247,8 +265,24 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[1.5, 0], [0, 1]]}'),
         ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[true, 0], [0, 1]]}'),
         ("syz k3", json.dumps({"multiplicities": [True] * 24})),
+        ("polytope", '{"points": [[true, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}'),
+        ("syz classify", json.dumps({"monodromies": _BOOLEAN_SHEAR_TRIPLE})),
+        ("glsm kahler", '{"magnitudes": ["2.0", 1.0], "charges": [[1], [1]]}'),
+        ("glsm kahler", '{"magnitudes": [2.0, true], "charges": [[1], [1]]}'),
     ],
-    ids=["nan", "infinity", "overflow", "integer-overflow", "fractional-charge", "boolean-charge", "boolean-multiplicity"],
+    ids=[
+        "nan",
+        "infinity",
+        "overflow",
+        "integer-overflow",
+        "fractional-charge",
+        "boolean-charge",
+        "boolean-multiplicity",
+        "boolean-point",
+        "boolean-matrix-entry",
+        "string-magnitude",
+        "boolean-magnitude",
+    ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, text) -> None:
     path = tmp_path / "bad.json"
@@ -276,6 +310,52 @@ def test_gw_structured_output_digest_is_frozen(capsys, order, digest) -> None:
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "points, digest",
+    [
+        (_CUBE_POINTS, "9160b603886ef6810749b93afb337b439573fa2e8c48c576cc9b8479f25cef67"),
+        (_SIMPLEX4_POINTS, "d1b690dd8f1dbb76b18decc9b1f5774725ee25689ad0b8241fde3d9867ae138a"),
+        (_CLOUD3_POINTS, "9ef128eb09355cfb148c4e072bc43559aace9d60a60f44c5c00e1a624a850d6a"),
+    ],
+    ids=["cube", "simplex4", "cloud3"],
+)
+def test_polytope_structured_output_digest_is_frozen(
+    capsys, monkeypatch, tmp_path, points, digest
+) -> None:
+    # Digests of the output of the facet search that took one Smith-form
+    # kernel per point subset; the cofactor search must reproduce it.  The
+    # input path is printed, so it is the same relative name every run.
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path, "points.json", {"points": points})
+    code, out, err = _run(capsys, ["polytope", "--in", "points.json", "--format", "structured"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--order", str(cli.MAX_ORDER + 1)],
+        ["gw", "--order", "1000000000000"],
+        ["gw", "--dmax", str(cli.MAX_ORDER + 1)],
+        ["periods", "--order", str(cli.MAX_ORDER + 1)],
+    ],
+)
+def test_order_above_ceiling_is_usage_error(capsys, argv) -> None:
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [errors[0]] and errors[0].startswith("error: usage:")
+    assert f"at most {cli.MAX_ORDER}" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_order_ceiling_itself_is_accepted() -> None:
+    args = cli.build_parser().parse_args(["gw", "--order", str(cli.MAX_ORDER)])
+    assert args.order == cli.MAX_ORDER
 
 
 def test_gw_solves_and_reverts_once(capsys, monkeypatch) -> None:

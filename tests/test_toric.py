@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from quintic_mirror.glsm import ExponentMatrix
-from quintic_mirror.linalg import unimodular_inverse
+from quintic_mirror.linalg import canonical_kernel_basis, rational_rank, unimodular_inverse
 from quintic_mirror.toric import (
+    Facet,
     GorensteinWitness,
     InfeasibleWitnessError,
     LatticePolytope,
@@ -73,6 +75,78 @@ def test_lower_dimensional_polytopes() -> None:
     assert triangle.dim == 2
     assert triangle.contains((0, 0, 0))
     assert not triangle.contains((0, 0, 1))
+
+
+# -- facet search against the Smith-kernel reference --------------------------
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _reference_facets(points, ambient: int) -> tuple:
+    """Reference facet search: one Smith-form kernel per point subset
+    (canonical_kernel_basis), kept to check the cofactor normals against."""
+    if ambient == 1:
+        lo = min(p[0] for p in points)
+        hi = max(p[0] for p in points)
+        return (Facet((-1,), -lo), Facet((1,), hi))
+    found = set()
+    for subset in itertools.combinations(points, ambient):
+        diffs = [tuple(x - b for x, b in zip(p, subset[0])) for p in subset[1:]]
+        kernel = canonical_kernel_basis(diffs)
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        offset = _dot(normal, subset[0])
+        values = [_dot(normal, p) for p in points]
+        if all(v <= offset for v in values):
+            found.add(Facet(normal, offset))
+        elif all(v >= offset for v in values):
+            found.add(Facet(tuple(-n for n in normal), -offset))
+    return tuple(sorted(found, key=lambda f: (f.normal, f.offset)))
+
+
+def _reference_vertices(points, facets, ambient: int) -> tuple:
+    return tuple(
+        p
+        for p in points
+        if rational_rank([f.normal for f in facets if _dot(f.normal, p) == f.offset])
+        == ambient
+    )
+
+
+def _cloud_with_degenerate_subsets(rng: random.Random, d: int, count: int, radius: int) -> list:
+    """Random points plus the collinear a, a + u, a + 2u, a + 3u and two
+    points a + v, a + u + 2v in a plane through that line, all within the
+    coordinate radius."""
+    def draw(r):
+        return tuple(rng.randint(-r, r) for _ in range(d))
+
+    points = [draw(radius) for _ in range(count)]
+    step = radius // 4
+    a, u, v = draw(step), draw(step), draw(step)
+    for i, j in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 2)):
+        points.append(tuple(x + i * y + j * z for x, y, z in zip(a, u, v)))
+    return points
+
+
+@pytest.mark.parametrize("radius", [4, 10**6])
+@pytest.mark.parametrize("ambient, count", [(1, 4), (2, 8), (3, 7), (4, 5), (5, 3)])
+def test_facets_match_smith_kernel_reference(ambient, count, radius) -> None:
+    rng = random.Random(1000 * ambient + radius)
+    compared = 0
+    for _ in range(5):
+        points = _cloud_with_degenerate_subsets(rng, ambient, count, radius)
+        poly = LatticePolytope(points)
+        if poly.dim < ambient:
+            continue
+        distinct = sorted(set(points))
+        facets = _reference_facets(distinct, ambient)
+        assert poly.facets() == facets
+        assert poly.vertices == _reference_vertices(distinct, facets, ambient)
+        compared += 1
+    assert compared >= 4
 
 
 # -- polarity ----------------------------------------------------------------
