@@ -16,6 +16,7 @@ arithmetic.  No floats appear in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -301,10 +302,20 @@ def _convolve(ring, a: Sequence, b: Sequence, order: int) -> tuple:
     return tuple(out)
 
 
-def _integer_form(coeffs: Sequence) -> tuple:
+def integer_form(coeffs: Sequence) -> tuple:
     """Rationals as (integer numerators, common denominator)."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
+    """Coefficients 0..order of the product of two integer sequences."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,15 +352,10 @@ class RationalField:
         coefficient becomes one Fraction over the product of the two
         denominators.
         """
-        a, den_a = _integer_form(a[: order + 1])
-        b, den_b = _integer_form(b[: order + 1])
-        out = [0] * (order + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[: order + 1 - i]):
-                    out[i + j] += x * y
+        a, den_a = integer_form(a[: order + 1])
+        b, den_b = integer_form(b[: order + 1])
         den = den_a * den_b
-        return tuple(Fraction(c, den) for c in out)
+        return tuple(Fraction(c, den) for c in int_convolve(a, b, order))
 
     def element_to_json(self, x):
         return rational_str(x)
@@ -584,22 +590,29 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a unit constant term."""
-        a0 = self.coeffs[0]
-        if not self.ring.is_unit(a0):
+        """Multiplicative inverse; needs a unit constant term.
+
+        Over QQ, with self = A/d on ints: b_k = d B_k / A_0^(k+1), where
+        B_0 = 1 and B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j).  The other rings
+        solve sum_{j<=k} a_j b_(k-j) = [k == 0] one ring operation at a time.
+        """
+        ring, a0 = self.ring, self.coeffs[0]
+        if not ring.is_unit(a0):
             raise ValueError("series inverse needs a unit constant term")
-        inv0 = self.ring.invert(a0)
-        n = self.order
-        out = [self.ring.zero() for _ in range(n + 1)]
-        out[0] = inv0
-        # (self * out) = 1 solved triangularly:
-        # sum_{j=0}^{k} a_j b_{k-j} = 0 for k >= 1.
-        for k in range(1, n + 1):
-            acc = self.ring.zero()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(inv0 * acc)
-        return TruncatedSeries(self.ring, tuple(out), -self.shift)
+        if ring == QQ:
+            num, den = integer_form(self.coeffs)
+            scaled = [c * num[0] ** (j - 1) for j, c in enumerate(num) if j]
+            b = [1]
+            for k in range(1, len(num)):
+                b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
+            out = [Fraction(den * c, num[0] ** (k + 1)) for k, c in enumerate(b)]
+        else:
+            inv0 = ring.invert(a0)
+            out = [inv0]
+            for k in range(1, self.order + 1):
+                terms = (self.coeffs[j] * out[k - j] for j in range(1, k + 1))
+                out.append(-(inv0 * sum(terms, ring.zero())))
+        return TruncatedSeries(ring, tuple(out), -self.shift)
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -11,7 +11,8 @@ A single Frobenius computation over the nilpotent ring QQ[a]/(a^N)
 produces the holomorphic solution together with its logarithmic partners:
 the bundle Phi_a = sum_n A_n(a) z^(a+n) expands as
 Phi^(0) + Phi^(1) a + Phi^(2) a^2 + ..., and component k is the plain
-rational series multiplying a^k.
+rational series multiplying a^k.  The recurrence for the bundle and the
+operator residual both run on integer numerators over common denominators.
 
 Monodromy matrices act on row vectors (gamma -> gamma M) throughout; this
 orientation is what makes the displayed unipotent matrix at z = 0 come out
@@ -20,14 +21,19 @@ upper-triangular with bands 1, 1/2, 1/6.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
     QQ,
     ZETA5_FIELD,
+    NilpotentElement,
     NilpotentRing,
     TruncatedSeries,
+    int_convolve,
+    integer_form,
 )
 from .linalg import SquareExactMatrix
 
@@ -60,9 +66,6 @@ class PeriodOperator:
         p1 = tuple(Fraction(-5) * c for c in p1)
         return PeriodOperator((p0, p1))
 
-    def apply(self, series: TruncatedSeries) -> TruncatedSeries:
-        return apply_operator(self, series)
-
     def to_json(self) -> dict:
         from .exactnum import rational_str
 
@@ -77,20 +80,35 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
 
     The term z^j p_j(theta) sends a_m x^(shift+m) to
     p_j(shift + m) a_m x^(shift+m+j), so the residual coefficient at
-    exponent shift + n is sum_j p_j(shift + n - j) a_{n-j}.
+    exponent shift + n is sum_j p_j(shift + n - j) a_{n-j}.  The ring is
+    QQ[a]/(a^N), or QQ as the case N = 1.  Each a_n is cleared of
+    denominators once, into a window of len(op.terms) integer forms, and
+    the sum runs on ints mod a^N.
     """
-    ring = series.ring
-    s = series.shift
+    nilpotent = isinstance(series.ring, NilpotentRing)
+    coords = (lambda x: x.coeffs) if nilpotent else (lambda x: (x,))
+    shift, shift_den = integer_form(coords(series.shift))
+    top = len(shift) - 1
+    thetas = [integer_form(p) for p in op.terms]
+    window = deque(maxlen=len(op.terms))
     out = []
-    for n in range(series.order + 1):
-        acc = ring.zero()
-        for j, pj in enumerate(op.terms):
-            if j > n:
-                break
-            x = s + ring.coerce(n - j)
-            acc = acc + eval_theta_poly(pj, x, ring) * series.coeffs[n - j]
-        out.append(acc)
-    return TruncatedSeries(ring, tuple(out), s)
+    for n, a_n in enumerate(series.coeffs):
+        window.appendleft(integer_form(coords(a_n)))
+        terms = []
+        for j, ((p, p_den), (a, a_den)) in enumerate(zip(thetas, window)):
+            # shift_den^deg p_den p(shift + n - j), by Horner on ints mod a^N
+            x = [shift[0] + (n - j) * shift_den] + shift[1:]
+            value, scale = [0] * (top + 1), 1
+            for c in reversed(p):
+                value = int_convolve(value, x, top)
+                value[0] += c * scale
+                scale *= shift_den
+            terms.append((int_convolve(value, a, top), p_den * scale // shift_den * a_den))
+        den = math.lcm(*(d for _, d in terms))
+        acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
+        element = tuple(Fraction(c, den) for c in acc)
+        out.append(NilpotentElement(element) if nilpotent else element[0])
+    return TruncatedSeries(series.ring, tuple(out), series.shift)
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,13 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
     The coefficients A_n(a) = prod_{k=1}^{5n} (5a + k) / prod_{k=1}^{n}
     (a + k)^5 are built iteratively; A_0 = 1.  Setting a = 0 recovers the
     holomorphic coefficients (5n)!/(n!)^5.
+
+    The recurrence runs on ints: with N = modulus_degree, A_n(a) is an
+    integer numerator vector mod a^N over one common denominator.  As
+    n^(N+4) / (a + n)^5 = Q_n(a) = sum_{j<N} C(-5, j) n^(N-1-j) a^j mod a^N,
+    each step multiplies the numerators by P_n(a) = prod_{k=5n-4}^{5n}
+    (5a + k) and Q_n(a) mod a^N and the denominator by n^(N+4), then
+    divides out the gcd of all of them.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -129,17 +154,20 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
         raise ValueError("modulus degree must be >= 1")
     ring = NilpotentRing(modulus_degree)
     alpha = ring.generator() if modulus_degree >= 2 else ring.zero()
+    top = modulus_degree - 1
+    binomials = [(-1) ** j * math.comb(j + 4, 4) for j in range(modulus_degree)]
+    num, den = [1] + [0] * top, 1
     coeffs = [ring.one()]
-    a_n = ring.one()
     for n in range(1, order + 1):
-        num = ring.one()
+        step = [n ** (top - j) * c for j, c in enumerate(binomials)]
         for k in range(5 * n - 4, 5 * n + 1):
-            num = num * (alpha * 5 + k)
-        den = (alpha + n) ** 5
-        a_n = a_n * num * den.inverse()
-        coeffs.append(a_n)
-    series = TruncatedSeries(ring, tuple(coeffs), alpha)
-    return FrobeniusBundle(ring, series)
+            step = int_convolve(step, (k, 5), top)
+        num = int_convolve(num, step, top)
+        den *= n ** (modulus_degree + 4)
+        g = math.gcd(den, *num)
+        num, den = [c // g for c in num], den // g
+        coeffs.append(NilpotentElement(tuple(Fraction(c, den) for c in num)))
+    return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs), alpha))
 
 
 def solutions_at_infinity(order: int) -> list:

@@ -313,6 +313,24 @@ def test_gw_structured_output_digest_is_frozen(capsys, order, digest) -> None:
 
 
 @pytest.mark.parametrize(
+    "order, fmt, digest",
+    [
+        (50, "table", "56027a603b1756cf741737741380a5f5f97624186215e2bebc05b95f9dbb21a6"),
+        (50, "structured", "060786ef7f1fbe48b4704d98bc22867d53cca65f40650765f1019aa9354a1cb0"),
+        (400, "table", "3e58be629d35bb1d6093035ecd643ed8e11ac772a8e65d4fc9ece1c5805274ea"),
+        (400, "structured", "9c8cc9a3f7d44750419c70c475df3ea6583fdbcfcaaef6d5c9baacd7f69e21f5"),
+    ],
+)
+def test_periods_output_digest_is_frozen(capsys, order, fmt, digest) -> None:
+    # Digests of the output of the Frobenius recurrence and the residual
+    # done one Fraction operation per nilpotent term, both renderings built;
+    # the integer kernels and the one-rendering path must reproduce it.
+    code, out, err = _run(capsys, ["periods", "--order", str(order), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "points, digest",
     [
         (_CUBE_POINTS, "9160b603886ef6810749b93afb337b439573fa2e8c48c576cc9b8479f25cef67"),

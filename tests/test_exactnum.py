@@ -355,3 +355,25 @@ def test_qq_integer_product_matches_fraction_convolution() -> None:
         assert all(type(c) is Fraction for c in got)
         product = TruncatedSeries.from_coefficients(QQ, p) * TruncatedSeries.from_coefficients(QQ, q)
         assert product.coeffs == tuple(full[: min(len(p), len(q))])
+
+
+def test_qq_integer_inverse_matches_fraction_recurrence() -> None:
+    # Constant terms other than 1 (negative, non-integer), mixed
+    # denominators, zero runs and a shift, against the triangular solve
+    # sum_{j=0}^{k} a_j b_{k-j} = [k == 0] done one Fraction at a time.
+    rng = random.Random(14)
+    for _ in range(40):
+        a = [_random_fraction(rng) for _ in range(rng.randint(1, 12))]
+        a[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**3))
+        start = rng.randrange(len(a))
+        a[start + 1 : start + 4] = [Fraction(0)] * len(a[start + 1 : start + 4])
+        b = [1 / a[0]]
+        for k in range(1, len(a)):
+            b.append(-sum(a[j] * b[k - j] for j in range(1, k + 1)) / a[0])
+        series = TruncatedSeries.from_coefficients(QQ, a, shift=Fraction(2, 5))
+        inverse = series.inverse()
+        assert inverse.coeffs == tuple(b)
+        assert all(type(c) is Fraction for c in inverse.coeffs)
+        assert inverse.shift == Fraction(-2, 5)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coefficients(QQ, [0, 1]).inverse()
