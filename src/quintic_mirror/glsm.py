@@ -22,6 +22,7 @@ from typing import Sequence
 from .linalg import (
     canonical_kernel_basis,
     integer_matmul,
+    integer_matrix,
     rational_rank,
     smith_normal_form,
     unimodular_inverse,
@@ -32,23 +33,6 @@ class FactorizationError(ValueError):
     """A claimed factorization fails to verify."""
 
 
-def _int_matrix(rows, allow_negative: bool = True) -> tuple:
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            xi = int(x)
-            if isinstance(x, bool) or xi != x:
-                raise ValueError(f"entry {x!r} is not an integer")
-            if not allow_negative and xi < 0:
-                raise ValueError(f"entry {xi} is negative")
-            new.append(xi)
-        out.append(tuple(new))
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ExponentMatrix:
     """Monomial-by-coordinate exponents, non-negative integers."""
@@ -57,7 +41,7 @@ class ExponentMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "ExponentMatrix":
-        return ExponentMatrix(_int_matrix(rows, allow_negative=False))
+        return ExponentMatrix(integer_matrix(rows, allow_negative=False))
 
     @staticmethod
     def quintic() -> "ExponentMatrix":
@@ -92,8 +76,8 @@ class ChargeFactorization:
 
     @staticmethod
     def from_rows(s_rows, t_rows) -> "ChargeFactorization":
-        s = _int_matrix(s_rows)
-        t = _int_matrix(t_rows)
+        s = integer_matrix(s_rows)
+        t = integer_matrix(t_rows)
         if s and t and len(s[0]) != len(t):
             raise ValueError("inner dimensions of S and T do not match")
         return ChargeFactorization(s, t)
@@ -197,7 +181,7 @@ def group_from_charges(t_rows) -> tuple:
     zero columns give the torus rank, and the integer kernel of T gives
     the generators.
     """
-    t = _int_matrix(t_rows)
+    t = integer_matrix(t_rows)
     if not t:
         raise ValueError("empty charge matrix")
     n = len(t[0])
@@ -227,7 +211,7 @@ def transpose_mirror(p: ExponentMatrix, f: ChargeFactorization) -> tuple:
 
 def basis_change(f: ChargeFactorization, l_rows) -> ChargeFactorization:
     """Replace (S, T) by (S L^-1, L T) for unimodular L; the product is unchanged."""
-    l = _int_matrix(l_rows)
+    l = integer_matrix(l_rows)
     if len(l) != f.inner_dim or (l and len(l[0]) != f.inner_dim):
         raise ValueError("L must be square of the factorization's inner dimension")
     l_inv = unimodular_inverse(l)  # raises ValueError when L is not unimodular
@@ -260,7 +244,7 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     width = len(charges[0])
     if any(len(chi) != width for chi in charges):
         raise ValueError("charge vectors have inconsistent lengths")
-    charges = _int_matrix(charges)
+    charges = integer_matrix(charges)
     out = [0.0] * width
     for c, chi in zip(magnitudes, charges):
         if isinstance(c, bool) or not isinstance(c, numbers.Real):

@@ -127,25 +127,36 @@ def rational_inverse(rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(rows) -> list:
+def integer_matrix(rows, allow_negative: bool = True) -> tuple:
+    """The rows of an integer matrix as tuples of ints.
+
+    Raises ValueError on a bool, a non-integral entry, a negative entry
+    when ``allow_negative`` is false, or ragged rows.  Callers that
+    eliminate in place copy the rows into lists.
+    """
     out = []
     for row in rows:
         new = []
         for x in row:
-            xi = int(x)
-            if xi != x:
+            try:
+                xi = int(x)
+            except (TypeError, ValueError, OverflowError):
+                xi = None
+            if isinstance(x, bool) or xi is None or xi != x:
                 raise ValueError(f"entry {x!r} is not an integer")
+            if not allow_negative and xi < 0:
+                raise ValueError(f"entry {xi} is negative")
             new.append(xi)
-        out.append(new)
+        out.append(tuple(new))
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
-    return out
+    return tuple(out)
 
 
 def integer_matmul(a, b) -> tuple:
     """Product of two integer matrices as tuple rows."""
-    a = _int_rows(a)
-    b = _int_rows(b)
+    a = integer_matrix(a)
+    b = integer_matrix(b)
     if not a or not b:
         return tuple()
     if len(a[0]) != len(b):
@@ -181,7 +192,7 @@ def smith_normal_form(rows) -> SmithDecomposition:
     Pivots are chosen by minimal absolute value and reduced by Euclidean
     steps; a final divisibility sweep enforces d_i | d_{i+1}.
     """
-    a = _int_rows(rows)
+    a = [list(r) for r in integer_matrix(rows)]
     m = len(a)
     n = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -276,7 +287,7 @@ def integer_kernel_basis(rows) -> list:
     Columns of the Smith V matrix that hit zero diagonal entries form the
     basis; V being unimodular makes it primitive.
     """
-    a = _int_rows(rows)
+    a = integer_matrix(rows)
     m = len(a)
     n = len(a[0]) if a else 0
     if n == 0:
@@ -292,7 +303,7 @@ def integer_kernel_basis(rows) -> list:
 
 def integer_left_kernel_basis(rows) -> list:
     """Basis of {y : y A = 0}, via the kernel of the transpose."""
-    a = _int_rows(rows)
+    a = integer_matrix(rows)
     transpose = [list(col) for col in zip(*a)] if a else []
     return integer_kernel_basis(transpose)
 
@@ -300,7 +311,7 @@ def integer_left_kernel_basis(rows) -> list:
 def hermite_rows(rows) -> list:
     """Row-style Hermite reduction: echelon rows, positive pivots,
     entries above each pivot reduced into [0, pivot)."""
-    b = [list(r) for r in _int_rows(rows) if any(r)]
+    b = [list(r) for r in integer_matrix(rows) if any(r)]
     if not b:
         return []
     m, n = len(b), len(b[0])

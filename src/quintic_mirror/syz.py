@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .glsm import _int_matrix
-from .linalg import rational_rank, smith_normal_form, unimodular_inverse
+from .linalg import integer_matrix, rational_rank, smith_normal_form, unimodular_inverse
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
 VERTEX_TYPE_21 = "type21"
@@ -60,7 +59,7 @@ class UnipotentMonodromy3:
 
     @staticmethod
     def from_rows(rows) -> "UnipotentMonodromy3":
-        entries = _int_matrix(rows)
+        entries = integer_matrix(rows)
         if len(entries) != 3 or len(entries[0]) != 3:
             raise ValueError("need a 3x3 integer matrix")
         a, b, c = entries
@@ -292,13 +291,13 @@ def quintic_fibration_summary() -> FibrationGraphSummary:
 
 def k3_semistable_check(ks) -> bool:
     """True iff the fiber multiplicities of an elliptic K3 sum to 24."""
-    total = 0
-    for k in ks:
-        n = int(k)
-        if isinstance(k, bool) or n != k or n <= 0:
-            raise ValueError("fiber multiplicities must be positive integers")
-        total += n
-    return total == 24
+    try:
+        (ns,) = integer_matrix([ks])
+    except ValueError:
+        ns = None
+    if ns is None or any(n <= 0 for n in ns):
+        raise ValueError("fiber multiplicities must be positive integers")
+    return sum(ns) == 24
 
 
 def _matmul2(a, b) -> tuple:

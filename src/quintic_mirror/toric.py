@@ -1,17 +1,19 @@
 """Lattice polytopes, polar duality, and hypersurface moduli counts.
 
 Polytopes are stored by their vertex lists (extreme points only, sorted).
-Facets of a full-dimensional polytope in Z^d are found by brute force
-over every d-subset of the input points (not only the vertices): the
+A full-dimensional hull in Z^d is found from its vertices alone.  Each
+point taken maximizes a linear functional, ties broken lexicographically,
+so it is a vertex: the lexicographic extremes and the extremes along
+normals of their affine hull until the set spans Z^d, then, round by
+round, the point farthest outside each facet of the set so far.  Facets
+come from a brute-force search over d-subsets of that set: the
 hyperplane through a subset has as primitive normal its integer cofactor
-vector, the signed (d-1)-minors of the difference vectors divided by
-their gcd, and it is a facet when no two points lie strictly on opposite
-sides.  For n points that costs O(C(n, d) * n) dot products, which is
-the right tool at the sizes that appear here (simplices in dimension
-four and small test polytopes).  Lower-dimensional polytopes are reduced
-to full dimension inside their affine hull.  The polar dual uses the
-inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the primal
-side becomes the dual vertex -n/c.
+vector (the signed (d-1)-minors of the difference vectors over their
+gcd), and it is a facet when no two points lie strictly on opposite
+sides.  The cost grows with the number of vertices, not of input points.
+Lower-dimensional polytopes are reduced to full dimension inside their
+affine hull.  The polar dual uses the inequality <x, y> >= -1, so a facet
+<n, x> <= c with c > 0 on the primal side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts,
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .glsm import _int_matrix
-from .linalg import integer_kernel_basis, rational_rank, solve_rational
+from .linalg import integer_kernel_basis, integer_matrix, rational_rank, solve_rational
 
 LatticePoint = tuple
 
@@ -51,7 +52,7 @@ def _dot(a, b) -> int:
 
 
 def _lattice_point(p) -> tuple:
-    return _int_matrix([p])[0]
+    return integer_matrix([p])[0]
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class Facet:
 
     normal: tuple
     offset: int
-
-    def is_tight(self, point) -> bool:
-        return _dot(self.normal, point) == self.offset
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,8 @@ class LatticePolytope:
         ambient = len(pts[0])
         if any(len(p) != ambient for p in pts):
             raise ValueError("points live in different ambient dimensions")
+        if ambient == 0:
+            raise ValueError("a point needs at least one coordinate")
         self._ambient = ambient
         base = pts[0]
         diffs = [tuple(x - b for x, b in zip(p, base)) for p in pts[1:]]
@@ -102,13 +102,7 @@ class LatticePolytope:
         if self._dim == 0:
             self._vertices = (base,)
         elif self._dim == ambient:
-            self._facets = _full_dim_facets(pts, ambient)
-            self._vertices = tuple(
-                p
-                for p in pts
-                if rational_rank([f.normal for f in self._facets if f.is_tight(p)])
-                == ambient
-            )
+            self._vertices, self._facets = _full_dim_hull(pts, ambient)
         else:
             # Work inside the affine hull: a saturated basis of the
             # direction lattice gives integer coordinates for every
@@ -275,38 +269,84 @@ def _hyperplane_normal(rows) -> Optional[tuple]:
     return tuple(m // g for m in minors)
 
 
-def _full_dim_facets(points, ambient: int) -> tuple:
-    """Brute-force facet search: every hyperplane spanned by a subset of
-    points that keeps all points on one side, oriented outwards."""
+def _full_dim_facets(points, ambient: int, new: int) -> set:
+    """Brute-force facet search over d-subsets of `points`, the vertex set
+    grown so far by `_full_dim_hull`, that contain one of its first `new`
+    points: every hyperplane through such a subset that keeps all of
+    `points` on one side, oriented outwards.  With k vertices that is at
+    most C(k, d) subsets of k dot products each."""
     if ambient == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
-        return (Facet((-1,), -lo), Facet((1,), hi))
+        return {Facet((-1,), -lo), Facet((1,), hi)}
     found = set()
-    for subset in itertools.combinations(points, ambient):
-        base = subset[0]
-        normal = _hyperplane_normal(
-            [[x - b for x, b in zip(p, base)] for p in subset[1:]]
-        )
-        if normal is None:
-            continue
-        offset = _dot(normal, base)
-        above = below = False
-        for p in points:
-            value = _dot(normal, p)
-            if value > offset:
-                above = True
-            elif value < offset:
-                below = True
-            else:
+    for i in range(new):
+        base = points[i]
+        for rest in itertools.combinations(points[i + 1:], ambient - 1):
+            normal = _hyperplane_normal(
+                [[x - b for x, b in zip(p, base)] for p in rest]
+            )
+            if normal is None:
                 continue
-            if above and below:
-                break
-        else:
-            if above:
-                normal, offset = tuple(-n for n in normal), -offset
-            found.add(Facet(normal, offset))
-    return tuple(sorted(found, key=lambda f: (f.normal, f.offset)))
+            offset = _dot(normal, base)
+            above = below = False
+            for p in points:
+                value = _dot(normal, p)
+                if value > offset:
+                    above = True
+                elif value < offset:
+                    below = True
+                else:
+                    continue
+                if above and below:
+                    break
+            else:
+                if above:
+                    normal, offset = tuple(-n for n in normal), -offset
+                found.add(Facet(normal, offset))
+    return found
+
+
+def _extreme(points, functional) -> tuple:
+    """The lexicographically largest maximizer of a linear functional on
+    the points, which is a vertex of their hull."""
+    return max(points, key=lambda p: (_dot(functional, p), p))
+
+
+def _full_dim_hull(points, ambient: int) -> tuple:
+    """Sorted vertices and facets of the hull of distinct points spanning
+    Z^d, from a vertex set grown until no point lies outside a facet."""
+    base = points[0]
+    seed = {base, points[-1]}
+    while True:
+        normals = integer_kernel_basis(
+            [[x - b for x, b in zip(v, base)] for v in seed]
+        )
+        if not normals:
+            break
+        seed.add(_extreme(points, normals[0]))
+        seed.add(_extreme(points, [-n for n in normals[0]]))
+    vertices, facets, new = [], set(), sorted(seed)
+    while new:
+        # An old facet with no new point outside it is a facet of the
+        # larger set; every other facet contains one of the new points.
+        vertices = new + vertices
+        fresh = _full_dim_facets(vertices, ambient, len(new))
+        facets = {
+            f for f in facets if all(_dot(f.normal, p) <= f.offset for p in new)
+        }
+        facets |= fresh
+        # A facet that survives a round had no point outside it, so only
+        # the fresh ones can have one.
+        outside = set()
+        for f in fresh:
+            beyond = [p for p in points if _dot(f.normal, p) > f.offset]
+            if beyond:
+                outside.add(_extreme(beyond, f.normal))
+        new = sorted(outside)
+    return tuple(sorted(vertices)), tuple(
+        sorted(facets, key=lambda f: (f.normal, f.offset))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ _BOOLEAN_SHEAR_TRIPLE = [
     _SHEAR_TRIPLE[1],
     _SHEAR_TRIPLE[2],
 ]
+# the same triple with one entry written as 1e400, which JSON reads as a float
+# too large for an integer
+_OVERFLOW_SHEAR_TRIPLE_TEXT = json.dumps({"monodromies": _SHEAR_TRIPLE}).replace(
+    "[[[1,", "[[[1e400,", 1
+)
 
 # polytope inputs whose structured output is frozen below
 _CUBE_POINTS = [[x, y, z] for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)]
@@ -269,6 +274,12 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         ("syz classify", json.dumps({"monodromies": _BOOLEAN_SHEAR_TRIPLE})),
         ("glsm kahler", '{"magnitudes": ["2.0", 1.0], "charges": [[1], [1]]}'),
         ("glsm kahler", '{"magnitudes": [2.0, true], "charges": [[1], [1]]}'),
+        ("polytope", '{"points": [[]]}'),
+        ("polytope", '{"points": [[], []]}'),
+        ("polytope", '{"points": "abc"}'),
+        ("polytope", '{"points": [[1e400, 0], [0, 1]]}'),
+        ("syz classify", _OVERFLOW_SHEAR_TRIPLE_TEXT),
+        ("syz k3", '{"multiplicities": [1e400]}'),
     ],
     ids=[
         "nan",
@@ -282,6 +293,12 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "boolean-matrix-entry",
         "string-magnitude",
         "boolean-magnitude",
+        "empty-point",
+        "empty-points",
+        "string-points",
+        "overflow-point",
+        "overflow-matrix-entry",
+        "overflow-multiplicity",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, text) -> None:
@@ -292,6 +309,20 @@ def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, 
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:")
+
+
+@pytest.mark.parametrize(
+    "points",
+    ['"abc"', "[1, 2]", '{"x": [1, 2]}', "[[1, 0], 2]"],
+    ids=["string", "numbers", "object", "mixed"],
+)
+def test_polytope_points_must_be_an_array_of_arrays(capsys, tmp_path, points) -> None:
+    path = tmp_path / "bad.json"
+    path.write_text('{"points": %s}' % points)
+    code, out, err = _run(capsys, ["polytope", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f'error: input: {path}: "points" must be an array of arrays']
 
 
 @pytest.mark.parametrize(
@@ -355,24 +386,30 @@ def test_polytope_structured_output_digest_is_frozen(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gw", "--order", str(cli.MAX_ORDER + 1)],
+        ["gw", "--order", str(cli.MAX_GW_ORDER + 1)],
         ["gw", "--order", "1000000000000"],
-        ["gw", "--dmax", str(cli.MAX_ORDER + 1)],
+        ["gw", "--dmax", str(cli.MAX_GW_ORDER + 1)],
         ["periods", "--order", str(cli.MAX_ORDER + 1)],
     ],
 )
 def test_order_above_ceiling_is_usage_error(capsys, argv) -> None:
+    ceiling = cli.MAX_GW_ORDER if argv[0] == "gw" else cli.MAX_ORDER
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [errors[0]] and errors[0].startswith("error: usage:")
-    assert f"at most {cli.MAX_ORDER}" in errors[0]
+    assert f"at most {ceiling}" in errors[0]
     assert "Traceback" not in err
 
 
 def test_order_ceiling_itself_is_accepted() -> None:
-    args = cli.build_parser().parse_args(["gw", "--order", str(cli.MAX_ORDER)])
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["gw", "--order", str(cli.MAX_GW_ORDER), "--dmax", str(cli.MAX_GW_ORDER)]
+    )
+    assert args.order == args.dmax == cli.MAX_GW_ORDER
+    args = parser.parse_args(["periods", "--order", str(cli.MAX_ORDER)])
     assert args.order == cli.MAX_ORDER
 
 

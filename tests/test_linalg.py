@@ -14,6 +14,7 @@ from quintic_mirror.linalg import (
     integer_kernel_basis,
     integer_left_kernel_basis,
     integer_matmul,
+    integer_matrix,
     is_unimodular,
     rational_inverse,
     rational_rank,
@@ -62,6 +63,33 @@ def test_rational_inverse_round_trip() -> None:
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
+
+
+# -- integer matrix validation -----------------------------------------------
+
+
+def test_integer_matrix_accepts_integral_values_as_fresh_tuples() -> None:
+    rows = [[1, Fraction(4, 2), 3.0], [-1, 0, 0]]
+    out = integer_matrix(rows)
+    assert out == ((1, 2, 3), (-1, 0, 0))
+    assert all(type(x) is int for row in out for x in row)
+    assert integer_matrix([]) == ()
+
+
+@pytest.mark.parametrize(
+    "entry", [True, False, 1.5, Fraction(1, 2), "1", None, float("inf"), float("nan")]
+)
+def test_integer_matrix_rejects_non_integers(entry) -> None:
+    with pytest.raises(ValueError, match="is not an integer"):
+        integer_matrix([[0, entry]])
+
+
+def test_integer_matrix_sign_and_shape_checks() -> None:
+    assert integer_matrix([[0, 2]], allow_negative=False) == ((0, 2),)
+    with pytest.raises(ValueError, match="negative"):
+        integer_matrix([[0, -2]], allow_negative=False)
+    with pytest.raises(ValueError, match="ragged"):
+        integer_matrix([[1, 2], [3]])
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_mirror import toric
 from quintic_mirror.glsm import ExponentMatrix
 from quintic_mirror.linalg import canonical_kernel_basis, rational_rank, unimodular_inverse
 from quintic_mirror.toric import (
@@ -33,12 +34,15 @@ def _random_unimodular(rng: random.Random, n: int, steps: int = 10) -> list:
     return rows
 
 
-def _transform(poly: LatticePolytope, u: list) -> LatticePolytope:
-    moved = [
+def _map_points(points, u) -> list:
+    return [
         tuple(sum(p[i] * u[i][j] for i in range(len(p))) for j in range(len(u)))
-        for p in poly.vertices
+        for p in points
     ]
-    return LatticePolytope(moved)
+
+
+def _transform(poly: LatticePolytope, u: list) -> LatticePolytope:
+    return LatticePolytope(_map_points(poly.vertices, u))
 
 
 # -- basic polytope behavior -------------------------------------------------
@@ -147,6 +151,102 @@ def test_facets_match_smith_kernel_reference(ambient, count, radius) -> None:
         assert poly.vertices == _reference_vertices(distinct, facets, ambient)
         compared += 1
     assert compared >= 4
+
+
+# -- hull from the vertices: dense inputs ------------------------------------
+
+
+def _map_facets(facets, u) -> tuple:
+    """Facets of the image under x -> x u: the normal goes to u^-1 n."""
+    inv = unimodular_inverse(u)
+    moved = (
+        Facet(tuple(_dot(row, f.normal) for row in inv), f.offset) for f in facets
+    )
+    return tuple(sorted(moved, key=lambda f: (f.normal, f.offset)))
+
+
+def _box(d: int, k: int) -> list:
+    return list(itertools.product(range(-k, k + 1), repeat=d))
+
+
+def _cross(d: int, k: int) -> list:
+    return [p for p in _box(d, k) if sum(map(abs, p)) <= k]
+
+
+def _simplex(d: int, k: int) -> list:
+    return [p for p in itertools.product(range(k + 1), repeat=d) if sum(p) <= k]
+
+
+def test_newton_simplex_from_all_its_lattice_points() -> None:
+    newton = quintic_newton_polytope()
+    fan = projective_space_fan_polytope()
+    points = newton.lattice_points()
+    assert len(points) == 126
+    rng = random.Random(20261018)
+    for u in ([[int(i == j) for j in range(4)] for i in range(4)], _random_unimodular(rng, 4)):
+        moved = LatticePolytope(_map_points(points, u))
+        assert moved == _transform(newton, u)
+        assert moved.facets() == _map_facets(newton.facets(), u)
+        inv_t = [list(col) for col in zip(*unimodular_inverse(u))]
+        assert moved.polar_dual() == _transform(fan, inv_t)
+
+
+# Every lattice point of each shape, so most points are not vertices and
+# many lie on the boundary.  The shapes in dimensions 4 and 5 are the ones
+# whose point count keeps the brute-force reference, which takes one Smith
+# form per d-subset, within a few seconds (2.4 s for the 21 points of the
+# 2-dilated 5-simplex).
+_DENSE_SHAPES = {
+    "cube-2": _box(2, 1),
+    "cube-3": _box(3, 1),
+    "cross-2x2": _cross(2, 2),
+    "cross-3x2": _cross(3, 2),
+    "cross-4": _cross(4, 1),
+    "cross-5": _cross(5, 1),
+    "simplex-2x3": _simplex(2, 3),
+    "simplex-3x3": _simplex(3, 3),
+    "simplex-4x2": _simplex(4, 2),
+    "simplex-5x2": _simplex(5, 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DENSE_SHAPES))
+def test_hull_of_dense_point_sets_matches_reference(shape) -> None:
+    points = sorted(_DENSE_SHAPES[shape])
+    ambient = len(points[0])
+    facets = _reference_facets(points, ambient)
+    vertices = _reference_vertices(points, facets, ambient)
+    assert len(vertices) < len(points)
+    rng = random.Random(shape)
+    for u in ([[int(i == j) for j in range(ambient)] for i in range(ambient)],
+              _random_unimodular(rng, ambient),
+              _random_unimodular(rng, ambient)):
+        moved = _map_points(points, u)
+        rng.shuffle(moved)
+        poly = LatticePolytope(moved)
+        assert poly.facets() == _map_facets(facets, u)
+        assert poly.vertices == tuple(sorted(_map_points(vertices, u)))
+
+
+def test_seed_grows_until_it_spans(monkeypatch) -> None:
+    # The lexicographic extremes (0,0,0) and (2,0,0) and the point between
+    # them are collinear, and the extremes along the first normal of that
+    # line, (1, +-1, 0), stay in the plane z = 0: the seed grows twice.
+    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]
+    calls = []
+    kernel = toric.integer_kernel_basis
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(toric, "integer_kernel_basis", counted)
+    poly = LatticePolytope(points)
+    assert calls[:3] == [2, 4, 6]
+    facets = _reference_facets(sorted(points), 3)
+    assert poly.facets() == facets
+    assert poly.vertices == _reference_vertices(sorted(points), facets, 3)
+    assert (1, 0, 0) not in poly.vertices
 
 
 # -- polarity ----------------------------------------------------------------
