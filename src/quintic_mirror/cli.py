@@ -156,6 +156,23 @@ def _load_json(path: str):
         raise CommandError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
 
 
+def _json_arrays(path: str, **depths: int) -> list:
+    """The named fields of the JSON object in path, in order; each must be
+    an array nested depth deep (2: an array of arrays)."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or not data.keys() >= depths.keys():
+        fields = " and ".join(f'"{name}"' for name in depths)
+        raise CommandError(EXIT_INPUT, f"{path}: expected an object with {fields}")
+    for name, depth in depths.items():
+        level = [data[name]]
+        for _ in range(depth):
+            if not all(isinstance(v, list) for v in level):
+                kind = "an array" + " of arrays" * (depth - 1)
+                raise CommandError(EXIT_INPUT, f'{path}: "{name}" must be {kind}')
+            level = [w for v in level for w in v]
+    return [data[name] for name in depths]
+
+
 # -- subcommand implementations -------------------------------------------
 
 
@@ -262,12 +279,7 @@ def _cmd_gw(args) -> tuple:
 
 
 def _polytope_from_file(path: str) -> toric.LatticePolytope:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "points" not in data:
-        raise CommandError(EXIT_INPUT, f'{path}: expected an object with "points"')
-    points = data["points"]
-    if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
-        raise CommandError(EXIT_INPUT, f'{path}: "points" must be an array of arrays')
+    (points,) = _json_arrays(path, points=2)
     try:
         return toric.LatticePolytope(points)
     except (ValueError, TypeError) as exc:
@@ -364,18 +376,7 @@ def _cmd_glsm_kahler(args) -> tuple:
         charges = [[1, 0], [0, 1]]
         source = "builtin"
     else:
-        data = _load_json(args.input_path)
-        if (
-            not isinstance(data, dict)
-            or "magnitudes" not in data
-            or "charges" not in data
-        ):
-            raise CommandError(
-                EXIT_INPUT,
-                f'{args.input_path}: expected an object with "magnitudes" and "charges"',
-            )
-        magnitudes = data["magnitudes"]
-        charges = data["charges"]
+        magnitudes, charges = _json_arrays(args.input_path, magnitudes=1, charges=2)
         source = args.input_path
     try:
         r = glsm.kahler_parameter(magnitudes, charges)
@@ -449,13 +450,8 @@ def _cmd_kontsevich(args) -> tuple:
 
 
 def _vertex_from_file(path: str) -> syz.VertexData:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "monodromies" not in data:
-        raise CommandError(
-            EXIT_INPUT, f'{path}: expected an object with "monodromies"'
-        )
-    triple = data["monodromies"]
-    if not isinstance(triple, list) or len(triple) != 3:
+    (triple,) = _json_arrays(path, monodromies=3)
+    if len(triple) != 3:
         raise CommandError(EXIT_INPUT, f"{path}: need exactly three matrices")
     try:
         return syz.VertexData.from_rows_triple(*triple)
@@ -500,13 +496,7 @@ def _cmd_syz_k3(args) -> tuple:
         multiplicities = [1] * 24
         source = "builtin"
     else:
-        data = _load_json(args.input_path)
-        if not isinstance(data, dict) or "multiplicities" not in data:
-            raise CommandError(
-                EXIT_INPUT,
-                f'{args.input_path}: expected an object with "multiplicities"',
-            )
-        multiplicities = data["multiplicities"]
+        (multiplicities,) = _json_arrays(args.input_path, multiplicities=1)
         source = args.input_path
     try:
         euler_ok = syz.k3_semistable_check(multiplicities)

@@ -27,9 +27,9 @@ product L * L = (kappa/5) L^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import frozen
 from .exactnum import QQ, TruncatedSeries
 from .picard_fuchs import frobenius_at_zero
 
@@ -45,7 +45,7 @@ class IntegralityError(ArithmeticError):
         self.value = value
 
 
-@dataclass(frozen=True)
+@frozen
 class MirrorMap:
     """q as a series in z, its compositional inverse, and the period phi0 behind them."""
 
@@ -108,7 +108,7 @@ def yukawa_normalized(order: int) -> TruncatedSeries:
     return build_mirror_map(max(order, 2)).normalized_coupling(order)
 
 
-@dataclass(frozen=True)
+@frozen
 class InstantonTable:
     """Curve counts n_d, keyed by degree; values are honest ints."""
 
@@ -149,7 +149,7 @@ def extract_instantons(kappa: TruncatedSeries, d_max: int) -> InstantonTable:
 _RANK = 4  # basis 1, L, L^2, L^3
 
 
-@dataclass(frozen=True)
+@frozen
 class QuantumRing:
     """Frobenius algebra on 1, L, L^2, L^3 with q-series coefficients.
 

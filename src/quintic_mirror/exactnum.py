@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
+
+from ._frozen import frozen
 
 
 class RingMismatchError(ValueError):
@@ -49,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-@dataclass(frozen=True)
+@frozen
 class NilpotentElement:
     """An element c_0 + c_1 a + ... + c_{N-1} a^{N-1} of QQ[a]/(a^N)."""
 
@@ -170,7 +171,7 @@ class NilpotentElement:
 _ZETA_DIM = 4  # QQ(zeta_5) has degree 4 over QQ; basis 1, z, z^2, z^3
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicElement:
     """An element of QQ(zeta_5) in the power basis 1, zeta, zeta^2, zeta^3."""
 
@@ -318,7 +319,7 @@ def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class RationalField:
     """Descriptor for QQ; elements are ``fractions.Fraction``."""
 
@@ -364,7 +365,7 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
+@frozen
 class NilpotentRing:
     """Descriptor for QQ[a]/(a^modulus_degree)."""
 
@@ -413,7 +414,7 @@ class NilpotentRing:
         return f"QQ[a]/(a^{self.modulus_degree})"
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicField:
     """Descriptor for QQ(zeta_5)."""
 
@@ -455,10 +456,10 @@ class CyclotomicField:
 QQ = RationalField()
 ZETA5_FIELD = CyclotomicField()
 
-Ring = Union[RationalField, NilpotentRing, CyclotomicField]
+Ring = RationalField | NilpotentRing | CyclotomicField
 
 
-@dataclass(frozen=True)
+@frozen
 class TruncatedSeries:
     """A power series x^shift * sum_{n=0}^{order} coeffs[n] x^n, exact and truncated.
 

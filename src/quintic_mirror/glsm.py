@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._frozen import frozen
 from .linalg import (
     canonical_kernel_basis,
     integer_matmul,
@@ -33,7 +33,7 @@ class FactorizationError(ValueError):
     """A claimed factorization fails to verify."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ExponentMatrix:
     """Monomial-by-coordinate exponents, non-negative integers."""
 
@@ -67,7 +67,7 @@ class ExponentMatrix:
         return [list(r) for r in self.rows]
 
 
-@dataclass(frozen=True)
+@frozen
 class ChargeFactorization:
     """A factorization P = S * T with S an m x d and T a d x n integer matrix."""
 
@@ -113,7 +113,7 @@ class ChargeFactorization:
         return {"S": [list(r) for r in self.s_rows], "T": [list(r) for r in self.t_rows]}
 
 
-@dataclass(frozen=True)
+@frozen
 class FactorizationReport:
     """Diagnostics from verifying P = S * T and rank(P) = d."""
 
@@ -149,7 +149,7 @@ def verify_factorization(p: ExponentMatrix, f: ChargeFactorization) -> Factoriza
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianGroupStructure:
     """Isomorphism type of a compact abelian group: torus rank and the
     elementary divisors > 1 of the finite part (each dividing the next)."""
@@ -242,6 +242,8 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     if not charges:
         raise ValueError("empty input")
     width = len(charges[0])
+    if width == 0:
+        raise ValueError("charge vectors are empty")
     if any(len(chi) != width for chi in charges):
         raise ValueError("charge vectors have inconsistent lengths")
     charges = integer_matrix(charges)

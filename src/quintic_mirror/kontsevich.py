@@ -15,17 +15,16 @@ Euler number -200.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
+from ._frozen import frozen
 from .exactnum import QQ, TruncatedSeries
 from .linalg import SquareExactMatrix
 
 _DIM = 4  # basis 1, L, L^2, L^3
 
 
-@dataclass(frozen=True)
+@frozen
 class CohomologyElement:
     """An element g0 + g1 L + g2 L^2 + g3 L^3 with L^4 = 0."""
 
@@ -92,7 +91,7 @@ class CohomologyElement:
         return all(c == 0 for c in self.components)
 
 
-@dataclass(frozen=True)
+@frozen
 class CharacteristicClasses:
     """Chern data of the tangent bundle, with the Todd class alongside."""
 
@@ -177,7 +176,7 @@ def quintic_spherical() -> SquareExactMatrix:
     return spherical_matrix(chern_from_adjunction().todd)
 
 
-def matrix_order(m: SquareExactMatrix, max_order: int) -> Optional[int]:
+def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
     """Smallest k <= max_order with M^k = I, or None when none exists below it."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")

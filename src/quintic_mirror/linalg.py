@@ -17,10 +17,10 @@ algorithms are the right tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
+from ._frozen import frozen
 from .exactnum import Ring
 
 
@@ -61,7 +61,7 @@ def rational_rank(rows) -> int:
     return rank
 
 
-def solve_rational(rows, rhs) -> Optional[tuple]:
+def solve_rational(rows, rhs) -> tuple | None:
     """One rational solution of A x = b with free variables set to zero.
 
     Returns None when the system is inconsistent.  The free-variable
@@ -168,7 +168,7 @@ def integer_matmul(a, b) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     """U * A * V = D with U, V unimodular and D a diagonal divisor chain."""
 
@@ -396,7 +396,7 @@ def is_unimodular(rows) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SquareExactMatrix:
     """A square matrix with entries in one of the exact coefficient rings.
 

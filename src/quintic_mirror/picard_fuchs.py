@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import frozen
 from .exactnum import (
     QQ,
     ZETA5_FIELD,
@@ -50,7 +50,7 @@ def eval_theta_poly(coeffs, x, ring):
     return acc
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodOperator:
     """An operator sum_j z^j p_j(theta); terms[j] holds the coefficients of p_j."""
 
@@ -111,7 +111,7 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
     return TruncatedSeries(series.ring, tuple(out), series.shift)
 
 
-@dataclass(frozen=True)
+@frozen
 class FrobeniusBundle:
     """The Frobenius solution Phi_a = sum_n A_n(a) z^(a+n) over QQ[a]/(a^N)."""
 
@@ -214,7 +214,7 @@ def residual_factor_at_infinity(alpha) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class MonodromyMatrix:
     """A monodromy matrix together with the basis its entries refer to.
 

@@ -24,10 +24,10 @@ unipotent 2x2 monodromy and its inverse transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from ._frozen import frozen
 from .linalg import integer_matrix, rational_rank, smith_normal_form, unimodular_inverse
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
@@ -51,7 +51,7 @@ _IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _IDENTITY2 = ((1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class UnipotentMonodromy3:
     """A 3x3 integer matrix of determinant 1."""
 
@@ -110,7 +110,7 @@ class UnipotentMonodromy3:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
+@frozen
 class VertexData:
     """Ordered monodromy triple at a trivalent vertex, product = identity."""
 
@@ -180,7 +180,7 @@ def mirror_swap(v: VertexData) -> VertexData:
     return VertexData(tuple(m.inverse_transpose() for m in v.monodromies))
 
 
-@dataclass(frozen=True)
+@frozen
 class FibrationGraphSummary:
     """Vertex counts by type and the edge count of a closed trivalent graph."""
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
+from ._frozen import frozen
 from .linalg import integer_kernel_basis, integer_matrix, rational_rank, solve_rational
 
 LatticePoint = tuple
@@ -55,7 +55,7 @@ def _lattice_point(p) -> tuple:
     return integer_matrix([p])[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class Facet:
     """The half-space <normal, x> <= offset, with a primitive integer normal."""
 
@@ -63,7 +63,7 @@ class Facet:
     offset: int
 
 
-@dataclass(frozen=True)
+@frozen
 class ReflexivityReport:
     """Outcome of a reflexivity test; dual_vertices is the certificate
     (rational when the test fails on integrality)."""
@@ -94,10 +94,10 @@ class LatticePolytope:
         diffs = [tuple(x - b for x, b in zip(p, base)) for p in pts[1:]]
         self._dim = rational_rank(diffs) if diffs else 0
 
-        self._facets: Optional[tuple] = None
-        self._reduced: Optional["LatticePolytope"] = None
+        self._facets: tuple | None = None
+        self._reduced: LatticePolytope | None = None
         self._hull_base = base
-        self._hull_basis: Optional[tuple] = None
+        self._hull_basis: tuple | None = None
 
         if self._dim == 0:
             self._vertices = (base,)
@@ -117,7 +117,7 @@ class LatticePolytope:
 
     # -- coordinates in the affine hull --------------------------------
 
-    def _to_reduced(self, point) -> Optional[tuple]:
+    def _to_reduced(self, point) -> tuple | None:
         delta = tuple(x - b for x, b in zip(point, self._hull_base))
         columns = [
             [self._hull_basis[j][i] for j in range(len(self._hull_basis))]
@@ -255,7 +255,7 @@ def _bareiss_det(rows) -> int:
     return sign * a[-1][-1]
 
 
-def _hyperplane_normal(rows) -> Optional[tuple]:
+def _hyperplane_normal(rows) -> tuple | None:
     """Primitive integer normal to the span of d - 1 vectors in Z^d, up to
     sign: the signed maximal minors divided by their gcd.  None when the
     vectors are dependent, which is exactly when every minor vanishes."""
@@ -393,7 +393,7 @@ def moduli_dimension(num_monomials: int, group_dimension: int) -> int:
     return n - g
 
 
-@dataclass(frozen=True)
+@frozen
 class GorensteinWitness:
     """Rational vectors with P mu = (1,...,1) and nu^t P = (1,...,1)."""
 

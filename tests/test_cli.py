@@ -261,25 +261,95 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        ("glsm kahler", '{"magnitudes": [NaN, 1.0], "charges": [[1, 0], [0, 1]]}'),
-        ("glsm kahler", '{"magnitudes": [Infinity, 1.0], "charges": [[1, 0], [0, 1]]}'),
-        ("glsm kahler", '{"magnitudes": [1e400, 1.0], "charges": [[1, 0], [0, 1]]}'),
-        ("glsm kahler", '{"magnitudes": [1%s, 1.0], "charges": [[1, 0], [0, 1]]}' % ("0" * 400)),
-        ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[1.5, 0], [0, 1]]}'),
-        ("glsm kahler", '{"magnitudes": [0.5, 2.0], "charges": [[true, 0], [0, 1]]}'),
-        ("syz k3", json.dumps({"multiplicities": [True] * 24})),
-        ("polytope", '{"points": [[true, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}'),
-        ("syz classify", json.dumps({"monodromies": _BOOLEAN_SHEAR_TRIPLE})),
-        ("glsm kahler", '{"magnitudes": ["2.0", 1.0], "charges": [[1], [1]]}'),
-        ("glsm kahler", '{"magnitudes": [2.0, true], "charges": [[1], [1]]}'),
-        ("polytope", '{"points": [[]]}'),
-        ("polytope", '{"points": [[], []]}'),
-        ("polytope", '{"points": "abc"}'),
-        ("polytope", '{"points": [[1e400, 0], [0, 1]]}'),
-        ("syz classify", _OVERFLOW_SHEAR_TRIPLE_TEXT),
-        ("syz k3", '{"multiplicities": [1e400]}'),
+        (
+            "glsm kahler",
+            '{"magnitudes": [NaN, 1.0], "charges": [[1, 0], [0, 1]]}',
+            "non-finite number NaN is not allowed",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [Infinity, 1.0], "charges": [[1, 0], [0, 1]]}',
+            "non-finite number Infinity is not allowed",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [1e400, 1.0], "charges": [[1, 0], [0, 1]]}',
+            "magnitude inf is not positive and finite",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [1%s, 1.0], "charges": [[1, 0], [0, 1]]}' % ("0" * 400),
+            "int too large to convert to float",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [0.5, 2.0], "charges": [[1.5, 0], [0, 1]]}',
+            "entry 1.5 is not an integer",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [0.5, 2.0], "charges": [[true, 0], [0, 1]]}',
+            "entry True is not an integer",
+        ),
+        (
+            "syz k3",
+            json.dumps({"multiplicities": [True] * 24}),
+            "fiber multiplicities must be positive integers",
+        ),
+        (
+            "polytope",
+            '{"points": [[true, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}',
+            "entry True is not an integer",
+        ),
+        (
+            "syz classify",
+            json.dumps({"monodromies": _BOOLEAN_SHEAR_TRIPLE}),
+            "entry True is not an integer",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": ["2.0", 1.0], "charges": [[1], [1]]}',
+            "magnitude '2.0' is not a number",
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [2.0, true], "charges": [[1], [1]]}',
+            "magnitude True is not a number",
+        ),
+        ("polytope", '{"points": [[]]}', "a point needs at least one coordinate"),
+        ("polytope", '{"points": [[], []]}', "a point needs at least one coordinate"),
+        ("polytope", '{"points": "abc"}', '"points" must be an array of arrays'),
+        ("polytope", '{"points": [[1e400, 0], [0, 1]]}', "entry inf is not an integer"),
+        ("syz classify", _OVERFLOW_SHEAR_TRIPLE_TEXT, "entry inf is not an integer"),
+        (
+            "syz k3",
+            '{"multiplicities": [1e400]}',
+            "fiber multiplicities must be positive integers",
+        ),
+        ("glsm kahler", '{"magnitudes": [1.0], "charges": [[]]}', "charge vectors are empty"),
+        (
+            "glsm kahler",
+            '{"magnitudes": "ab", "charges": [[1], [1]]}',
+            '"magnitudes" must be an array',
+        ),
+        (
+            "glsm kahler",
+            '{"magnitudes": [1.0, 2.0], "charges": [1, 2]}',
+            '"charges" must be an array of arrays',
+        ),
+        ("syz k3", '{"multiplicities": 5}', '"multiplicities" must be an array'),
+        (
+            "syz classify",
+            '{"monodromies": [1, 2, 3]}',
+            '"monodromies" must be an array of arrays of arrays',
+        ),
+        (
+            "syz classify",
+            '{"monodromies": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '"monodromies" must be an array of arrays of arrays',
+        ),
     ],
     ids=[
         "nan",
@@ -299,9 +369,17 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "overflow-point",
         "overflow-matrix-entry",
         "overflow-multiplicity",
+        "zero-width-charges",
+        "string-magnitudes",
+        "flat-charges",
+        "scalar-multiplicities",
+        "flat-monodromies",
+        "flat-matrices",
     ],
 )
-def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, text) -> None:
+def test_bad_input_values_exit_2_with_one_error_line(
+    capsys, tmp_path, command, text, message
+) -> None:
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = _run(capsys, command.split() + ["--in", str(path)])
@@ -309,6 +387,7 @@ def test_bad_input_values_exit_2_with_one_error_line(capsys, tmp_path, command, 
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:")
+    assert message in lines[0]
 
 
 @pytest.mark.parametrize(
