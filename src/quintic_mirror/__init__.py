@@ -45,7 +45,6 @@ from .glsm import (
 )
 from .kontsevich import (
     CharacteristicClasses,
-    CohomologyElement,
     chern_from_adjunction,
     euler_number,
     jordan_profile,
@@ -91,7 +90,6 @@ __all__ = [
     "AbelianGroupStructure",
     "ChargeFactorization",
     "CharacteristicClasses",
-    "CohomologyElement",
     "CyclotomicElement",
     "CyclotomicField",
     "ExponentMatrix",

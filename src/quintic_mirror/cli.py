@@ -95,17 +95,9 @@ def _entry_text(x) -> str:
     return _frac_text(x)
 
 
-def _matrix_block(label: str, matrix) -> list:
-    texts = [[_entry_text(x) for x in row] for row in matrix.rows]
-    widths = [max(len(r[j]) for r in texts) for j in range(len(texts[0]))]
-    lines = [label]
-    for row in texts:
-        lines.append("  " + "  ".join(t.rjust(w) for t, w in zip(row, widths)))
-    return lines
-
-
-def _int_block(label: str, rows) -> list:
-    texts = [[str(x) for x in row] for row in rows]
+def _block(label: str, rows) -> list:
+    """A label line, then the rows as a right-aligned table indented by two."""
+    texts = [[_entry_text(x) for x in row] for row in rows]
     widths = [max(len(r[j]) for r in texts) for j in range(len(texts[0]))]
     lines = [label]
     for row in texts:
@@ -119,7 +111,7 @@ def _series_line(label: str, series) -> str:
 
 def _cohomology_text(elem) -> str:
     parts = []
-    for k, c in enumerate(elem.components):
+    for k, c in enumerate(elem.coeffs):
         if c == 0:
             continue
         if k == 0:
@@ -222,7 +214,9 @@ def _cmd_monodromy(args) -> tuple:
 
     lines = []
     for label, mono, order, profile in reports:
-        lines.extend(_matrix_block(f"monodromy at {label} (basis: {mono.basis_tag})", mono.matrix))
+        lines.extend(
+            _block(f"monodromy at {label} (basis: {mono.basis_tag})", mono.matrix.rows)
+        )
         lines.append(f"  order: {_order_text(order)}")
         lines.append("  jordan profile: " + " ".join(str(r) for r in profile))
     doc = {
@@ -296,7 +290,7 @@ def _cmd_polytope(args) -> tuple:
         label = args.input_path
 
     report = polytope.is_reflexive()
-    lines = _int_block(f"polytope: {label}; vertices", polytope.vertices)
+    lines = _block(f"polytope: {label}; vertices", polytope.vertices)
     lines.append(f"dimension: {polytope.dim}")
     lines.append("reflexive: " + ("yes" if report.is_reflexive else "no"))
     doc = {
@@ -310,7 +304,7 @@ def _cmd_polytope(args) -> tuple:
     if report.is_reflexive:
         dual = polytope.polar_dual()
         dual_points = dual.lattice_points()
-        lines.extend(_int_block("dual vertices", dual.vertices))
+        lines.extend(_block("dual vertices", dual.vertices))
         lines.append(f"dual lattice points: {len(dual_points)}")
         doc["dual_vertices"] = [list(v) for v in dual.vertices]
         doc["dual_lattice_point_count"] = len(dual_points)
@@ -333,17 +327,17 @@ def _cmd_glsm_transpose(args) -> tuple:
     invariants = glsm.invariant_coordinates(p)
     invariants_hat = glsm.invariant_coordinates(p_hat)
 
-    lines = _int_block("exponent matrix P", p.rows)
-    lines.extend(_int_block("factor S", f.s_rows))
-    lines.extend(_int_block("factor T", f.t_rows))
+    lines = _block("exponent matrix P", p.rows)
+    lines.extend(_block("factor S", f.s_rows))
+    lines.extend(_block("factor T", f.t_rows))
     lines.append(f"gauge group: {structure.describe()}")
-    lines.extend(_int_block("gauge charge generators", generators or [[]]))
-    lines.extend(_int_block("mirror exponent matrix", p_hat.rows))
+    lines.extend(_block("gauge charge generators", generators or [[]]))
+    lines.extend(_block("mirror exponent matrix", p_hat.rows))
     lines.append(f"mirror gauge group: {structure_hat.describe()}")
-    lines.extend(_int_block("mirror gauge charge generators", generators_hat or [[]]))
-    lines.extend(_int_block("invariant coefficient monomials", invariants or [[]]))
+    lines.extend(_block("mirror gauge charge generators", generators_hat or [[]]))
+    lines.extend(_block("invariant coefficient monomials", invariants or [[]]))
     lines.extend(
-        _int_block("mirror invariant coefficient monomials", invariants_hat or [[]])
+        _block("mirror invariant coefficient monomials", invariants_hat or [[]])
     )
     doc = {
         "schema": SCHEMA,
@@ -413,28 +407,28 @@ def _cmd_kontsevich(args) -> tuple:
         f"euler number: {_frac_text(euler)}",
         f"todd class: {_cohomology_text(classes.todd)}",
     ]
-    lines.extend(_matrix_block("twist matrix T (basis 1, L, L^2, L^3)", twist))
+    lines.extend(_block("twist matrix T (basis 1, L, L^2, L^3)", twist.rows))
     lines.append(
         "  jordan profile: "
         + " ".join(str(r) for r in kontsevich.jordan_profile(twist))
     )
-    lines.extend(_matrix_block("spherical twist S", spherical))
+    lines.extend(_block("spherical twist S", spherical.rows))
     lines.append(
         "  jordan profile: "
         + " ".join(str(r) for r in kontsevich.jordan_profile(spherical))
     )
-    lines.extend(_matrix_block("product T*S", product))
+    lines.extend(_block("product T*S", product.rows))
     lines.append(f"order of T*S: {_order_text(order)}")
     doc = {
         "schema": SCHEMA,
         "command": "kontsevich",
         "chern": {
-            "c1": [rational_str(c) for c in classes.c1.components],
-            "c2": [rational_str(c) for c in classes.c2.components],
-            "c3": [rational_str(c) for c in classes.c3.components],
+            "c1": [rational_str(c) for c in classes.c1.coeffs],
+            "c2": [rational_str(c) for c in classes.c2.coeffs],
+            "c3": [rational_str(c) for c in classes.c3.coeffs],
         },
         "euler_number": rational_str(euler),
-        "todd": [rational_str(c) for c in classes.todd.components],
+        "todd": [rational_str(c) for c in classes.todd.coeffs],
         "twist": twist.to_json(),
         "twist_jordan_profile": list(kontsevich.jordan_profile(twist)),
         "spherical": spherical.to_json(),
@@ -509,7 +503,7 @@ def _cmd_syz_k3(args) -> tuple:
         "euler count matches K3 (sum = 24): " + ("yes" if euler_ok else "no"),
     ]
     lines.extend(
-        _int_block("self-conjugacy witness for the k=1 monodromy", witness)
+        _block("self-conjugacy witness for the k=1 monodromy", witness)
     )
     doc = {
         "schema": SCHEMA,

@@ -35,6 +35,20 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
+def power(x, k: int, one):
+    """x**k by square-and-multiply from the unit `one`; k < 0 powers the inverse."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 def rational_str(q) -> str:
     """Serialize a rational as ``"num/den"`` with den > 0; zero is ``"0/1"``."""
     q = _as_fraction(q)
@@ -134,16 +148,7 @@ class NilpotentElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "NilpotentElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = NilpotentElement.constant(1, self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, NilpotentElement.constant(1, self.degree))
 
     def inverse(self) -> "NilpotentElement":
         """Invert via the terminating geometric series in the nilpotent part."""
@@ -251,16 +256,7 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "CyclotomicElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CyclotomicElement.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, CyclotomicElement.constant(1))
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Apply the field automorphism zeta -> zeta^k (k coprime to 5)."""
@@ -579,16 +575,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = TruncatedSeries.one(self.ring, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, TruncatedSeries.one(self.ring, self.order))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a unit constant term.
@@ -660,27 +647,6 @@ class TruncatedSeries:
 
     # -- transcendental operations ------------------------------------
 
-    def log(self) -> "TruncatedSeries":
-        """Series logarithm; needs shift zero and constant term 1.
-
-        With self = exp(l), comparing x d/dx of both sides gives the
-        triangular recurrence n a_n = sum_{k=1}^{n} k l_k a_{n-k}.
-        """
-        if self.has_shift():
-            raise ValueError("log needs a shift-free series")
-        if self.coeffs[0] != self.ring.one():
-            raise ValueError("log needs constant term exactly 1")
-        n = self.order
-        l = [self.ring.zero() for _ in range(n + 1)]
-        for m in range(1, n + 1):
-            acc = self.ring.zero()
-            for k in range(1, m):
-                acc = acc + self.ring.coerce(k) * l[k] * self.coeffs[m - k]
-            l[m] = (self.ring.coerce(m) * self.coeffs[m] - acc) * self.ring.invert(
-                self.ring.coerce(m)
-            )
-        return TruncatedSeries(self.ring, tuple(l), self.ring.zero())
-
     def exp(self) -> "TruncatedSeries":
         """Series exponential; needs shift zero and constant term 0.
 
@@ -731,10 +697,10 @@ class TruncatedSeries:
         ring = self.ring
         h = self.div_by_power(1).inverse()
         b = [ring.zero(), h.coeffs[0]]
-        power = h
+        h_m = h
         for m in range(2, self.order + 1):
-            power = power * h
-            b.append(power.coeffs[m - 1] * ring.invert(ring.coerce(m)))
+            h_m = h_m * h
+            b.append(h_m.coeffs[m - 1] * ring.invert(ring.coerce(m)))
         return TruncatedSeries(ring, tuple(b), ring.zero())
 
     # -- serialization -------------------------------------------------

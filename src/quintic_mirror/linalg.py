@@ -2,11 +2,13 @@
 
 Three layers live here, all exact:
 
-* Gaussian elimination over the rationals (rank, solve, inverse) on plain
-  lists of rows,
-* integer lattice routines: Smith normal form with unimodular transforms,
-  Hermite row reduction, saturated kernel bases, and a deterministic sign
-  normalization for kernel generators,
+* one Gauss-Jordan elimination over a field descriptor, behind rank,
+  solve and inverse on plain lists of rational rows and behind rank, det
+  and inverse of :class:`SquareExactMatrix`,
+* integer lattice routines: the product, dot product and Bareiss
+  determinant of integer matrices, Smith normal form with unimodular
+  transforms, Hermite row reduction, saturated kernel bases, and a
+  deterministic sign normalization for kernel generators,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
   such as rank and inverse require a field).
@@ -17,11 +19,12 @@ algorithms are the right tool.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
 from ._frozen import frozen
-from .exactnum import Ring
+from .exactnum import QQ, Ring, power
 
 
 # ---------------------------------------------------------------------------
@@ -36,29 +39,46 @@ def _fraction_rows(rows) -> list:
     return out
 
 
+def gauss_jordan(field: Ring, rows, width: int) -> tuple:
+    """Gauss-Jordan elimination over a field, pivoting in the first `width` columns.
+
+    Returns (reduced rows, pivot columns, det).  The rows come back as lists
+    in reduced row echelon form; the columns past `width` (an augmented
+    right-hand side) are carried along.  det is the determinant of the
+    first `width` columns when there are `width` rows, and zero whenever a
+    column has no pivot.
+    """
+    a = [list(row) for row in rows]
+    is_zero = field.is_zero
+    pivots = []
+    det = field.one()
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pivot = next((i for i in range(r, len(a)) if not is_zero(a[i][col])), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            det = -det
+        det = det * a[r][col]
+        inv = field.invert(a[r][col])
+        a[r] = [inv * x for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and not is_zero(row[col]):
+                f = row[col]
+                a[i] = [x - f * y for x, y in zip(row, a[r])]
+        pivots.append(col)
+    if len(pivots) < width:
+        det = field.zero()
+    return a, pivots, det
+
+
 def rational_rank(rows) -> int:
     """Rank of a rectangular matrix with rational entries."""
     a = _fraction_rows(rows)
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(gauss_jordan(QQ, a, len(a[0]))[1]) if a else 0
 
 
 def solve_rational(rows, rhs) -> tuple | None:
@@ -73,53 +93,22 @@ def solve_rational(rows, rhs) -> tuple | None:
         raise ValueError("right-hand side length does not match row count")
     if not a:
         return tuple()
-    m, n = len(a), len(a[0])
-    aug = [a[i] + [b[i]] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a[0])
+    reduced, pivots, _ = gauss_jordan(QQ, [r + [y] for r, y in zip(a, b)], n)
+    if any(row[n] != 0 for row in reduced[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
+    for row, col in zip(reduced, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
 def rational_inverse(rows) -> tuple:
     """Inverse of a square rational matrix, as tuple rows of Fractions."""
     a = _fraction_rows(rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
+    if any(len(r) != len(a) for r in a):
         raise ValueError("matrix is not square")
-    aug = [a[i] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    return SquareExactMatrix(QQ, tuple(map(tuple, a))).inverse().rows
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +142,12 @@ def integer_matrix(rows, allow_negative: bool = True) -> tuple:
     return tuple(out)
 
 
+def dot(a, b):
+    """Sum of the products of matching entries.  The hull's inner loop runs
+    on this, so it stays a single map over the two sequences."""
+    return sum(map(operator.mul, a, b))
+
+
 def integer_matmul(a, b) -> tuple:
     """Product of two integer matrices as tuple rows."""
     a = integer_matrix(a)
@@ -161,11 +156,29 @@ def integer_matmul(a, b) -> tuple:
         return tuple()
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    n = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(n))
-        for i in range(len(a))
-    )
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+
+def integer_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every division is exact, so entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1] if a else 1
 
 
 @frozen
@@ -383,14 +396,6 @@ def unimodular_inverse(rows) -> tuple:
     return tuple(out)
 
 
-def is_unimodular(rows) -> bool:
-    try:
-        unimodular_inverse(rows)
-        return True
-    except ValueError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # dense square matrices over an exact coefficient ring
 # ---------------------------------------------------------------------------
@@ -490,16 +495,7 @@ class SquareExactMatrix:
         return self.scale(scalar)
 
     def __pow__(self, k: int) -> "SquareExactMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = SquareExactMatrix.identity(self.field, self.size)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, SquareExactMatrix.identity(self.field, self.size))
 
     def transpose(self) -> "SquareExactMatrix":
         return SquareExactMatrix(self.field, tuple(zip(*self.rows)))
@@ -508,75 +504,23 @@ class SquareExactMatrix:
         return self == SquareExactMatrix.identity(self.field, self.size)
 
     def rank(self) -> int:
-        """Rank by Gaussian elimination; the coefficient ring must be a field."""
-        a = [list(row) for row in self.rows]
-        n = self.size
-        rank = 0
-        col = 0
-        while rank < n and col < n:
-            pivot = next(
-                (i for i in range(rank, n) if not self.field.is_zero(a[i][col])), None
-            )
-            if pivot is None:
-                col += 1
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            inv = self.field.invert(a[rank][col])
-            a[rank] = [inv * x for x in a[rank]]
-            for i in range(n):
-                if i != rank and not self.field.is_zero(a[i][col]):
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-            col += 1
-        return rank
+        """Rank by Gauss-Jordan elimination; the coefficient ring must be a field."""
+        return len(gauss_jordan(self.field, self.rows, self.size)[1])
 
     def det(self):
-        """Determinant by elimination; the coefficient ring must be a field."""
-        a = [list(row) for row in self.rows]
-        n = self.size
-        det = self.field.one()
-        for col in range(n):
-            pivot = next(
-                (i for i in range(col, n) if not self.field.is_zero(a[i][col])), None
-            )
-            if pivot is None:
-                return self.field.zero()
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = self.field.invert(a[col][col])
-            for i in range(col + 1, n):
-                if not self.field.is_zero(a[i][col]):
-                    f = a[i][col] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        return det
+        """Determinant by Gauss-Jordan elimination; the ring must be a field."""
+        return gauss_jordan(self.field, self.rows, self.size)[2]
 
     def inverse(self) -> "SquareExactMatrix":
         """Inverse by augmented elimination; the ring must be a field."""
         n = self.size
-        one, zero = self.field.one(), self.field.zero()
-        aug = [
-            list(self.rows[i]) + [one if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next(
-                (i for i in range(col, n) if not self.field.is_zero(aug[i][col])), None
-            )
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = self.field.invert(aug[col][col])
-            aug[col] = [inv * x for x in aug[col]]
-            for i in range(n):
-                if i != col and not self.field.is_zero(aug[i][col]):
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return SquareExactMatrix(
-            self.field, tuple(tuple(aug[i][n:]) for i in range(n))
+        identity = SquareExactMatrix.identity(self.field, n).rows
+        reduced, pivots, _ = gauss_jordan(
+            self.field, [r + e for r, e in zip(self.rows, identity)], n
         )
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        return SquareExactMatrix(self.field, tuple(tuple(r[n:]) for r in reduced))
 
     def to_json(self) -> list:
         return [[self.field.element_to_json(x) for x in row] for row in self.rows]

@@ -35,19 +35,12 @@ from .exactnum import (
     int_convolve,
     integer_form,
 )
+from .kontsevich import twist_matrix
 from .linalg import SquareExactMatrix
 
 BASIS_LAMBDA_AT_ZERO = "lambda-power-basis-at-zero"
 BASIS_IDEMPOTENT_AT_INFINITY = "idempotent-basis-at-infinity"
 BASIS_POWER_AT_INFINITY = "alpha-power-basis-at-infinity"
-
-
-def eval_theta_poly(coeffs, x, ring):
-    """Evaluate a rational theta-polynomial at a ring element, by Horner."""
-    acc = ring.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + ring.coerce(Fraction(c))
-    return acc
 
 
 @frozen
@@ -238,26 +231,11 @@ def monodromy_at_zero() -> MonodromyMatrix:
 
     The loop multiplies the bundle by the exponential of the branch step,
     and the matrix is literally multiplication by exp(L) = sum L^k / k! in
-    QQ[L]/(L^4): unipotent with superdiagonal bands 1, 1/2, 1/6.
+    QQ[L]/(L^4): unipotent with superdiagonal bands 1, 1/2, 1/6.  That is
+    the cohomology twist by the hyperplane class, so the matrix is
+    ``kontsevich.twist_matrix(1)``.
     """
-    ring = NilpotentRing(4)
-    lam = ring.generator()
-    e = ring.zero()
-    fact = 1
-    power = ring.one()
-    for k in range(4):
-        if k:
-            power = power * lam
-            fact *= k
-        e = e + power * Fraction(1, fact)
-    rows = []
-    basis_elt = ring.one()
-    for j in range(4):
-        if j:
-            basis_elt = basis_elt * lam
-        rows.append((basis_elt * e).coeffs)
-    matrix = SquareExactMatrix.from_rows(QQ, rows)
-    return MonodromyMatrix(matrix, BASIS_LAMBDA_AT_ZERO)
+    return MonodromyMatrix(twist_matrix(1), BASIS_LAMBDA_AT_ZERO)
 
 
 def monodromy_at_infinity() -> MonodromyMatrix:

@@ -28,7 +28,15 @@ from itertools import combinations
 from math import gcd
 
 from ._frozen import frozen
-from .linalg import integer_matrix, rational_rank, smith_normal_form, unimodular_inverse
+from .linalg import (
+    dot,
+    integer_det,
+    integer_matmul,
+    integer_matrix,
+    rational_rank,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
 VERTEX_TYPE_21 = "type21"
@@ -38,13 +46,6 @@ VERTEX_TYPE_OTHER = "other"
 
 class ProductConditionError(ValueError):
     """The three monodromies at a vertex do not multiply to the identity."""
-
-
-def _matmul3(a, b) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
 
 
 _IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -62,12 +63,7 @@ class UnipotentMonodromy3:
         entries = integer_matrix(rows)
         if len(entries) != 3 or len(entries[0]) != 3:
             raise ValueError("need a 3x3 integer matrix")
-        a, b, c = entries
-        det = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
+        det = integer_det(entries)
         if det != 1:
             raise ValueError(f"determinant is {det}, not 1")
         return UnipotentMonodromy3(entries)
@@ -77,7 +73,7 @@ class UnipotentMonodromy3:
         return UnipotentMonodromy3(_IDENTITY3)
 
     def __mul__(self, other: "UnipotentMonodromy3") -> "UnipotentMonodromy3":
-        return UnipotentMonodromy3(_matmul3(self.entries, other.entries))
+        return UnipotentMonodromy3(integer_matmul(self.entries, other.entries))
 
     def transpose(self) -> "UnipotentMonodromy3":
         e = self.entries
@@ -102,8 +98,8 @@ class UnipotentMonodromy3:
 
     def is_unipotent(self) -> bool:
         n = self.minus_identity()
-        n2 = _matmul3(n, n)
-        n3 = _matmul3(n2, n)
+        n2 = integer_matmul(n, n)
+        n3 = integer_matmul(n2, n)
         return all(x == 0 for row in n3 for x in row)
 
     def to_json(self) -> list:
@@ -209,8 +205,8 @@ def quintic_graph_counts(
         raise ValueError("2-face counts and dual edge lengths differ in length")
     if len(edge_lattice_lengths) != len(dual_face_triangle_counts):
         raise ValueError("edge lengths and dual face counts differ in length")
-    v21 = sum(t * l for t, l in zip(two_face_triangle_counts, dual_edge_lengths))
-    v12 = sum(l * t for l, t in zip(edge_lattice_lengths, dual_face_triangle_counts))
+    v21 = dot(two_face_triangle_counts, dual_edge_lengths)
+    v12 = dot(edge_lattice_lengths, dual_face_triangle_counts)
     total = 3 * (v21 + v12)
     if total % 2 != 0:
         raise ValueError("3(v21 + v12) is odd; counts cannot close a trivalent graph")
@@ -240,10 +236,6 @@ def _lattice_length(points) -> int:
     return g
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def quintic_face_data() -> tuple:
     """Face data of the degree-5 simplex pair, ready for the counting rule.
 
@@ -261,7 +253,7 @@ def quintic_face_data() -> tuple:
 
     def dual_face(span) -> list:
         return [
-            v for v in small_verts if all(_dot(w, v) == -1 for w in span)
+            v for v in small_verts if all(dot(w, v) == -1 for w in span)
         ]
 
     two_face_counts = []
@@ -300,13 +292,6 @@ def k3_semistable_check(ks) -> bool:
     return sum(ns) == 24
 
 
-def _matmul2(a, b) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
 def sl2_mirror_selfconjugacy(k: int) -> tuple:
     """A matrix C in SL(2, Z) with C (M^t)^{-1} C^{-1} = M for M = (1 k / 0 1).
 
@@ -319,7 +304,7 @@ def sl2_mirror_selfconjugacy(k: int) -> tuple:
     inv_transpose = ((1, 0), (-k, 1))
     c = _IDENTITY2 if k == 0 else ((0, -1), (1, 0))
     c_inv = _IDENTITY2 if k == 0 else ((0, 1), (-1, 0))
-    conjugated = _matmul2(_matmul2(c, inv_transpose), c_inv)
+    conjugated = integer_matmul(integer_matmul(c, inv_transpose), c_inv)
     if conjugated != m:
         raise RuntimeError("self-conjugacy witness failed verification")
     return c

@@ -25,12 +25,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._frozen import frozen
-from .linalg import integer_kernel_basis, integer_matrix, rational_rank, solve_rational
+from .linalg import (
+    dot,
+    integer_det,
+    integer_kernel_basis,
+    integer_matrix,
+    rational_rank,
+    solve_rational,
+)
 
 LatticePoint = tuple
 
@@ -45,10 +51,6 @@ class NonReflexiveError(ValueError):
 
 class InfeasibleWitnessError(ValueError):
     """A Gorenstein witness system has no rational solution."""
-
-
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
 
 
 def _lattice_point(p) -> tuple:
@@ -119,11 +121,7 @@ class LatticePolytope:
 
     def _to_reduced(self, point) -> tuple | None:
         delta = tuple(x - b for x, b in zip(point, self._hull_base))
-        columns = [
-            [self._hull_basis[j][i] for j in range(len(self._hull_basis))]
-            for i in range(self._ambient)
-        ]
-        y = solve_rational(columns, delta)
+        y = solve_rational([list(col) for col in zip(*self._hull_basis)], delta)
         if y is None:
             return None
         if any(v.denominator != 1 for v in y):
@@ -132,9 +130,7 @@ class LatticePolytope:
 
     def _from_reduced(self, y) -> tuple:
         return tuple(
-            self._hull_base[i]
-            + sum(self._hull_basis[j][i] * y[j] for j in range(len(y)))
-            for i in range(self._ambient)
+            b + dot(col, y) for b, col in zip(self._hull_base, zip(*self._hull_basis))
         )
 
     # -- basic queries -------------------------------------------------
@@ -163,7 +159,7 @@ class LatticePolytope:
         if self._dim == 0:
             return p == self._vertices[0]
         if self._dim == self._ambient:
-            return all(_dot(f.normal, p) <= f.offset for f in self._facets)
+            return all(dot(f.normal, p) <= f.offset for f in self._facets)
         y = self._to_reduced(p)
         return y is not None and self._reduced.contains(y)
 
@@ -179,7 +175,7 @@ class LatticePolytope:
             return [
                 p
                 for p in itertools.product(*ranges)
-                if all(_dot(f.normal, p) <= f.offset for f in self._facets)
+                if all(dot(f.normal, p) <= f.offset for f in self._facets)
             ]
         return sorted(self._from_reduced(y) for y in self._reduced.lattice_points())
 
@@ -233,34 +229,12 @@ class LatticePolytope:
         return f"LatticePolytope(vertices={list(self._vertices)!r})"
 
 
-def _bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination: every division is exact, so entries stay integers."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
-        previous = pivot
-    return sign * a[-1][-1]
-
-
 def _hyperplane_normal(rows) -> tuple | None:
     """Primitive integer normal to the span of d - 1 vectors in Z^d, up to
     sign: the signed maximal minors divided by their gcd.  None when the
     vectors are dependent, which is exactly when every minor vanishes."""
     minors = [
-        _bareiss_det([r[:i] + r[i + 1:] for r in rows]) * (-1) ** i
+        integer_det([r[:i] + r[i + 1:] for r in rows]) * (-1) ** i
         for i in range(len(rows[0]))
     ]
     g = math.gcd(*minors)
@@ -288,10 +262,10 @@ def _full_dim_facets(points, ambient: int, new: int) -> set:
             )
             if normal is None:
                 continue
-            offset = _dot(normal, base)
+            offset = dot(normal, base)
             above = below = False
             for p in points:
-                value = _dot(normal, p)
+                value = dot(normal, p)
                 if value > offset:
                     above = True
                 elif value < offset:
@@ -310,7 +284,7 @@ def _full_dim_facets(points, ambient: int, new: int) -> set:
 def _extreme(points, functional) -> tuple:
     """The lexicographically largest maximizer of a linear functional on
     the points, which is a vertex of their hull."""
-    return max(points, key=lambda p: (_dot(functional, p), p))
+    return max(points, key=lambda p: (dot(functional, p), p))
 
 
 def _full_dim_hull(points, ambient: int) -> tuple:
@@ -333,14 +307,14 @@ def _full_dim_hull(points, ambient: int) -> tuple:
         vertices = new + vertices
         fresh = _full_dim_facets(vertices, ambient, len(new))
         facets = {
-            f for f in facets if all(_dot(f.normal, p) <= f.offset for p in new)
+            f for f in facets if all(dot(f.normal, p) <= f.offset for p in new)
         }
         facets |= fresh
         # A facet that survives a round had no point outside it, so only
         # the fresh ones can have one.
         outside = set()
         for f in fresh:
-            beyond = [p for p in points if _dot(f.normal, p) > f.offset]
+            beyond = [p for p in points if dot(f.normal, p) > f.offset]
             if beyond:
                 outside.add(_extreme(beyond, f.normal))
         new = sorted(outside)
@@ -404,7 +378,7 @@ class GorensteinWitness:
 
 def _rows_of(matrix) -> list:
     rows = getattr(matrix, "rows", matrix)
-    return [list(r) for r in rows]
+    return [[Fraction(x) for x in r] for r in rows]
 
 
 def gorenstein_check(matrix) -> GorensteinWitness:
@@ -427,8 +401,7 @@ def gorenstein_check(matrix) -> GorensteinWitness:
     nu = solve_rational(transpose, ones_cols)
     if nu is None:
         raise InfeasibleWitnessError("no rational nu with nu^t P = (1,...,1)")
-    p_mu = [sum(Fraction(rows[i][j]) * mu[j] for j in range(n)) for i in range(m)]
-    pairing = sum((nu[i] * p_mu[i] for i in range(m)), Fraction(0))
+    pairing = Fraction(dot(nu, [dot(row, mu) for row in rows]))
     return GorensteinWitness(tuple(mu), tuple(nu), pairing)
 
 
@@ -442,20 +415,12 @@ def cy_dimension(matrix, witness: GorensteinWitness, d: int) -> int:
     n = len(rows[0]) if rows else 0
     if len(witness.mu) != n or len(witness.nu) != m:
         raise InfeasibleWitnessError("witness shape does not match the matrix")
-    for i in range(m):
-        if sum(Fraction(rows[i][j]) * witness.mu[j] for j in range(n)) != 1:
-            raise InfeasibleWitnessError("mu does not satisfy P mu = (1,...,1)")
-    for j in range(n):
-        if sum(witness.nu[i] * Fraction(rows[i][j]) for i in range(m)) != 1:
-            raise InfeasibleWitnessError("nu does not satisfy nu^t P = (1,...,1)")
-    recomputed = sum(
-        (
-            witness.nu[i] * Fraction(rows[i][j]) * witness.mu[j]
-            for i in range(m)
-            for j in range(n)
-        ),
-        Fraction(0),
-    )
+    p_mu = [dot(row, witness.mu) for row in rows]
+    if any(v != 1 for v in p_mu):
+        raise InfeasibleWitnessError("mu does not satisfy P mu = (1,...,1)")
+    if any(dot(witness.nu, col) != 1 for col in zip(*rows)):
+        raise InfeasibleWitnessError("nu does not satisfy nu^t P = (1,...,1)")
+    recomputed = dot(witness.nu, p_mu)
     if witness.pairing != recomputed:
         raise InfeasibleWitnessError(
             f"stored pairing {witness.pairing} disagrees with nu^t P mu = {recomputed}"

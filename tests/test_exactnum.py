@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -152,18 +153,21 @@ def test_series_geometric_inverse() -> None:
     assert inv.coeffs == tuple(Fraction(1) for _ in range(6))
 
 
-def test_series_log_of_one_plus_x() -> None:
-    f = TruncatedSeries.from_coefficients(QQ, [1, 1, 0, 0, 0, 0, 0])
-    expected = [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, 7)]
-    assert f.log().coeffs == tuple(expected)
+def test_series_exp_coefficients_are_reciprocal_factorials() -> None:
+    x = TruncatedSeries.variable(QQ, 8)
+    assert x.exp().coeffs == tuple(Fraction(1, math.factorial(n)) for n in range(9))
 
 
-def test_series_exp_log_round_trip(seed: int = 11) -> None:
+def test_series_exp_turns_sums_into_products(seed: int = 11) -> None:
     rng = random.Random(seed)
     for _ in range(15):
-        coeffs = [Fraction(1)] + [_random_fraction(rng) for _ in range(6)]
-        f = TruncatedSeries.from_coefficients(QQ, coeffs)
-        assert f.log().exp().coeffs == f.coeffs
+        f, g = (
+            TruncatedSeries.from_coefficients(
+                QQ, [0] + [_random_fraction(rng) for _ in range(6)]
+            )
+            for _ in range(2)
+        )
+        assert (f + g).exp().coeffs == (f.exp() * g.exp()).coeffs
 
 
 def test_series_binomial_power() -> None:

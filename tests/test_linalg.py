@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_mirror.exactnum import QQ, ZETA5_FIELD
+from quintic_mirror.exactnum import QQ, ZETA5_FIELD, CyclotomicElement
 from quintic_mirror.linalg import (
     SquareExactMatrix,
     canonical_kernel_basis,
     canonical_sign,
+    dot,
+    gauss_jordan,
     hermite_rows,
+    integer_det,
     integer_kernel_basis,
     integer_left_kernel_basis,
     integer_matmul,
     integer_matrix,
-    is_unimodular,
     rational_inverse,
     rational_rank,
     smith_normal_form,
@@ -65,6 +67,60 @@ def test_rational_inverse_round_trip() -> None:
     assert prod == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("field", [QQ, ZETA5_FIELD], ids=str)
+def test_gauss_jordan_properties(field, seed: int = 31) -> None:
+    # Square matrices of size 1 to 5, every other one made singular by a
+    # repeated row; entries are small rationals or elements of QQ(zeta_5).
+    rng = random.Random(seed)
+
+    def entry():
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if field == QQ:
+            return q
+        return CyclotomicElement((q,) + tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)))
+
+    for n in range(1, 6):
+        for trial in range(4):
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 2 and n > 1:
+                a[rng.randrange(1, n)] = list(a[0])
+            b = [[entry() for _ in range(n)] for _ in range(n)]
+            ma = SquareExactMatrix.from_rows(field, a)
+            mb = SquareExactMatrix.from_rows(field, b)
+            det = ma.det()
+            assert (ma * mb).det() == det * mb.det()
+            assert gauss_jordan(field, a, n)[2] == det
+            assert (ma.rank() == n) == (not field.is_zero(det))
+            if trial % 2 and n > 1:
+                assert field.is_zero(det)
+            if field.is_zero(det):
+                with pytest.raises(ValueError):
+                    ma.inverse()
+            else:
+                assert (ma * ma.inverse()).is_identity()
+            if field != QQ:
+                continue
+            # a consistent right-hand side b = A x and a random one
+            x = [entry() for _ in range(n)]
+            for rhs in ([dot(row, x) for row in a], [entry() for _ in range(n)]):
+                sol = solve_rational(a, rhs)
+                augmented = [row + [c] for row, c in zip(a, rhs)]
+                if rational_rank(augmented) > rational_rank(a):
+                    assert sol is None
+                else:
+                    assert [dot(row, sol) for row in a] == rhs
+
+
+def test_integer_det_matches_field_det(seed: int = 5) -> None:
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for _ in range(6):
+            a = _random_int_matrix(rng, n, n)
+            if n > 1 and rng.random() < 0.3:
+                a[-1] = list(a[0])
+            assert integer_det(a) == SquareExactMatrix.from_rows(QQ, a).det()
+
+
 # -- integer matrix validation -----------------------------------------------
 
 
@@ -106,8 +162,8 @@ def test_smith_decomposition_properties(seed: int = 20260822) -> None:
         n = rng.randint(1, 5)
         a = _random_int_matrix(rng, m, n)
         dec = smith_normal_form(a)
-        assert is_unimodular(dec.u)
-        assert is_unimodular(dec.v)
+        unimodular_inverse(dec.u)  # raises ValueError unless unimodular
+        unimodular_inverse(dec.v)
         uav = integer_matmul(integer_matmul(dec.u, a), dec.v)
         assert uav == dec.d
         divisors = dec.divisors
@@ -174,7 +230,6 @@ def test_unimodular_inverse_round_trip(seed: int = 9) -> None:
 def test_unimodular_inverse_rejects_non_unimodular() -> None:
     with pytest.raises(ValueError):
         unimodular_inverse([[2, 0], [0, 1]])
-    assert not is_unimodular([[2, 0], [0, 1]])
 
 
 # -- dense exact matrices ----------------------------------------------------
