@@ -463,6 +463,23 @@ def test_polytope_structured_output_digest_is_frozen(
 
 
 @pytest.mark.parametrize(
+    "command, fmt, digest",
+    [
+        ("monodromy", "table", "ec56ac754803dce48a08ec2542b904bbf02ae52a1ba57f4856e3b0e460d14cc1"),
+        ("monodromy", "structured", "f2461939c7420d1a99e93d12f6682008fc677f9459c3f2a4b8d490530fdfda52"),
+        ("kontsevich", "table", "e0332420fb72670b1538e291c3559861eea84b6359d46c7fa6c6c101b3f6360b"),
+        ("kontsevich", "structured", "b5e1056e846ab1eeb3576e6ef679ebf9e14e09d276a542194641e43ec8e69249"),
+    ],
+)
+def test_monodromy_and_kontsevich_output_digest_is_frozen(capsys, command, fmt, digest) -> None:
+    # Digests of the output with QQ(zeta_5) held as four Fractions and both
+    # renderings built; the integer-numerator field must reproduce it.
+    code, out, err = _run(capsys, [command, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gw", "--order", str(cli.MAX_GW_ORDER + 1)],
