@@ -198,27 +198,36 @@ def _cmd_periods(args) -> tuple:
 
 
 def _cmd_monodromy(args) -> tuple:
-    at_zero = picard_fuchs.monodromy_at_zero()
-    at_inf = picard_fuchs.monodromy_at_infinity()
-    at_inf_power = picard_fuchs.monodromy_at_infinity_power_basis()
-
     reports = []
     for label, mono in (
-        ("z = 0", at_zero),
-        ("z = infinity", at_inf),
-        ("z = infinity, power basis", at_inf_power),
+        ("z = 0", picard_fuchs.monodromy_at_zero()),
+        ("z = infinity", picard_fuchs.monodromy_at_infinity()),
+        ("z = infinity, power basis", picard_fuchs.monodromy_at_infinity_power_basis()),
     ):
         order = kontsevich.matrix_order(mono.matrix, 10)
         profile = kontsevich.jordan_profile(mono.matrix)
         reports.append((label, mono, order, profile))
-
-    lines = []
-    for label, mono, order, profile in reports:
-        lines.extend(
-            _block(f"monodromy at {label} (basis: {mono.basis_tag})", mono.matrix.rows)
+    # the power-basis matrix B D B^-1 is conjugate to the diagonal D, so the
+    # two share their order, which is 5, and their Jordan profile
+    (*_, order, profile), (*_, power_order, power_profile) = reports[1:]
+    if (order, power_order) != (5, 5) or profile != power_profile:
+        raise CommandError(
+            EXIT_INVARIANT,
+            f"monodromy at infinity: orders {_order_text(order)} and {_order_text(power_order)}, "
+            f"jordan profiles {list(profile)} and {list(power_profile)} in the diagonal and "
+            "power bases; expected order 5 and one profile",
         )
-        lines.append(f"  order: {_order_text(order)}")
-        lines.append("  jordan profile: " + " ".join(str(r) for r in profile))
+
+    def lines():
+        out = []
+        for label, mono, order, profile in reports:
+            out.extend(
+                _block(f"monodromy at {label} (basis: {mono.basis_tag})", mono.matrix.rows)
+            )
+            out.append(f"  order: {_order_text(order)}")
+            out.append("  jordan profile: " + " ".join(map(str, profile)))
+        return out
+
     doc = {
         "schema": SCHEMA,
         "command": "monodromy",
@@ -290,9 +299,6 @@ def _cmd_polytope(args) -> tuple:
         label = args.input_path
 
     report = polytope.is_reflexive()
-    lines = _block(f"polytope: {label}; vertices", polytope.vertices)
-    lines.append(f"dimension: {polytope.dim}")
-    lines.append("reflexive: " + ("yes" if report.is_reflexive else "no"))
     doc = {
         "schema": SCHEMA,
         "command": "polytope",
@@ -303,15 +309,22 @@ def _cmd_polytope(args) -> tuple:
     }
     if report.is_reflexive:
         dual = polytope.polar_dual()
-        dual_points = dual.lattice_points()
-        lines.extend(_block("dual vertices", dual.vertices))
-        lines.append(f"dual lattice points: {len(dual_points)}")
         doc["dual_vertices"] = [list(v) for v in dual.vertices]
-        doc["dual_lattice_point_count"] = len(dual_points)
+        count = doc["dual_lattice_point_count"] = len(dual.lattice_points())
         if builtin:
-            moduli = toric.moduli_dimension(len(dual_points), 25)
-            lines.append(f"hypersurface moduli dimension: {moduli}")
-            doc["moduli_dimension"] = moduli
+            doc["moduli_dimension"] = toric.moduli_dimension(count, 25)
+
+    def lines():
+        out = _block(f"polytope: {label}; vertices", polytope.vertices)
+        out.append(f"dimension: {polytope.dim}")
+        out.append("reflexive: " + ("yes" if report.is_reflexive else "no"))
+        if report.is_reflexive:
+            out.extend(_block("dual vertices", dual.vertices))
+            out.append(f"dual lattice points: {count}")
+            if builtin:
+                out.append(f"hypersurface moduli dimension: {doc['moduli_dimension']}")
+        return out
+
     return doc, lines
 
 
@@ -327,18 +340,20 @@ def _cmd_glsm_transpose(args) -> tuple:
     invariants = glsm.invariant_coordinates(p)
     invariants_hat = glsm.invariant_coordinates(p_hat)
 
-    lines = _block("exponent matrix P", p.rows)
-    lines.extend(_block("factor S", f.s_rows))
-    lines.extend(_block("factor T", f.t_rows))
-    lines.append(f"gauge group: {structure.describe()}")
-    lines.extend(_block("gauge charge generators", generators or [[]]))
-    lines.extend(_block("mirror exponent matrix", p_hat.rows))
-    lines.append(f"mirror gauge group: {structure_hat.describe()}")
-    lines.extend(_block("mirror gauge charge generators", generators_hat or [[]]))
-    lines.extend(_block("invariant coefficient monomials", invariants or [[]]))
-    lines.extend(
-        _block("mirror invariant coefficient monomials", invariants_hat or [[]])
-    )
+    def lines():
+        return [
+            *_block("exponent matrix P", p.rows),
+            *_block("factor S", f.s_rows),
+            *_block("factor T", f.t_rows),
+            f"gauge group: {structure.describe()}",
+            *_block("gauge charge generators", generators or [[]]),
+            *_block("mirror exponent matrix", p_hat.rows),
+            f"mirror gauge group: {structure_hat.describe()}",
+            *_block("mirror gauge charge generators", generators_hat or [[]]),
+            *_block("invariant coefficient monomials", invariants or [[]]),
+            *_block("mirror invariant coefficient monomials", invariants_hat or [[]]),
+        ]
+
     doc = {
         "schema": SCHEMA,
         "command": "glsm-transpose",
@@ -398,27 +413,29 @@ def _cmd_kontsevich(args) -> tuple:
     spherical = kontsevich.quintic_spherical()
     product = twist * spherical
     order = kontsevich.matrix_order(product, 10)
+    if order != 5:
+        raise CommandError(
+            EXIT_INVARIANT, f"(T*S) order came out {_order_text(order)}, expected 5"
+        )
+    twist_profile = kontsevich.jordan_profile(twist)
+    spherical_profile = kontsevich.jordan_profile(spherical)
 
-    lines = [
-        "tangent classes from the adjunction expansion:",
-        f"  c1 = {_cohomology_text(classes.c1)}",
-        f"  c2 = {_cohomology_text(classes.c2)}",
-        f"  c3 = {_cohomology_text(classes.c3)}",
-        f"euler number: {_frac_text(euler)}",
-        f"todd class: {_cohomology_text(classes.todd)}",
-    ]
-    lines.extend(_block("twist matrix T (basis 1, L, L^2, L^3)", twist.rows))
-    lines.append(
-        "  jordan profile: "
-        + " ".join(str(r) for r in kontsevich.jordan_profile(twist))
-    )
-    lines.extend(_block("spherical twist S", spherical.rows))
-    lines.append(
-        "  jordan profile: "
-        + " ".join(str(r) for r in kontsevich.jordan_profile(spherical))
-    )
-    lines.extend(_block("product T*S", product.rows))
-    lines.append(f"order of T*S: {_order_text(order)}")
+    def lines():
+        return [
+            "tangent classes from the adjunction expansion:",
+            f"  c1 = {_cohomology_text(classes.c1)}",
+            f"  c2 = {_cohomology_text(classes.c2)}",
+            f"  c3 = {_cohomology_text(classes.c3)}",
+            f"euler number: {_frac_text(euler)}",
+            f"todd class: {_cohomology_text(classes.todd)}",
+            *_block("twist matrix T (basis 1, L, L^2, L^3)", twist.rows),
+            "  jordan profile: " + " ".join(map(str, twist_profile)),
+            *_block("spherical twist S", spherical.rows),
+            "  jordan profile: " + " ".join(map(str, spherical_profile)),
+            *_block("product T*S", product.rows),
+            f"order of T*S: {_order_text(order)}",
+        ]
+
     doc = {
         "schema": SCHEMA,
         "command": "kontsevich",
@@ -430,16 +447,12 @@ def _cmd_kontsevich(args) -> tuple:
         "euler_number": rational_str(euler),
         "todd": [rational_str(c) for c in classes.todd.coeffs],
         "twist": twist.to_json(),
-        "twist_jordan_profile": list(kontsevich.jordan_profile(twist)),
+        "twist_jordan_profile": list(twist_profile),
         "spherical": spherical.to_json(),
-        "spherical_jordan_profile": list(kontsevich.jordan_profile(spherical)),
+        "spherical_jordan_profile": list(spherical_profile),
         "product": product.to_json(),
         "product_order": order,
     }
-    if order != 5:
-        raise CommandError(
-            EXIT_INVARIANT, f"(T*S) order came out {_order_text(order)}, expected 5"
-        )
     return doc, lines
 
 
@@ -498,13 +511,13 @@ def _cmd_syz_k3(args) -> tuple:
         raise CommandError(EXIT_INPUT, str(exc))
     witness = syz.sl2_mirror_selfconjugacy(1)
 
-    lines = [
-        f"fiber multiplicity sum: {sum(int(k) for k in multiplicities)}",
-        "euler count matches K3 (sum = 24): " + ("yes" if euler_ok else "no"),
-    ]
-    lines.extend(
-        _block("self-conjugacy witness for the k=1 monodromy", witness)
-    )
+    def lines():
+        return [
+            f"fiber multiplicity sum: {sum(int(k) for k in multiplicities)}",
+            "euler count matches K3 (sum = 24): " + ("yes" if euler_ok else "no"),
+            *_block("self-conjugacy witness for the k=1 monodromy", witness),
+        ]
+
     doc = {
         "schema": SCHEMA,
         "command": "syz-k3",

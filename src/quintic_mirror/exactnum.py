@@ -5,7 +5,8 @@ Everything here is exact.  Three coefficient rings are provided:
 * the rationals QQ (plain ``fractions.Fraction``),
 * the nilpotent ring QQ[a]/(a^N), used to carry a solution and its
   logarithmic partners in a single series,
-* the cyclotomic field QQ(zeta_5), used for monodromy eigenvalues.
+* the cyclotomic field QQ(zeta_5), used for monodromy eigenvalues, held
+  as integer numerators of 1, zeta, zeta^2, zeta^3 over one denominator.
 
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with an optional symbolic exponent shift so that objects
@@ -64,8 +65,28 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+class _Element:
+    """Subtraction, division and powers of a ring element, from its own
+    ``_coerce`` (None for a foreign operand), +, unary -, * and ``inverse``."""
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __pow__(self, k: int):
+        return power(self, k, self._coerce(1))
+
+
 @frozen
-class NilpotentElement:
+class NilpotentElement(_Element):
     """An element c_0 + c_1 a + ... + c_{N-1} a^{N-1} of QQ[a]/(a^N)."""
 
     coeffs: tuple[Fraction, ...]
@@ -118,18 +139,6 @@ class NilpotentElement:
     def __neg__(self) -> "NilpotentElement":
         return NilpotentElement(tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -147,9 +156,6 @@ class NilpotentElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "NilpotentElement":
-        return power(self, k, NilpotentElement.constant(1, self.degree))
-
     def inverse(self) -> "NilpotentElement":
         """Invert via the terminating geometric series in the nilpotent part."""
         c0 = self.coeffs[0]
@@ -166,49 +172,82 @@ class NilpotentElement:
             total = total + term if k % 2 == 0 else total - term
         return NilpotentElement(tuple(c / c0 for c in total.coeffs))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+
+def _zeta_product(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Power-basis numerators of a*b: the 4x4 convolution, with z^5 = 1 and
+    then z^4 = -(1 + z + z^2 + z^3) folded back into 1, z, z^2, z^3."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    w4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (
+        a0 * b0 + a2 * b3 + a3 * b2 - w4,
+        a0 * b1 + a1 * b0 + a3 * b3 - w4,
+        a0 * b2 + a1 * b1 + a2 * b0 - w4,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - w4,
+    )
 
 
-_ZETA_DIM = 4  # QQ(zeta_5) has degree 4 over QQ; basis 1, z, z^2, z^3
+def _zeta_galois(num: Sequence[int], k: int) -> tuple:
+    """Power-basis numerators of the image of num under zeta -> zeta^k."""
+    work = [0] * 5
+    for e, c in enumerate(num):
+        work[(e * k) % 5] += c
+    return tuple(w - work[4] for w in work[:4])
+
+
+def _cyclotomic(num: tuple, den: int) -> "CyclotomicElement":
+    """The element num/den in canonical form, without the checking constructor."""
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    if g != 1:
+        num, den = tuple(n // g for n in num), den // g
+    x = object.__new__(CyclotomicElement)
+    x.__dict__.update(num=num, den=den)
+    return x
 
 
 @frozen
-class CyclotomicElement:
-    """An element of QQ(zeta_5) in the power basis 1, zeta, zeta^2, zeta^3."""
+class CyclotomicElement(_Element):
+    """An element of QQ(zeta_5) in the power basis 1, zeta, zeta^2, zeta^3.
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    Held as integer numerators ``num`` of the four basis elements over one
+    positive denominator ``den``, with gcd(den, *num) = 1, so equal
+    elements have equal fields.  ``CyclotomicElement(coeffs)`` takes four
+    rationals; ``coeffs`` gives them back as Fractions.
+    """
+
+    num: tuple[int, int, int, int]
+    den: int
+
+    def __init__(self, coeffs: Sequence):
+        coeffs = [_as_fraction(c) for c in coeffs]
+        if len(coeffs) != 4:
+            raise ValueError("QQ(zeta_5) elements have four power-basis coefficients")
+        num, den = integer_form(coeffs)
+        self.__dict__.update(_cyclotomic(tuple(num), den).__dict__)
 
     @staticmethod
     def constant(value) -> "CyclotomicElement":
-        return CyclotomicElement((_as_fraction(value), Fraction(0), Fraction(0), Fraction(0)))
+        q = _as_fraction(value)
+        return _cyclotomic((q.numerator, 0, 0, 0), q.denominator)
 
     @staticmethod
     def zeta(power: int = 1) -> "CyclotomicElement":
         """zeta_5^power, reduced into the power basis."""
-        work = [Fraction(0)] * 5
-        work[power % 5] = Fraction(1)
-        return CyclotomicElement._reduce(work)
+        return _cyclotomic(_zeta_galois((0, 1, 0, 0), power), 1)
 
-    @staticmethod
-    def _reduce(work: Sequence[Fraction]) -> "CyclotomicElement":
-        # work holds coefficients of 1, z, z^2, z^3, z^4 with z^5 = 1;
-        # eliminate z^4 using 1 + z + z^2 + z^3 + z^4 = 0.
-        c4 = work[4]
-        return CyclotomicElement(tuple(work[i] - c4 for i in range(4)))
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     @property
     def rational_part(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicElement):
@@ -217,72 +256,55 @@ class CyclotomicElement:
             return CyclotomicElement.constant(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _cyclotomic(tuple(map(op, self.num, o.num)), da)
+        return _cyclotomic(tuple(op(a * db, b * da) for a, b in zip(self.num, o.num)), da * db)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(tuple(-a for a in self.coeffs))
+        return _cyclotomic(tuple(-n for n in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        work = [Fraction(0)] * 5
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    work[(i + j) % 5] += a * b
-        return CyclotomicElement._reduce(work)
+        return _cyclotomic(_zeta_product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CyclotomicElement":
-        return power(self, k, CyclotomicElement.constant(1))
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Apply the field automorphism zeta -> zeta^k (k coprime to 5)."""
         if k % 5 == 0:
             raise ValueError("zeta -> zeta^k needs k coprime to 5")
-        work = [Fraction(0)] * 5
-        for e, c in enumerate(self.coeffs):
-            work[(e * k) % 5] += c
-        return CyclotomicElement._reduce(work)
+        return _cyclotomic(_zeta_galois(self.num, k), self.den)
 
     def inverse(self) -> "CyclotomicElement":
-        """Invert using the product of Galois conjugates: 1/x = conj(x)/N(x)."""
+        """Invert using the product of Galois conjugates: 1/x = conj(x)/N(x).
+
+        On numerators: conj(x) = c/den^3 and N(x) = n/den^4, so 1/x = c den/n.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse in QQ(zeta_5)")
-        conj = self.galois(2) * self.galois(3) * self.galois(4)
-        norm = self * conj
-        if not norm.is_rational():
+        num = self.num
+        c = _zeta_product(
+            _zeta_product(_zeta_galois(num, 2), _zeta_galois(num, 3)), _zeta_galois(num, 4)
+        )
+        n, *rest = _zeta_product(num, c)
+        if any(rest):
             raise AssertionError("norm computation left the rationals")
-        n = norm.rational_part
-        return CyclotomicElement(tuple(c / n for c in conj.coeffs))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return _cyclotomic(tuple(x * self.den for x in c), n)
 
 
 def _convolve(ring, a: Sequence, b: Sequence, order: int) -> tuple:

@@ -478,17 +478,17 @@ class SquareExactMatrix:
         if not isinstance(other, SquareExactMatrix):
             return self.scale(other)
         self._check(other)
-        n = self.size
-        zero = self.field.zero()
+        is_zero = self.field.is_zero
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.rows:
+            # sum_k a_ik (row k of other), skipping the many zero a_ik of M and M - I
+            acc = None
+            for a, other_row in zip(row, other.rows):
+                if is_zero(a):
+                    continue
+                terms = [a * b for b in other_row]
+                acc = terms if acc is None else list(map(operator.add, acc, terms))
+            out.append((self.field.zero(),) * self.size if acc is None else tuple(acc))
         return SquareExactMatrix(self.field, tuple(out))
 
     def __rmul__(self, scalar) -> "SquareExactMatrix":

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_mirror import cli, enumerative
+from quintic_mirror import cli, enumerative, picard_fuchs
 from quintic_mirror.enumerative import IntegralityError
 from quintic_mirror.exactnum import TruncatedSeries
+from quintic_mirror.linalg import SquareExactMatrix
 
 _SHEAR_TRIPLE = [
     [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
@@ -232,6 +233,26 @@ def test_invariant_error_exits_three(capsys, monkeypatch) -> None:
     code, out, err = _run(capsys, ["gw", "--dmax", "2"])
     assert code == 3
     assert err.startswith("error: invariant:")
+
+
+def test_monodromy_gate_rejects_a_power_basis_matrix_not_conjugate_to_the_diagonal(
+    capsys, monkeypatch
+) -> None:
+    genuine = picard_fuchs.monodromy_at_infinity_power_basis()
+    m = genuine.matrix
+    bump = SquareExactMatrix.from_rows(
+        m.field, [[int(i == j == 0) for j in range(m.size)] for i in range(m.size)]
+    )
+    perturbed = picard_fuchs.MonodromyMatrix(m + bump, genuine.basis_tag)
+    monkeypatch.setattr(
+        cli.picard_fuchs, "monodromy_at_infinity_power_basis", lambda: perturbed
+    )
+    for fmt in ("table", "structured"):
+        code, out, err = _run(capsys, ["monodromy", "--format", fmt])
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invariant:")
 
 
 # -- determinism -------------------------------------------------------------

@@ -136,6 +136,126 @@ def test_cyclotomic_zero_inverse_fails() -> None:
         CyclotomicElement.constant(0).inverse()
 
 
+# QQ(zeta_5) on four Fractions, the schoolbook way: the reference the
+# integer-numerator element is checked against below.
+
+
+def _fold(work) -> tuple:
+    # coefficients of 1, z, .., z^4 with z^5 = 1; z^4 = -(1 + z + z^2 + z^3)
+    return tuple(work[i] - work[4] for i in range(4))
+
+
+def _ref_mul(a, b) -> tuple:
+    work = [Fraction(0)] * 5
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            work[(i + j) % 5] += x * y
+    return _fold(work)
+
+
+def _ref_galois(a, k: int) -> tuple:
+    work = [Fraction(0)] * 5
+    for e, c in enumerate(a):
+        work[(e * k) % 5] += c
+    return _fold(work)
+
+
+def _ref_inverse(a) -> tuple:
+    conj = _ref_mul(_ref_mul(_ref_galois(a, 2), _ref_galois(a, 3)), _ref_galois(a, 4))
+    norm = _ref_mul(a, conj)
+    assert norm[1:] == (0, 0, 0)
+    return tuple(c / norm[0] for c in conj)
+
+
+def _ref_pow(a, k: int) -> tuple:
+    if k < 0:
+        a, k = _ref_inverse(a), -k
+    out = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _wide_fraction(rng: random.Random) -> Fraction:
+    """Large numerators, denominators of either sign and unrelated sizes, some zeros."""
+    if rng.random() < 0.15:
+        return Fraction(0)
+    den = rng.choice([1, -1, 2, -6, 7**9, -(10**12 + 39), rng.randint(-(10**25), -1)])
+    return Fraction(rng.randint(-(10**30), 10**30), den)
+
+
+def _assert_canonical(x: CyclotomicElement) -> None:
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert all(isinstance(c, Fraction) for c in x.coeffs)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_cyclotomic_integer_form_matches_the_fraction_reference(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(30):
+        a = tuple(_wide_fraction(rng) for _ in range(4))
+        b = tuple(_wide_fraction(rng) for _ in range(4))
+        x, y = CyclotomicElement(a), CyclotomicElement(b)
+        assert x.coeffs == a and y.coeffs == b
+        cases = [
+            (x * y, _ref_mul(a, b)),
+            (x + y, tuple(p + q for p, q in zip(a, b))),
+            (x - y, tuple(p - q for p, q in zip(a, b))),
+            (-x, tuple(-p for p in a)),
+            (x * b[0], tuple(p * b[0] for p in a)),
+            (b[1] - x, tuple(int(i == 0) * b[1] - p for i, p in enumerate(a))),
+        ]
+        cases += [(x.galois(k), _ref_galois(a, k)) for k in (1, 2, 3, 4, -1, 7)]
+        cases += [(x**k, _ref_pow(a, k)) for k in (0, 1, 2, 3, 5)]
+        if any(a):
+            cases += [(x.inverse(), _ref_inverse(a)), (x**-2, _ref_pow(a, -2))]
+            cases += [(y / x, _ref_mul(b, _ref_inverse(a)))]
+            assert x * x.inverse() == CyclotomicElement.constant(1)
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == want
+            assert got == CyclotomicElement(want)
+            assert hash(got) == hash(CyclotomicElement(want))
+
+
+def test_cyclotomic_equal_values_by_different_routes_are_equal() -> None:
+    z = CyclotomicElement.zeta()
+    pairs = [
+        (CyclotomicElement.constant(Fraction(2, 4)), CyclotomicElement.constant(Fraction(1, 2))),
+        ((z * 6) / 6, z),
+        (z * Fraction(-3, 7) / Fraction(3, -7), z),
+        (CyclotomicElement((2, 4, 6, 8)) * Fraction(1, 2), CyclotomicElement((1, 2, 3, 4))),
+        (z + Fraction(1, 3) - Fraction(1, 3), z),
+        (z**5, CyclotomicElement.constant(1)),
+        (z * z.inverse(), CyclotomicElement((1, 0, 0, 0))),
+        (CyclotomicElement.zeta(4), -(1 + z + z**2 + z**3)),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert (left.num, left.den) == (right.num, right.den)
+    assert len({left for left, _ in pairs} | {right for _, right in pairs}) == 5
+    assert CyclotomicElement.constant(Fraction(1, 2)) != CyclotomicElement.constant(1)
+
+
+def test_cyclotomic_element_keeps_its_rational_api() -> None:
+    x = CyclotomicElement((Fraction(3, 4), 0, Fraction(-5, 6), 2))
+    assert x.coeffs == (Fraction(3, 4), 0, Fraction(-5, 6), 2)
+    assert all(isinstance(c, Fraction) for c in x.coeffs)
+    assert (x.num, x.den) == ((9, 0, -10, 24), 12)
+    assert x.rational_part == Fraction(3, 4) and not x.is_rational()
+    assert CyclotomicElement.constant(Fraction(-7, 3)).is_rational()
+    assert CyclotomicElement((0, 0, 0, 0)).is_zero()
+    assert CyclotomicElement((0, 0, 0, 0)).den == 1
+    with pytest.raises(ValueError):
+        CyclotomicElement((1, 2, 3))
+    with pytest.raises(TypeError):
+        CyclotomicElement((1.5, 0, 0, 0))
+    with pytest.raises(AttributeError):
+        x.den = 1
+
+
 # -- truncated series --------------------------------------------------------
 
 
