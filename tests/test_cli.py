@@ -444,6 +444,28 @@ def test_gw_structured_output_digest_is_frozen(capsys, order, digest) -> None:
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("gw --order 12", "6f2394240c4abf1e3bde634a86eac9078d5efce4d4273c7585378e8edacd3cb9"),
+        (
+            "gw --order 40 --dmax 40",
+            "28639ee362d45eddec0f54fbd82074841bc08ba52e5f9ffcdac88cebc32e117b",
+        ),
+        (
+            "gw --order 80 --dmax 80 --format structured",
+            "d04e9046c1c2db29f8a15d8d1079d98e44c25755b61f49367a0c94d1bebb7795",
+        ),
+    ],
+)
+def test_gw_table_and_order_80_output_digest_is_frozen(capsys, argv, digest) -> None:
+    # Digests of the output of the pipeline that built kappa by composing
+    # phi0 with z(q); the single Lagrange-Buermann pass must reproduce it.
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "order, fmt, digest",
     [
         (50, "table", "56027a603b1756cf741737741380a5f5f97624186215e2bebc05b95f9dbb21a6"),
