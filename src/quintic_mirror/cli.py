@@ -146,6 +146,8 @@ def _load_json(path: str):
         raise CommandError(EXIT_INPUT, f"cannot read {path}: {detail}")
     except ValueError as exc:  # JSONDecodeError, or NaN/Infinity
         raise CommandError(EXIT_INPUT, f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise CommandError(EXIT_INPUT, f"malformed JSON in {path}: nested too deeply")
 
 
 def _json_arrays(path: str, **depths: int) -> list:

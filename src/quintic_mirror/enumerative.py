@@ -2,15 +2,15 @@
 
 The pipeline runs entirely over exact rationals, and each stage runs
 once: one Frobenius solve gives phi0 and phi1, one exp gives the mirror
-map q = z exp(phi1/phi0), and one Lagrange reversion gives z(q).  The
-:class:`MirrorMap` keeps phi0, so the normalized coupling
+map q = z exp(phi1/phi0), and one Lagrange-Buermann pass gives both z(q)
+and the normalized coupling kappa(q) = K(z(q)), where
 
-    kappa(q) = Y(z(q)) * (theta_q z / z)^3 / phi0(z(q))^2,
-    Y(z) = 5 / (1 - 3125 z),
+    K(z) = Y(z) / (phi0^2 (theta_z t)^3),   Y(z) = 5 / (1 - 3125 z),
+    t = log q = log z + phi1/phi0,   theta_z t = 1 + theta_z (phi1/phi0)
 
-is assembled from it with one composition (phi0) and one series inverse
-(Y(z(q)) = 5 (1 - 3125 z(q))^-1, no composition), followed by the
-triangular extraction of the degree-d counts n_d from
+(Candelas, de la Ossa, Green and Parkes 1991; theta_q z / z = 1/theta_z t).
+K is formed in z with one series inverse and no composition.  The
+triangular extraction of the degree-d counts n_d then solves
 
     kappa(q) = 5 + sum_{d >= 1} n_d d^3 q^d / (1 - q^d).
 
@@ -47,35 +47,17 @@ class IntegralityError(ArithmeticError):
 
 @frozen
 class MirrorMap:
-    """q as a series in z, its compositional inverse, and the period phi0 behind them."""
+    """q as a series in z, its compositional inverse, and the coupling kappa(q)."""
 
     q_of_z: TruncatedSeries
     z_of_q: TruncatedSeries
-    phi0: TruncatedSeries
+    kappa: TruncatedSeries
 
     def normalized_coupling(self, order: int) -> TruncatedSeries:
-        """kappa(q) = 5 + 2875 q + ... through q^order, from this map alone."""
-        if not 1 <= order <= self.phi0.order:
-            raise ValueError(f"coupling order must lie in 1..{self.phi0.order}")
-        # z(q) runs one order past phi0 (the reversion keeps the extra
-        # coefficient picked up by the leading factor of z), which is exactly
-        # what the log-derivative below needs to stay at phi0's order.
-        z_of_q = self.z_of_q
-        # theta_q z / z, with the common factor q cancelled so the quotient
-        # has an invertible constant term.
-        log_derivative = z_of_q.theta().div_by_power(1) / z_of_q.div_by_power(1)
-        phi0_of_q = self.phi0.compose(z_of_q)
-        # Y(z(q)) by one inverse; z(q) = q + O(q^2) makes this agree with
-        # Y composed with z(q) through every retained order.
-        y_of_q = (1 - z_of_q.scale(UNNORMALIZED_COUPLING_POLE)).inverse().scale(5)
-        kappa = (
-            y_of_q
-            * log_derivative
-            * log_derivative
-            * log_derivative
-            / (phi0_of_q * phi0_of_q)
-        )
-        return kappa.truncate(order)
+        """kappa(q) = 5 + 2875 q + ... through q^order."""
+        if not 1 <= order <= self.kappa.order:
+            raise ValueError(f"coupling order must lie in 1..{self.kappa.order}")
+        return self.kappa.truncate(order)
 
 
 def build_mirror_map(order: int) -> MirrorMap:
@@ -92,7 +74,12 @@ def build_mirror_map(order: int) -> MirrorMap:
     if not QQ.is_zero(ratio.coefficient(0)):
         raise ValueError("logarithm-free period ratio has a constant term")
     q_of_z = ratio.exp().mul_by_power(1)
-    return MirrorMap(q_of_z, q_of_z.reversion(), phi0)
+    theta_t = 1 + ratio.theta()
+    coupling = unnormalized_coupling(order) / (phi0 * phi0 * theta_t**3)
+    # q_of_z runs one order past phi0, so z(q) keeps the extra coefficient
+    # and kappa stops at phi0's order.
+    z_of_q, kappa = q_of_z.reversion(coupling)
+    return MirrorMap(q_of_z, z_of_q, kappa)
 
 
 def unnormalized_coupling(order: int) -> TruncatedSeries:

@@ -11,7 +11,13 @@ Everything here is exact.  Three coefficient rings are provided:
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with an optional symbolic exponent shift so that objects
 like x^s * (sum of c_n x^n) can be manipulated without ever leaving exact
-arithmetic.  No floats appear in this module.
+arithmetic.  Series products and inverses run over QQ only, through one
+kernel each (:func:`series_product`, :func:`series_inverse`) on integer
+numerators over one denominator; ``NilpotentElement`` uses the same two,
+as QQ[a]/(a^N) is the ring of QQ series in a truncated at order N - 1.
+Series over the other rings are containers (the Frobenius bundle, the
+operator residual): they add, scale and serialize, and their products
+raise :class:`RingMismatchError`.  No floats appear in this module.
 """
 
 from __future__ import annotations
@@ -110,10 +116,6 @@ class NilpotentElement(_Element):
     def degree(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -139,38 +141,18 @@ class NilpotentElement(_Element):
     def __neg__(self) -> "NilpotentElement":
         return NilpotentElement(tuple(-a for a in self.coeffs))
 
+    # QQ[a]/(a^N) is the ring of QQ series in a truncated at order N - 1,
+    # so its product and inverse are the series kernels.
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.degree
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = o.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return NilpotentElement(tuple(out))
+        return NilpotentElement(series_product(self.coeffs, o.coeffs, self.degree - 1))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NilpotentElement":
-        """Invert via the terminating geometric series in the nilpotent part."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("constant term is zero; element is not a unit")
-        # self = c0 * (1 + m) with m nilpotent, so 1/self = (1/c0) * sum (-m)^k.
-        m = NilpotentElement((Fraction(0),) + tuple(c / c0 for c in self.coeffs[1:]))
-        total = NilpotentElement.constant(1, self.degree)
-        term = NilpotentElement.constant(1, self.degree)
-        for k in range(1, self.degree):
-            term = term * m
-            if term.is_zero():
-                break
-            total = total + term if k % 2 == 0 else total - term
-        return NilpotentElement(tuple(c / c0 for c in total.coeffs))
+        return NilpotentElement(series_inverse(self.coeffs))
 
 
 def _zeta_product(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -307,20 +289,6 @@ class CyclotomicElement(_Element):
         return _cyclotomic(tuple(x * self.den for x in c), n)
 
 
-def _convolve(ring, a: Sequence, b: Sequence, order: int) -> tuple:
-    """Coefficients 0..order of the product of a and b, one ring operation at a time."""
-    out = [ring.zero() for _ in range(order + 1)]
-    for i in range(min(len(a), order + 1)):
-        x = a[i]
-        if ring.is_zero(x):
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            y = b[j]
-            if not ring.is_zero(y):
-                out[i + j] = out[i + j] + x * y
-    return tuple(out)
-
-
 def integer_form(coeffs: Sequence) -> tuple:
     """Rationals as (integer numerators, common denominator)."""
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -335,6 +303,36 @@ def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
             for j, y in enumerate(b[: order + 1 - i]):
                 out[i + j] += x * y
     return out
+
+
+def series_product(a: Sequence, b: Sequence, order: int) -> tuple:
+    """Coefficients 0..order of the product of two rational sequences.
+
+    Each operand is scaled once to integers over the lcm of its
+    denominators, the convolution runs on Python ints, and each output
+    coefficient becomes one Fraction over the product of the two
+    denominators.
+    """
+    a, den_a = integer_form(a[: order + 1])
+    b, den_b = integer_form(b[: order + 1])
+    den = den_a * den_b
+    return tuple(Fraction(c, den) for c in int_convolve(a, b, order))
+
+
+def series_inverse(a: Sequence) -> tuple:
+    """Coefficients 0..len(a)-1 of 1/a for a rational sequence a with a_0 != 0.
+
+    With a = A/d on ints: b_k = d B_k / A_0^(k+1), where B_0 = 1 and
+    B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j).
+    """
+    if a[0] == 0:
+        raise ZeroDivisionError("constant term is zero; not a unit")
+    num, den = integer_form(a)
+    scaled = [c * num[0] ** (j - 1) for j, c in enumerate(num) if j]
+    b = [1]
+    for k in range(1, len(num)):
+        b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
+    return tuple(Fraction(den * c, num[0] ** (k + 1)) for k, c in enumerate(b))
 
 
 @frozen
@@ -355,26 +353,10 @@ class RationalField:
     def is_zero(self, x) -> bool:
         return x == 0
 
-    def is_unit(self, x) -> bool:
-        return x != 0
-
     def invert(self, x):
         if x == 0:
             raise ZeroDivisionError("division by zero in QQ")
         return Fraction(1) / x
-
-    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
-        """Coefficients 0..order of the product of a and b.
-
-        Each operand is scaled once to integers over the lcm of its
-        denominators, the convolution runs on Python ints, and each output
-        coefficient becomes one Fraction over the product of the two
-        denominators.
-        """
-        a, den_a = integer_form(a[: order + 1])
-        b, den_b = integer_form(b[: order + 1])
-        den = den_a * den_b
-        return tuple(Fraction(c, den) for c in int_convolve(a, b, order))
 
     def element_to_json(self, x):
         return rational_str(x)
@@ -416,14 +398,8 @@ class NilpotentRing:
     def is_zero(self, x) -> bool:
         return x.is_zero()
 
-    def is_unit(self, x) -> bool:
-        return x.constant_term != 0
-
     def invert(self, x):
         return self.coerce(x).inverse()
-
-    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
-        return _convolve(self, a, b, order)
 
     def element_to_json(self, x):
         return [rational_str(c) for c in x.coeffs]
@@ -455,14 +431,8 @@ class CyclotomicField:
     def is_zero(self, x) -> bool:
         return x.is_zero()
 
-    def is_unit(self, x) -> bool:
-        return not x.is_zero()
-
     def invert(self, x):
         return self.coerce(x).inverse()
-
-    def series_product(self, a: Sequence, b: Sequence, order: int) -> tuple:
-        return _convolve(self, a, b, order)
 
     def element_to_json(self, x):
         return [rational_str(c) for c in x.coeffs]
@@ -547,6 +517,11 @@ class TruncatedSeries:
         if self.ring != other.ring:
             raise RingMismatchError(f"series rings differ: {self.ring} vs {other.ring}")
 
+    def _check_qq(self, *others: "TruncatedSeries") -> None:
+        for series in (self, *others):
+            if series.ring != QQ:
+                raise RingMismatchError(f"series products run over QQ, not {series.ring}")
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -581,18 +556,14 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs), self.shift)
 
     def __mul__(self, other):
-        """Product truncated at the smaller order; shifts add.
-
-        The convolution is the ring descriptor's ``series_product``: over QQ
-        it runs on integer numerators over one common denominator per
-        operand, over the other rings one ring operation at a time.
-        """
+        """Product over QQ by :func:`series_product`, truncated at the smaller
+        order; shifts add."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
-        self._check_ring(other)
+        self._check_qq(other)
         n = min(self.order, other.order)
-        out = self.ring.series_product(self.coeffs, other.coeffs, n)
-        return TruncatedSeries(self.ring, out, self.shift + other.shift)
+        out = series_product(self.coeffs, other.coeffs, n)
+        return TruncatedSeries(QQ, out, self.shift + other.shift)
 
     __rmul__ = __mul__
 
@@ -600,29 +571,12 @@ class TruncatedSeries:
         return power(self, k, TruncatedSeries.one(self.ring, self.order))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a unit constant term.
-
-        Over QQ, with self = A/d on ints: b_k = d B_k / A_0^(k+1), where
-        B_0 = 1 and B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j).  The other rings
-        solve sum_{j<=k} a_j b_(k-j) = [k == 0] one ring operation at a time.
-        """
-        ring, a0 = self.ring, self.coeffs[0]
-        if not ring.is_unit(a0):
+        """Multiplicative inverse over QQ by :func:`series_inverse`; needs a
+        nonzero constant term."""
+        self._check_qq()
+        if self.coeffs[0] == 0:
             raise ValueError("series inverse needs a unit constant term")
-        if ring == QQ:
-            num, den = integer_form(self.coeffs)
-            scaled = [c * num[0] ** (j - 1) for j, c in enumerate(num) if j]
-            b = [1]
-            for k in range(1, len(num)):
-                b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
-            out = [Fraction(den * c, num[0] ** (k + 1)) for k, c in enumerate(b)]
-        else:
-            inv0 = ring.invert(a0)
-            out = [inv0]
-            for k in range(1, self.order + 1):
-                terms = (self.coeffs[j] * out[k - j] for j in range(1, k + 1))
-                out.append(-(inv0 * sum(terms, ring.zero())))
-        return TruncatedSeries(ring, tuple(out), -self.shift)
+        return TruncatedSeries(QQ, series_inverse(self.coeffs), -self.shift)
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -702,28 +656,43 @@ class TruncatedSeries:
             result = result * inner_t + TruncatedSeries.constant(self.ring, self.coeffs[k], n)
         return result
 
-    def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse b with self(b(x)) = x.
+    def reversion(self, *outer: "TruncatedSeries"):
+        """Compositional inverse b with self(b(x)) = x, and g(b) for each g in outer.
 
-        Needs constant term 0 and a unit linear coefficient.  Lagrange
-        inversion: with h = (self/x)^-1, [x^m] b = (1/m) [x^(m-1)] h^m.
-        The powers h^m are built one product at a time, so an order-n
-        reversion costs n series products, O(n^3) ring operations.
+        Needs shift-free QQ series, self with constant term 0 and a nonzero
+        linear coefficient.  Lagrange-Buermann: with h = (self/x)^-1,
+
+            [x^m] b = (1/m) [x^(m-1)] h^m,
+            [x^m] g(b) = (1/m) [x^(m-1)] g' h^m   (m >= 1),   g(b)_0 = g_0.
+
+        One loop builds the powers h^m on integer numerators, one product at
+        a time: n products, O(n^3) integer operations at order n, plus one
+        O(m) dot product per g and m.  Each g(b) stops at the smaller of g's
+        order and self's.  Returns b alone, or (b, g_1(b), ...) given outer.
         """
-        if self.has_shift():
-            raise ValueError("reversion needs a shift-free series")
-        if not self.ring.is_zero(self.coeffs[0]):
+        if any(g.has_shift() for g in (self, *outer)):
+            raise ValueError("reversion needs shift-free series")
+        self._check_qq(*outer)
+        if self.coeffs[0] != 0:
             raise ValueError("reversion needs constant term 0")
-        if self.order < 1 or not self.ring.is_unit(self.coeffs[1]):
+        if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("reversion needs a unit linear coefficient")
-        ring = self.ring
-        h = self.div_by_power(1).inverse()
-        b = [ring.zero(), h.coeffs[0]]
-        h_m = h
-        for m in range(2, self.order + 1):
-            h_m = h_m * h
-            b.append(h_m.coeffs[m - 1] * ring.invert(ring.coerce(m)))
-        return TruncatedSeries(ring, tuple(b), ring.zero())
+        n = self.order
+        h, den = integer_form(self.div_by_power(1).inverse().coeffs)
+        # k g_k, as integer numerators over one denominator per g
+        slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in outer]
+        b = [Fraction(0)]
+        composed = [[g.coeffs[0]] for g in outer]
+        power, power_den = [1], 1  # h^m = power / power_den
+        for m in range(1, n + 1):
+            power, power_den = int_convolve(power, h, n - 1), power_den * den
+            b.append(Fraction(power[m - 1], m * power_den))
+            for (num, num_den), out in zip(slopes, composed):
+                if m < len(num):
+                    dot = sum(map(operator.mul, num[1 : m + 1], reversed(power[:m])))
+                    out.append(Fraction(dot, m * power_den * num_den))
+        series = [TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in [b, *composed]]
+        return tuple(series) if outer else series[0]
 
     # -- serialization -------------------------------------------------
 

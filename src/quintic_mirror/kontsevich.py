@@ -110,12 +110,15 @@ def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
 
 
 def jordan_profile(m: SquareExactMatrix) -> tuple:
-    """Ranks of (M - I)^k for k = 1..dim; constant-zero tail means unipotency."""
-    identity = SquareExactMatrix.identity(m.field, m.size)
-    n = m - identity
-    out = []
-    power = SquareExactMatrix.identity(m.field, m.size)
-    for _ in range(m.size):
+    """Ranks of (M - I)^k for k = 1..dim; constant-zero tail means unipotency.
+
+    Once a rank repeats the one before it, every later power has that rank
+    too, so the remaining entries repeat it without forming more powers.
+    """
+    n = m - SquareExactMatrix.identity(m.field, m.size)
+    ranks, power = [m.size], n  # ranks[k] = rank (M - I)^k
+    while True:
+        ranks.append(power.rank())
+        if len(ranks) > m.size or ranks[-1] == ranks[-2]:
+            return tuple(ranks[1:] + ranks[-1:] * (m.size + 1 - len(ranks)))
         power = power * n
-        out.append(power.rank())
-    return tuple(out)

@@ -34,6 +34,7 @@ from .exactnum import (
     TruncatedSeries,
     int_convolve,
     integer_form,
+    series_product,
 )
 from .kontsevich import twist_matrix
 from .linalg import SquareExactMatrix
@@ -55,7 +56,7 @@ class PeriodOperator:
         p0 = (Fraction(0),) * 4 + (Fraction(1),)
         p1 = (Fraction(1),)
         for k in range(1, 5):
-            p1 = QQ.series_product(p1, (Fraction(k), Fraction(5)), len(p1))
+            p1 = series_product(p1, (Fraction(k), Fraction(5)), len(p1))
         p1 = tuple(Fraction(-5) * c for c in p1)
         return PeriodOperator((p0, p1))
 

@@ -371,6 +371,7 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
             '{"monodromies": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
             '"monodromies" must be an array of arrays of arrays',
         ),
+        ("polytope", "[" * 5000 + "]" * 5000, "nested too deeply"),
     ],
     ids=[
         "nan",
@@ -396,6 +397,7 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "scalar-multiplicities",
         "flat-monodromies",
         "flat-matrices",
+        "deep-nesting",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(
@@ -554,19 +556,27 @@ def test_order_ceiling_itself_is_accepted() -> None:
 
 def test_gw_solves_and_reverts_once(capsys, monkeypatch) -> None:
     calls = {"frobenius": 0, "reversion": 0}
+    compose_calls = []
     frobenius = enumerative.frobenius_at_zero
     reversion = TruncatedSeries.reversion
+    compose = TruncatedSeries.compose
 
     def counted_frobenius(*args, **kwargs):
         calls["frobenius"] += 1
         return frobenius(*args, **kwargs)
 
-    def counted_reversion(self):
+    def counted_reversion(self, *outer):
         calls["reversion"] += 1
-        return reversion(self)
+        return reversion(self, *outer)
+
+    def counted_compose(self, inner):
+        compose_calls.append(inner)
+        return compose(self, inner)
 
     monkeypatch.setattr(enumerative, "frobenius_at_zero", counted_frobenius)
     monkeypatch.setattr(TruncatedSeries, "reversion", counted_reversion)
+    monkeypatch.setattr(TruncatedSeries, "compose", counted_compose)
     code, out, err = _run(capsys, ["gw", "--dmax", "5", "--order", "8"])
     assert code == 0
     assert calls == {"frobenius": 1, "reversion": 1}
+    assert len(compose_calls) == 0

@@ -14,6 +14,7 @@ from quintic_mirror.enumerative import (
     yukawa_normalized,
 )
 from quintic_mirror.exactnum import QQ, TruncatedSeries
+from quintic_mirror.picard_fuchs import frobenius_at_zero
 
 LINES = 2875
 CONICS = 609250
@@ -126,6 +127,20 @@ def test_coupling_by_inverse_matches_composition() -> None:
     by_inverse = (1 - z_of_q.scale(3125)).inverse().scale(5)
     by_composition = unnormalized_coupling(8).compose(z_of_q)
     assert by_inverse.truncate(8).coeffs == by_composition.coeffs
+
+
+def test_kappa_from_the_pass_matches_the_composition_route() -> None:
+    # kappa(q) = Y(z(q)) (theta_q z / z)^3 / phi0(z(q))^2, with phi0 and Y
+    # composed with z(q), against K(z(q)) from the Lagrange-Buermann pass.
+    for n in range(2, 41):
+        mirror = build_mirror_map(n)
+        z_of_q = mirror.z_of_q
+        phi0 = frobenius_at_zero(n, modulus_degree=2).component(0)
+        log_derivative = z_of_q.theta().div_by_power(1) / z_of_q.div_by_power(1)
+        phi0_of_q = phi0.compose(z_of_q)
+        y_of_q = unnormalized_coupling(n).compose(z_of_q)
+        kappa = y_of_q * log_derivative**3 * (phi0_of_q * phi0_of_q).inverse()
+        assert mirror.kappa.coeffs == kappa.truncate(n).coeffs
 
 
 def test_coupling_from_one_mirror_map_matches_yukawa() -> None:

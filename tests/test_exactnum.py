@@ -16,6 +16,7 @@ from quintic_mirror.exactnum import (
     TruncatedSeries,
     parse_rational,
     rational_str,
+    series_product,
 )
 
 
@@ -377,12 +378,22 @@ def test_reversion_requires_unit_linear_term() -> None:
 
 
 def test_series_over_nilpotent_ring() -> None:
+    # Series over QQ[a]/(a^N) and QQ(zeta_5) are containers: they add and
+    # serialize, but products and inverses run over QQ only.
     ring = NilpotentRing(2)
     a = ring.generator()
-    # (1 + a x) * (1 - a x) = 1 exactly since a^2 = 0
     f = TruncatedSeries.from_coefficients(ring, [1, a, 0])
     g = TruncatedSeries.from_coefficients(ring, [1, -a, 0])
-    assert (f * g).coeffs == TruncatedSeries.one(ring, 2).coeffs
+    assert (f + g).coeffs == TruncatedSeries.constant(ring, 2, 2).coeffs
+    with pytest.raises(RingMismatchError):
+        f * g
+    with pytest.raises(RingMismatchError):
+        f.inverse()
+    with pytest.raises(RingMismatchError):
+        TruncatedSeries.variable(QQ, 2) * g
+    h = TruncatedSeries.from_coefficients(ZETA5_FIELD, [1, 1, 0])
+    with pytest.raises(RingMismatchError):
+        h * h
 
 
 def test_series_json_shape() -> None:
@@ -397,21 +408,16 @@ def test_series_json_shape() -> None:
 # -- Lagrange reversion and the integer QQ product ---------------------------
 
 
-def _random_element(ring, rng: random.Random):
-    if ring == QQ:
-        return _random_fraction(rng)
-    parts = tuple(_random_fraction(rng) for _ in range(4))
-    if ring == ZETA5_FIELD:
-        return CyclotomicElement(parts)
-    return NilpotentElement(parts)
+def _nonzero_fraction(rng: random.Random) -> Fraction:
+    value = _random_fraction(rng)
+    while value == 0:
+        value = _random_fraction(rng)
+    return value
 
 
 def _random_reversible(ring, rng: random.Random, order: int) -> TruncatedSeries:
-    linear = _random_element(ring, rng)
-    while not ring.is_unit(linear):
-        linear = _random_element(ring, rng)
-    rest = [_random_element(ring, rng) for _ in range(order - 1)]
-    return TruncatedSeries.from_coefficients(ring, [0, linear] + rest)
+    rest = [_random_fraction(rng) for _ in range(order - 1)]
+    return TruncatedSeries.from_coefficients(ring, [0, _nonzero_fraction(rng)] + rest)
 
 
 def _naive_product(ring, p, q, order: int) -> list:
@@ -441,7 +447,7 @@ def _reference_reversion(f: TruncatedSeries) -> tuple:
     return tuple(b)
 
 
-@pytest.mark.parametrize("ring", [QQ, NilpotentRing(4), ZETA5_FIELD], ids=str)
+@pytest.mark.parametrize("ring", [QQ], ids=str)
 def test_lagrange_reversion_is_a_two_sided_inverse(ring) -> None:
     rng = random.Random(11)
     for order in (1, 2, 5, 7):
@@ -453,12 +459,38 @@ def test_lagrange_reversion_is_a_two_sided_inverse(ring) -> None:
         assert b.compose(f).coeffs == x
 
 
-@pytest.mark.parametrize("ring", [QQ, NilpotentRing(4), ZETA5_FIELD], ids=str)
+@pytest.mark.parametrize("ring", [QQ], ids=str)
 def test_lagrange_reversion_matches_term_by_term_reference(ring) -> None:
     rng = random.Random(12)
     for order in (1, 3, 6):
         f = _random_reversible(ring, rng, order)
         assert f.reversion().coeffs == _reference_reversion(f)
+
+
+def test_reversion_pass_composes_outer_series_with_the_inverse() -> None:
+    # The one Lagrange-Buermann pass gives g(b) for each outer g, truncated
+    # at the smaller order, equal to composing g with b afterwards.
+    rng = random.Random(16)
+    for order in range(1, 10):
+        for _ in range(3):
+            f = _random_reversible(QQ, rng, order)
+            g1, g2 = (
+                TruncatedSeries.from_coefficients(
+                    QQ, [_nonzero_fraction(rng)] + [_random_fraction(rng) for _ in range(k)]
+                )
+                for k in rng.sample([k for k in range(12) if k != order], 2)
+            )
+            b = f.reversion()
+            assert f.reversion(g1, g2) == (b, g1.compose(b), g2.compose(b))
+            assert f.reversion(g1)[1].order == min(g1.order, order)
+
+
+def test_reversion_pass_rejects_shifted_or_foreign_outer_series() -> None:
+    f = TruncatedSeries.from_coefficients(QQ, [0, 1, 1])
+    with pytest.raises(ValueError):
+        f.reversion(TruncatedSeries.from_coefficients(QQ, [1, 1], shift=Fraction(1, 5)))
+    with pytest.raises(RingMismatchError):
+        f.reversion(TruncatedSeries.one(NilpotentRing(2), 2))
 
 
 def test_qq_integer_product_matches_fraction_convolution() -> None:
@@ -474,7 +506,7 @@ def test_qq_integer_product_matches_fraction_convolution() -> None:
             for j, b in enumerate(q):
                 full[i + j] += a * b
         order = rng.randrange(len(full))
-        got = QQ.series_product(tuple(p), tuple(q), order)
+        got = series_product(tuple(p), tuple(q), order)
         assert got == tuple(full[: order + 1])
         assert all(type(c) is Fraction for c in got)
         product = TruncatedSeries.from_coefficients(QQ, p) * TruncatedSeries.from_coefficients(QQ, q)
