@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 # so an order of 10^12 would never finish; with a ceiling it fails at once.
 # Each ceiling keeps one process within about a minute on a 2-vCPU Xeon
 # virtual machine with Python 3.11.7: `periods --order 1000` takes about
-# 1 s, and `gw --order 250 --dmax 250` about 47 s (19 s at 200).
+# 1 s, and `gw --order 250 --dmax 250` about 13 s (6 s at 200).
 MAX_ORDER = 1000
 MAX_GW_ORDER = 250
 

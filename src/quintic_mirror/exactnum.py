@@ -679,20 +679,20 @@ class TruncatedSeries:
             raise ValueError("reversion needs a unit linear coefficient")
         n = self.order
         h, den = integer_form(self.div_by_power(1).inverse().coeffs)
-        # k g_k, as integer numerators over one denominator per g
-        slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in outer]
-        b = [Fraction(0)]
-        composed = [[g.coeffs[0]] for g in outer]
+        # b itself is g(b) for g = x; k g_k as integer numerators over one
+        # denominator per g
+        gs = (TruncatedSeries.variable(QQ, n), *outer)
+        slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in gs]
+        composed = [[g.coeffs[0]] for g in gs]
         power, power_den = [1], 1  # h^m = power / power_den
         for m in range(1, n + 1):
             power, power_den = int_convolve(power, h, n - 1), power_den * den
-            b.append(Fraction(power[m - 1], m * power_den))
             for (num, num_den), out in zip(slopes, composed):
                 if m < len(num):
                     dot = sum(map(operator.mul, num[1 : m + 1], reversed(power[:m])))
                     out.append(Fraction(dot, m * power_den * num_den))
-        series = [TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in [b, *composed]]
-        return tuple(series) if outer else series[0]
+        series = tuple(TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in composed)
+        return series if outer else series[0]
 
     # -- serialization -------------------------------------------------
 
