@@ -527,6 +527,44 @@ def test_monodromy_and_kontsevich_output_digest_is_frozen(capsys, command, fmt, 
 
 
 @pytest.mark.parametrize(
+    "command, fmt, digest",
+    [
+        ("polytope", "table", "4a117a3eb522d800bd9033b3f501e0f193b03f7fddc2956e660e435c76376f29"),
+        ("polytope", "structured", "3d4fea35f92e54d182c866f5b663899139dc557aaf30e7611c6b5d2ad76f939a"),
+        ("glsm transpose", "table", "2be2897885f1ed6cb2b4d25a10695c68ba583a819d4a4409cec6e5506a707ae0"),
+        ("glsm transpose", "structured", "0c21099a2f9f3d571616343ea71cb0d0132564ef9784ce2c10fe3d069c366aa6"),
+        ("glsm kahler", "table", "1380ab899a8a67ed9dd4662dc51b47c16a746e1b664e6e444b32937f887f74b8"),
+        ("glsm kahler", "structured", "f0eedbd669ba3f690caff8786ae56dc41ec419c7f46ecc69ed42649ef602262a"),
+        (
+            "syz classify --in vertex.json",
+            "table",
+            "0b4f1f8acf57d7655a4598823287637ec157b3ba4576d8e9ee45f8f40f9533d6",
+        ),
+        (
+            "syz classify --in vertex.json",
+            "structured",
+            "e9457492473f24edf0e7196264a08c89e359f27ec513e45c08540dd275d9a0b0",
+        ),
+        ("syz quintic-counts", "table", "d7e699e26408996edfb10d18ab63d3483036faad05126cb26b1a4a5c0b6e7b06"),
+        ("syz quintic-counts", "structured", "f204f9afbdffc1482aa77f0e6649cfdc21f973a072ef6422474de165da602c80"),
+        ("syz k3", "table", "b4aac133eba14ce50c8eba584ab12bc0f5262d7f5dbd220fecb0c9aa2941818f"),
+        ("syz k3", "structured", "10c292468a1c56a0219bbeba791aa3da24de0d415c67c69cc3564ad23a03a809"),
+    ],
+)
+def test_polytope_glsm_and_syz_output_digest_is_frozen(
+    capsys, monkeypatch, tmp_path, command, fmt, digest
+) -> None:
+    # Digests of the output with each handler building its own document and
+    # table lines; the command table must reproduce it.  The input is read
+    # by the same relative name every run.
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path, "vertex.json", {"monodromies": _SHEAR_TRIPLE})
+    code, out, err = _run(capsys, command.split() + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gw", "--order", str(cli.MAX_GW_ORDER + 1)],
