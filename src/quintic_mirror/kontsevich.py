@@ -52,14 +52,8 @@ def _todd_from(c1: NilpotentElement, c2: NilpotentElement) -> NilpotentElement:
     return 1 + c1 * Fraction(1, 2) + (c1 * c1 + c2) * Fraction(1, 12) + c1 * c2 * Fraction(1, 24)
 
 
-def chern_from_adjunction(hypersurface_degree: int = 5, ambient_dim: int = 4) -> CharacteristicClasses:
-    """Tangent classes of the quintic from (1 + L)^5 / (1 + 5 L).
-
-    The parameters are fixed to the one wired instance; anything else is
-    rejected rather than silently miscomputed in the 4-component basis.
-    """
-    if hypersurface_degree != 5 or ambient_dim != 4:
-        raise ValueError("only the quintic hypersurface in dimension 4 is wired up")
+def chern_from_adjunction() -> CharacteristicClasses:
+    """Tangent classes of the quintic from (1 + L)^5 / (1 + 5 L)."""
     lam = hyperplane()
     total = (1 + lam) ** 5 / (1 + 5 * lam)
     c1, c2, c3 = (total.coeffs[k] * hyperplane(k) for k in range(1, 4))

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from quintic_mirror import cli, enumerative, picard_fuchs
 from quintic_mirror.enumerative import IntegralityError
 from quintic_mirror.exactnum import TruncatedSeries
 from quintic_mirror.linalg import SquareExactMatrix
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 _SHEAR_TRIPLE = [
     [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
@@ -255,6 +261,26 @@ def test_monodromy_gate_rejects_a_power_basis_matrix_not_conjugate_to_the_diagon
         assert len(lines) == 1 and lines[0].startswith("error: invariant:")
 
 
+def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+
+    def spawn(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quintic_mirror.cli", *argv], env=env, capture_output=True
+        )
+
+    argv = ["gw", "--dmax", "3", "--format", "structured"]
+    result = spawn(argv)
+    code, out, err = _run(capsys, argv)
+    assert result.returncode == code == 0
+    assert result.stdout == out.encode("utf-8")
+    assert spawn(["not-a-command"]).returncode == 1
+    result = spawn(["polytope", "--in", str(tmp_path / "no.json")])
+    assert result.returncode == 2
+    lines = result.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input:")
+
+
 # -- determinism -------------------------------------------------------------
 
 
@@ -374,6 +400,13 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         # deeper than the decoder's recursion limit on every supported
         # Python (3.13 decodes 5,000 levels, 3.10 to 3.12 do not)
         ("polytope", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        # entries echoed only in part, so the line stays short
+        (
+            "polytope",
+            json.dumps({"points": [["a" * 100_000, 0], [0, 1]]}),
+            "is not an integer",
+        ),
+        ("polytope", '{"points": %s}' % ("[" * 900 + "]" * 900), "is not an integer"),
     ],
     ids=[
         "nan",
@@ -400,6 +433,8 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "flat-monodromies",
         "flat-matrices",
         "deep-nesting",
+        "long-string-point",
+        "nested-point",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(
@@ -413,6 +448,7 @@ def test_bad_input_values_exit_2_with_one_error_line(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:")
     assert message in lines[0]
+    assert len(lines[0]) <= len(str(path)) + 120
 
 
 @pytest.mark.parametrize(

@@ -73,9 +73,10 @@ def test_todd_class_value() -> None:
 
 
 def test_adjunction_guards() -> None:
-    with pytest.raises(ValueError):
+    # the quintic is the one instance: a degree or dimension is refused
+    with pytest.raises(TypeError):
         chern_from_adjunction(3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         chern_from_adjunction(5, 3)
 
 
