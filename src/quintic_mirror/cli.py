@@ -7,6 +7,13 @@ available: ``table`` (aligned, human-readable text) and ``structured``
 floating-point numbers the interface ever emits come from
 ``glsm kahler``, printed to 12 significant digits.
 
+Each subcommand is one row of ``COMMANDS``: its words, help text,
+handler and options.  A handler computes, then returns only the
+rendering that ``args.format`` asks for: a list of table lines, or the
+fields of the structured document.  ``main`` adds ``"schema"`` and
+``"command"`` (the words joined by ``-``) to the document and prints
+the one rendering.
+
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
 Failures print one line to stderr of the form ``error: <category>: ...``.
@@ -109,6 +116,10 @@ def _series_line(label: str, series) -> str:
     return f"{label}: " + " ".join(_frac_text(c) for c in series.coeffs)
 
 
+def _profile_line(profile) -> str:
+    return "  jordan profile: " + " ".join(map(str, profile))
+
+
 def _cohomology_text(elem) -> str:
     parts = []
     for k, c in enumerate(elem.coeffs):
@@ -131,6 +142,13 @@ def _cohomology_text(elem) -> str:
 
 def _order_text(order) -> str:
     return "none" if order is None else str(order)
+
+
+def _lists(rows) -> list:
+    return [list(row) for row in rows]
+
+
+# -- input ------------------------------------------------------------------
 
 
 def _reject_constant(name: str):
@@ -167,48 +185,54 @@ def _json_arrays(path: str, **depths: int) -> list:
     return [data[name] for name in depths]
 
 
+def _checked(build, *values, where: str = ""):
+    """build(*values), its rejection of the values reported as bad input."""
+    try:
+        return build(*values)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise CommandError(EXIT_INPUT, f"{where}{exc}")
+
+
+def _source(args) -> str:
+    return "builtin" if args.input_path is None else args.input_path
+
+
 # -- subcommand implementations -------------------------------------------
 
 
-def _cmd_periods(args) -> tuple:
+def _cmd_periods(args):
     bundle = picard_fuchs.frobenius_at_zero(args.order)
     operator = picard_fuchs.PeriodOperator.quintic()
     if not picard_fuchs.apply_operator(operator, bundle.series).is_zero():
         raise CommandError(EXIT_INVARIANT, "operator residual is nonzero")
-    components = [bundle.component(k) for k in range(4)]
-
-    # coefficients run to thousands of digits: render only the chosen format
-    def lines():
-        return (
-            [f"period solutions at z = 0, truncated past z^{args.order}"]
-            + [_series_line(f"phi{k}", comp) for k, comp in enumerate(components)]
-            + ["operator residual vanishes: yes"]
-        )
-
-    def doc():
-        return {
-            "schema": SCHEMA,
-            "command": "periods",
-            "order": args.order,
-            "components": {
-                f"phi{k}": comp.to_json() for k, comp in enumerate(components)
-            },
-            "operator_residual_zero": True,
-        }
-
-    return doc, lines
+    components = {f"phi{k}": bundle.component(k) for k in range(4)}
+    if args.format == "table":
+        return [
+            f"period solutions at z = 0, truncated past z^{args.order}",
+            *(_series_line(name, comp) for name, comp in components.items()),
+            "operator residual vanishes: yes",
+        ]
+    return {
+        "order": args.order,
+        "components": {name: comp.to_json() for name, comp in components.items()},
+        "operator_residual_zero": True,
+    }
 
 
-def _cmd_monodromy(args) -> tuple:
+def _cmd_monodromy(args):
     reports = []
-    for label, mono in (
-        ("z = 0", picard_fuchs.monodromy_at_zero()),
-        ("z = infinity", picard_fuchs.monodromy_at_infinity()),
-        ("z = infinity, power basis", picard_fuchs.monodromy_at_infinity_power_basis()),
+    for key, label, mono in (
+        ("at_zero", "z = 0", picard_fuchs.monodromy_at_zero()),
+        ("at_infinity", "z = infinity", picard_fuchs.monodromy_at_infinity()),
+        (
+            "at_infinity_power_basis",
+            "z = infinity, power basis",
+            picard_fuchs.monodromy_at_infinity_power_basis(),
+        ),
     ):
         order = kontsevich.matrix_order(mono.matrix, 10)
         profile = kontsevich.jordan_profile(mono.matrix)
-        reports.append((label, mono, order, profile))
+        reports.append((key, label, mono, order, profile))
     # the power-basis matrix B D B^-1 is conjugate to the diagonal D, so the
     # two share their order, which is 5, and their Jordan profile
     (*_, order, profile), (*_, power_order, power_profile) = reports[1:]
@@ -219,35 +243,22 @@ def _cmd_monodromy(args) -> tuple:
             f"jordan profiles {list(profile)} and {list(power_profile)} in the diagonal and "
             "power bases; expected order 5 and one profile",
         )
-
-    def lines():
-        out = []
-        for label, mono, order, profile in reports:
-            out.extend(
-                _block(f"monodromy at {label} (basis: {mono.basis_tag})", mono.matrix.rows)
-            )
-            out.append(f"  order: {_order_text(order)}")
-            out.append("  jordan profile: " + " ".join(map(str, profile)))
-        return out
-
-    doc = {
-        "schema": SCHEMA,
-        "command": "monodromy",
+    if args.format == "table":
+        lines = []
+        for _, label, mono, order, profile in reports:
+            heading = f"monodromy at {label} (basis: {mono.basis_tag})"
+            lines += _block(heading, mono.matrix.rows)
+            lines += [f"  order: {_order_text(order)}", _profile_line(profile)]
+        return lines
+    return {
         "matrices": {
-            key: {
-                "report": mono.to_json(),
-                "order": order,
-                "jordan_profile": list(profile),
-            }
-            for key, (label, mono, order, profile) in zip(
-                ("at_zero", "at_infinity", "at_infinity_power_basis"), reports
-            )
-        },
+            key: {"report": mono.to_json(), "order": order, "jordan_profile": list(profile)}
+            for key, _, mono, order, profile in reports
+        }
     }
-    return doc, lines
 
 
-def _cmd_gw(args) -> tuple:
+def _cmd_gw(args):
     order = args.order
     if order < args.dmax:
         raise CommandError(
@@ -259,18 +270,15 @@ def _cmd_gw(args) -> tuple:
         table = enumerative.extract_instantons(kappa, args.dmax)
     except enumerative.IntegralityError as exc:
         raise CommandError(EXIT_INVARIANT, str(exc))
-
-    lines = [
-        _series_line(f"mirror map q(z) through z^{mirror.q_of_z.order}", mirror.q_of_z),
-        _series_line(f"inverse z(q) through q^{mirror.z_of_q.order}", mirror.z_of_q),
-        _series_line(f"coupling kappa(q) through q^{kappa.order}", kappa),
-        "degree  count",
-    ]
-    for d in table.degrees():
-        lines.append(f"{d:>6}  {table.n[d]}")
-    doc = {
-        "schema": SCHEMA,
-        "command": "gw",
+    if args.format == "table":
+        return [
+            _series_line(f"mirror map q(z) through z^{mirror.q_of_z.order}", mirror.q_of_z),
+            _series_line(f"inverse z(q) through q^{mirror.z_of_q.order}", mirror.z_of_q),
+            _series_line(f"coupling kappa(q) through q^{kappa.order}", kappa),
+            "degree  count",
+            *(f"{d:>6}  {table.n[d]}" for d in table.degrees()),
+        ]
+    return {
         "order": order,
         "d_max": args.dmax,
         "mirror_map": {
@@ -280,57 +288,56 @@ def _cmd_gw(args) -> tuple:
         "kappa": kappa.to_json(),
         "instanton_numbers": table.to_json(),
     }
-    return doc, lines
 
 
-def _polytope_from_file(path: str) -> toric.LatticePolytope:
-    (points,) = _json_arrays(path, points=2)
-    try:
-        return toric.LatticePolytope(points)
-    except (ValueError, TypeError) as exc:
-        raise CommandError(EXIT_INPUT, f"{path}: {exc}")
-
-
-def _cmd_polytope(args) -> tuple:
+def _cmd_polytope(args):
     builtin = args.input_path is None
     if builtin:
         polytope = toric.projective_space_fan_polytope()
         label = "fan simplex of the degree-5 hypersurface family"
     else:
-        polytope = _polytope_from_file(args.input_path)
+        (points,) = _json_arrays(args.input_path, points=2)
+        polytope = _checked(toric.LatticePolytope, points, where=f"{args.input_path}: ")
         label = args.input_path
-
-    report = polytope.is_reflexive()
-    doc = {
-        "schema": SCHEMA,
-        "command": "polytope",
-        "source": "builtin" if builtin else args.input_path,
-        "vertices": [list(v) for v in polytope.vertices],
-        "dimension": polytope.dim,
-        "reflexive": report.is_reflexive,
-    }
-    if report.is_reflexive:
+    reflexive = polytope.is_reflexive().is_reflexive
+    if reflexive:
         dual = polytope.polar_dual()
-        doc["dual_vertices"] = [list(v) for v in dual.vertices]
-        count = doc["dual_lattice_point_count"] = len(dual.lattice_points())
-        if builtin:
-            doc["moduli_dimension"] = toric.moduli_dimension(count, 25)
-
-    def lines():
-        out = _block(f"polytope: {label}; vertices", polytope.vertices)
-        out.append(f"dimension: {polytope.dim}")
-        out.append("reflexive: " + ("yes" if report.is_reflexive else "no"))
-        if report.is_reflexive:
-            out.extend(_block("dual vertices", dual.vertices))
-            out.append(f"dual lattice points: {count}")
+        count = len(dual.lattice_points())
+        moduli = toric.moduli_dimension(count, 25) if builtin else None
+    if args.format == "table":
+        lines = _block(f"polytope: {label}; vertices", polytope.vertices)
+        lines.append(f"dimension: {polytope.dim}")
+        lines.append("reflexive: " + ("yes" if reflexive else "no"))
+        if reflexive:
+            lines += _block("dual vertices", dual.vertices)
+            lines.append(f"dual lattice points: {count}")
             if builtin:
-                out.append(f"hypersurface moduli dimension: {doc['moduli_dimension']}")
-        return out
+                lines.append(f"hypersurface moduli dimension: {moduli}")
+        return lines
+    doc = {
+        "source": _source(args),
+        "vertices": _lists(polytope.vertices),
+        "dimension": polytope.dim,
+        "reflexive": reflexive,
+    }
+    if reflexive:
+        doc["dual_vertices"] = _lists(dual.vertices)
+        doc["dual_lattice_point_count"] = count
+        if builtin:
+            doc["moduli_dimension"] = moduli
+    return doc
 
-    return doc, lines
+
+def _group_json(structure, generators) -> dict:
+    return {
+        "torus_rank": structure.torus_rank,
+        "torsion": list(structure.torsion),
+        "name": structure.describe(),
+        "generators": _lists(generators),
+    }
 
 
-def _cmd_glsm_transpose(args) -> tuple:
+def _cmd_glsm_transpose(args):
     p = glsm.ExponentMatrix.quintic()
     f = glsm.ChargeFactorization.quintic()
     try:
@@ -341,8 +348,7 @@ def _cmd_glsm_transpose(args) -> tuple:
     structure_hat, generators_hat = glsm.group_from_charges(f_hat.t_rows)
     invariants = glsm.invariant_coordinates(p)
     invariants_hat = glsm.invariant_coordinates(p_hat)
-
-    def lines():
+    if args.format == "table":
         return [
             *_block("exponent matrix P", p.rows),
             *_block("factor S", f.s_rows),
@@ -355,61 +361,37 @@ def _cmd_glsm_transpose(args) -> tuple:
             *_block("invariant coefficient monomials", invariants or [[]]),
             *_block("mirror invariant coefficient monomials", invariants_hat or [[]]),
         ]
-
-    doc = {
-        "schema": SCHEMA,
-        "command": "glsm-transpose",
+    return {
         "P": p.to_json(),
         "factorization": f.to_json(),
-        "group": {
-            "torus_rank": structure.torus_rank,
-            "torsion": list(structure.torsion),
-            "name": structure.describe(),
-            "generators": [list(g) for g in generators],
-        },
+        "group": _group_json(structure, generators),
         "mirror_P": p_hat.to_json(),
         "mirror_factorization": f_hat.to_json(),
-        "mirror_group": {
-            "torus_rank": structure_hat.torus_rank,
-            "torsion": list(structure_hat.torsion),
-            "name": structure_hat.describe(),
-            "generators": [list(g) for g in generators_hat],
-        },
-        "invariant_monomials": [list(v) for v in invariants],
-        "mirror_invariant_monomials": [list(v) for v in invariants_hat],
+        "mirror_group": _group_json(structure_hat, generators_hat),
+        "invariant_monomials": _lists(invariants),
+        "mirror_invariant_monomials": _lists(invariants_hat),
     }
-    return doc, lines
 
 
-def _cmd_glsm_kahler(args) -> tuple:
+def _cmd_glsm_kahler(args):
     if args.input_path is None:
         magnitudes = [math.exp(-2.0 * math.pi), 1.0]
         charges = [[1, 0], [0, 1]]
-        source = "builtin"
     else:
         magnitudes, charges = _json_arrays(args.input_path, magnitudes=1, charges=2)
-        source = args.input_path
-    try:
-        r = glsm.kahler_parameter(magnitudes, charges)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise CommandError(EXIT_INPUT, str(exc))
+    r = _checked(glsm.kahler_parameter, magnitudes, charges)
     formatted = [f"{v:.12g}" if v != 0 else "0" for v in r]
-
-    lines = [
-        "kahler parameter r = -(1/2pi) sum_k log|c_k| chi_k",
-        "r: " + " ".join(formatted),
-    ]
-    doc = {
-        "schema": SCHEMA,
-        "command": "glsm-kahler",
-        "source": source,
-        "r": formatted,
-    }
-    return doc, lines
+    if args.format == "table":
+        return [
+            "kahler parameter r = -(1/2pi) sum_k log|c_k| chi_k",
+            "r: " + " ".join(formatted),
+        ]
+    return {"source": _source(args), "r": formatted}
 
 
-def _cmd_kontsevich(args) -> tuple:
+def _cmd_kontsevich(args):
     classes = kontsevich.chern_from_adjunction()
+    chern = {"c1": classes.c1, "c2": classes.c2, "c3": classes.c3}
     euler = kontsevich.euler_number(classes)
     twist = kontsevich.quintic_twist()
     spherical = kontsevich.quintic_spherical()
@@ -421,33 +403,23 @@ def _cmd_kontsevich(args) -> tuple:
         )
     twist_profile = kontsevich.jordan_profile(twist)
     spherical_profile = kontsevich.jordan_profile(spherical)
-
-    def lines():
+    if args.format == "table":
         return [
             "tangent classes from the adjunction expansion:",
-            f"  c1 = {_cohomology_text(classes.c1)}",
-            f"  c2 = {_cohomology_text(classes.c2)}",
-            f"  c3 = {_cohomology_text(classes.c3)}",
+            *(f"  {name} = {_cohomology_text(c)}" for name, c in chern.items()),
             f"euler number: {_frac_text(euler)}",
             f"todd class: {_cohomology_text(classes.todd)}",
             *_block("twist matrix T (basis 1, L, L^2, L^3)", twist.rows),
-            "  jordan profile: " + " ".join(map(str, twist_profile)),
+            _profile_line(twist_profile),
             *_block("spherical twist S", spherical.rows),
-            "  jordan profile: " + " ".join(map(str, spherical_profile)),
+            _profile_line(spherical_profile),
             *_block("product T*S", product.rows),
             f"order of T*S: {_order_text(order)}",
         ]
-
-    doc = {
-        "schema": SCHEMA,
-        "command": "kontsevich",
-        "chern": {
-            "c1": [rational_str(c) for c in classes.c1.coeffs],
-            "c2": [rational_str(c) for c in classes.c2.coeffs],
-            "c3": [rational_str(c) for c in classes.c3.coeffs],
-        },
+    return {
+        "chern": {name: [rational_str(x) for x in c.coeffs] for name, c in chern.items()},
         "euler_number": rational_str(euler),
-        "todd": [rational_str(c) for c in classes.todd.coeffs],
+        "todd": [rational_str(x) for x in classes.todd.coeffs],
         "twist": twist.to_json(),
         "twist_jordan_profile": list(twist_profile),
         "spherical": spherical.to_json(),
@@ -455,83 +427,83 @@ def _cmd_kontsevich(args) -> tuple:
         "product": product.to_json(),
         "product_order": order,
     }
-    return doc, lines
 
 
-def _vertex_from_file(path: str) -> syz.VertexData:
+def _cmd_syz_classify(args):
+    path = args.input_path
     (triple,) = _json_arrays(path, monodromies=3)
     if len(triple) != 3:
         raise CommandError(EXIT_INPUT, f"{path}: need exactly three matrices")
-    try:
-        return syz.VertexData.from_rows_triple(*triple)
-    except (ValueError, TypeError) as exc:
-        raise CommandError(EXIT_INPUT, f"{path}: {exc}")
-
-
-def _cmd_syz_classify(args) -> tuple:
-    vertex = _vertex_from_file(args.input_path)
+    vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=f"{path}: ")
     profile = syz.fixed_space_profile(vertex)
     kind = syz.classify_vertex(vertex)
-    lines = [
-        f"fixed-space profile: d1={profile[0]} d2={profile[1]}",
-        f"vertex type: {kind}",
-    ]
-    doc = {
-        "schema": SCHEMA,
-        "command": "syz-classify",
-        "profile": list(profile),
-        "type": kind,
-    }
-    return doc, lines
+    if args.format == "table":
+        return [
+            f"fixed-space profile: d1={profile[0]} d2={profile[1]}",
+            f"vertex type: {kind}",
+        ]
+    return {"profile": list(profile), "type": kind}
 
 
-def _cmd_syz_quintic_counts(args) -> tuple:
+def _cmd_syz_quintic_counts(args):
     summary = syz.quintic_fibration_summary()
-    lines = [
-        f"type (2,1) vertices: {summary.v21}",
-        f"type (1,2) vertices: {summary.v12}",
-        f"edges: {summary.edges}",
-    ]
-    doc = {
-        "schema": SCHEMA,
-        "command": "syz-quintic-counts",
-        "summary": summary.to_json(),
-    }
-    return doc, lines
+    if args.format == "table":
+        return [
+            f"type (2,1) vertices: {summary.v21}",
+            f"type (1,2) vertices: {summary.v12}",
+            f"edges: {summary.edges}",
+        ]
+    return {"summary": summary.to_json()}
 
 
-def _cmd_syz_k3(args) -> tuple:
+def _cmd_syz_k3(args):
     if args.input_path is None:
         multiplicities = [1] * 24
-        source = "builtin"
     else:
         (multiplicities,) = _json_arrays(args.input_path, multiplicities=1)
-        source = args.input_path
-    try:
-        euler_ok = syz.k3_semistable_check(multiplicities)
-    except (ValueError, TypeError) as exc:
-        raise CommandError(EXIT_INPUT, str(exc))
+    euler_ok = _checked(syz.k3_semistable_check, multiplicities)
     witness = syz.sl2_mirror_selfconjugacy(1)
-
-    def lines():
+    total = sum(int(k) for k in multiplicities)
+    if args.format == "table":
         return [
-            f"fiber multiplicity sum: {sum(int(k) for k in multiplicities)}",
+            f"fiber multiplicity sum: {total}",
             "euler count matches K3 (sum = 24): " + ("yes" if euler_ok else "no"),
             *_block("self-conjugacy witness for the k=1 monodromy", witness),
         ]
-
-    doc = {
-        "schema": SCHEMA,
-        "command": "syz-k3",
-        "source": source,
-        "multiplicity_sum": sum(int(k) for k in multiplicities),
+    return {
+        "source": _source(args),
+        "multiplicity_sum": total,
         "semistable_euler_check": euler_ok,
-        "selfconjugacy_witness_k1": [list(row) for row in witness],
+        "selfconjugacy_witness_k1": _lists(witness),
     }
-    return doc, lines
 
 
 # -- wiring ---------------------------------------------------------------
+
+_ORDER = ("--order", {"type": _order_up_to(MAX_ORDER), "default": 12})
+_GW_ORDER = ("--order", {"type": _order_up_to(MAX_GW_ORDER), "default": 12})
+_DMAX = ("--dmax", {"type": _order_up_to(MAX_GW_ORDER), "default": 3})
+_IN = ("--in", {"dest": "input_path", "default": None})
+_REQUIRED_IN = ("--in", {"dest": "input_path", "required": True})
+
+# One row per command, in help order: its words, help text, handler and
+# options (each an add_argument flag and keywords).  A row without a
+# handler is a group; the rows after it that start with its word are its
+# commands.
+COMMANDS = (
+    ("periods", "period solutions and operator residual", _cmd_periods, [_ORDER]),
+    ("monodromy", "monodromy matrices at z = 0 and infinity", _cmd_monodromy, []),
+    ("gw", "mirror map, coupling, and curve counts", _cmd_gw, [_GW_ORDER, _DMAX]),
+    ("polytope", "reflexivity and polar-dual data", _cmd_polytope, [_IN]),
+    ("glsm", "gauged linear sigma model data", None, []),
+    ("glsm transpose", "transpose-mirror factorization", _cmd_glsm_transpose, []),
+    ("glsm kahler", "kahler parameter from coefficient magnitudes", _cmd_glsm_kahler, [_IN]),
+    ("kontsevich", "cohomology transforms and their orders", _cmd_kontsevich, []),
+    ("syz", "torus-fibration combinatorics", None, []),
+    ("syz classify", "classify a monodromy triple", _cmd_syz_classify, [_REQUIRED_IN]),
+    ("syz quintic-counts", "discriminant graph counts", _cmd_syz_quintic_counts, []),
+    ("syz k3", "K3 semistable-fiber checks", _cmd_syz_k3, [_IN]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,66 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quintic-mirror",
         description="Exact mirror-symmetry computations for the quintic threefold.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "periods", parents=[common], help="period solutions and operator residual"
-    )
-    p.add_argument("--order", type=_order_up_to(MAX_ORDER), default=12)
-    p.set_defaults(handler=_cmd_periods)
-
-    p = sub.add_parser(
-        "monodromy", parents=[common], help="monodromy matrices at z = 0 and infinity"
-    )
-    p.set_defaults(handler=_cmd_monodromy)
-
-    p = sub.add_parser(
-        "gw", parents=[common], help="mirror map, coupling, and curve counts"
-    )
-    p.add_argument("--order", type=_order_up_to(MAX_GW_ORDER), default=12)
-    p.add_argument("--dmax", type=_order_up_to(MAX_GW_ORDER), default=3)
-    p.set_defaults(handler=_cmd_gw)
-
-    p = sub.add_parser(
-        "polytope", parents=[common], help="reflexivity and polar-dual data"
-    )
-    p.add_argument("--in", dest="input_path", default=None)
-    p.set_defaults(handler=_cmd_polytope)
-
-    p = sub.add_parser("glsm", help="gauged linear sigma model data")
-    glsm_sub = p.add_subparsers(dest="glsm_command", required=True)
-    q = glsm_sub.add_parser(
-        "transpose", parents=[common], help="transpose-mirror factorization"
-    )
-    q.set_defaults(handler=_cmd_glsm_transpose)
-    q = glsm_sub.add_parser(
-        "kahler", parents=[common], help="kahler parameter from coefficient magnitudes"
-    )
-    q.add_argument("--in", dest="input_path", default=None)
-    q.set_defaults(handler=_cmd_glsm_kahler)
-
-    p = sub.add_parser(
-        "kontsevich", parents=[common], help="cohomology transforms and their orders"
-    )
-    p.set_defaults(handler=_cmd_kontsevich)
-
-    p = sub.add_parser("syz", help="torus-fibration combinatorics")
-    syz_sub = p.add_subparsers(dest="syz_command", required=True)
-    q = syz_sub.add_parser(
-        "classify", parents=[common], help="classify a monodromy triple"
-    )
-    q.add_argument("--in", dest="input_path", required=True)
-    q.set_defaults(handler=_cmd_syz_classify)
-    q = syz_sub.add_parser(
-        "quintic-counts", parents=[common], help="discriminant graph counts"
-    )
-    q.set_defaults(handler=_cmd_syz_quintic_counts)
-    q = syz_sub.add_parser(
-        "k3", parents=[common], help="K3 semistable-fiber checks"
-    )
-    q.add_argument("--in", dest="input_path", default=None)
-    q.set_defaults(handler=_cmd_syz_k3)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, handler, options in COMMANDS:
+        *group, word = name.split()
+        subparsers = groups[" ".join(group)]
+        if handler is None:
+            p = subparsers.add_parser(word, help=help_text)
+            groups[name] = p.add_subparsers(dest=f"{word}_command", required=True)
+            continue
+        p = subparsers.add_parser(word, parents=[common], help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler, command_name=name.replace(" ", "-"))
     return parser
 
 
@@ -617,18 +541,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        doc, lines = args.handler(args)
+        rendering = args.handler(args)
     except CommandError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return exc.code
-    # a handler may return a rendering as a function, called only if chosen
-    rendering = doc if args.format == "structured" else lines
-    if callable(rendering):
-        rendering = rendering()
-    if args.format == "structured":
-        text = json.dumps(rendering, indent=2, sort_keys=True) + "\n"
-    else:
+    if args.format == "table":
         text = "\n".join(rendering) + "\n"
+    else:
+        doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     return EXIT_OK
 
