@@ -24,6 +24,7 @@ from .linalg import (
     integer_matmul,
     integer_matrix,
     rational_rank,
+    short_repr,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -250,7 +251,7 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     out = [0.0] * width
     for c, chi in zip(magnitudes, charges):
         if isinstance(c, bool) or not isinstance(c, numbers.Real):
-            raise ValueError(f"magnitude {c!r} is not a number")
+            raise ValueError(f"magnitude {short_repr(c)} is not a number")
         c = float(c)
         if not (0.0 < c < math.inf):
             raise ValueError(f"magnitude {c} is not positive and finite")

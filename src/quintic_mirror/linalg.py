@@ -117,11 +117,11 @@ def rational_inverse(rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _short_repr(x, limit: int = 40) -> str:
-    """repr of x in at most `limit` characters, a cut marked by ...; reprlib
+def short_repr(x) -> str:
+    """repr of x in at most 40 characters, a cut marked by ...; reprlib
     elides long strings and deep nesting without rendering them whole."""
     text = reprlib.repr(x)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def integer_matrix(rows, allow_negative: bool = True) -> tuple:
@@ -140,7 +140,7 @@ def integer_matrix(rows, allow_negative: bool = True) -> tuple:
             except (TypeError, ValueError, OverflowError):
                 xi = None
             if isinstance(x, bool) or xi is None or xi != x:
-                raise ValueError(f"entry {_short_repr(x)} is not an integer")
+                raise ValueError(f"entry {short_repr(x)} is not an integer")
             if not allow_negative and xi < 0:
                 raise ValueError(f"entry {xi} is negative")
             new.append(xi)

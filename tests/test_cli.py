@@ -407,6 +407,11 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
             "is not an integer",
         ),
         ("polytope", '{"points": %s}' % ("[" * 900 + "]" * 900), "is not an integer"),
+        (
+            "glsm kahler",
+            json.dumps({"magnitudes": ["a" * 100_000, 1.0], "charges": [[1], [1]]}),
+            "is not a number",
+        ),
     ],
     ids=[
         "nan",
@@ -435,6 +440,7 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "deep-nesting",
         "long-string-point",
         "nested-point",
+        "long-string-magnitude",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(
