@@ -236,7 +236,9 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
 
     The one floating-point computation in the package; everything else
     is exact.  Magnitudes must be positive and finite real numbers (not
-    booleans or strings), charges integers.
+    booleans or strings), charges integers, and every component of r
+    must come out finite: a sum that overflows a float is rejected, not
+    returned as inf or nan.
     """
     if len(magnitudes) != len(charges):
         raise ValueError("need one charge vector per magnitude")
@@ -258,4 +260,6 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
         factor = -math.log(c) / (2.0 * math.pi)
         for a in range(width):
             out[a] += factor * chi[a]
+    if not all(map(math.isfinite, out)):
+        raise ValueError("r overflows a float: a term log|c| chi is too large")
     return tuple(out)

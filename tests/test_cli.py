@@ -412,6 +412,17 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
             json.dumps({"magnitudes": ["a" * 100_000, 1.0], "charges": [[1], [1]]}),
             "is not a number",
         ),
+        # each term -log|c|/(2 pi) chi fits no float: inf - inf, then inf
+        (
+            "glsm kahler",
+            json.dumps({"magnitudes": [1e-300, 1e300], "charges": [[10**307], [10**307]]}),
+            "r overflows a float",
+        ),
+        (
+            "glsm kahler",
+            json.dumps({"magnitudes": [1e-300], "charges": [[10**307]]}),
+            "r overflows a float",
+        ),
     ],
     ids=[
         "nan",
@@ -441,6 +452,8 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "long-string-point",
         "nested-point",
         "long-string-magnitude",
+        "nan-kahler-parameter",
+        "infinite-kahler-parameter",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(

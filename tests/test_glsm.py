@@ -171,6 +171,17 @@ def test_kahler_parameter_rejects_non_finite_magnitudes() -> None:
             kahler_parameter([bad, 1.0], [[1, 0], [0, 1]])
 
 
+def test_kahler_parameter_rejects_a_non_finite_result() -> None:
+    # each term -log|c|/(2 pi) chi overflows a float: inf - inf, then inf
+    for magnitudes, charges in (
+        ([1e-300, 1e300], [[10**307], [10**307]]),
+        ([1e-300], [[10**307]]),
+    ):
+        with pytest.raises(ValueError, match="overflows a float"):
+            kahler_parameter(magnitudes, charges)
+    assert kahler_parameter([1e-300], [[10**300]])[0] > 1e300
+
+
 def test_kahler_parameter_rejects_non_integer_charges() -> None:
     for bad in (1.5, True, False):
         with pytest.raises(ValueError):
