@@ -206,20 +206,6 @@ class QuantumRing:
     def pairing(self, x, y) -> TruncatedSeries:
         return self.trace(self.product(x, y))
 
-    def triple_product(self, a: int, b: int, c: int) -> TruncatedSeries:
-        """The structure constant <L^a * L^b, L^c> as a q-series."""
-        ab = self.product(self.basis_element(a), self.basis_element(b))
-        return self.pairing(ab, self.basis_element(c))
-
-    @property
-    def structure_constants(self) -> dict:
-        return {
-            (a, b, c): self.triple_product(a, b, c)
-            for a in range(_RANK)
-            for b in range(_RANK)
-            for c in range(_RANK)
-        }
-
 
 def quantum_ring(d_max: int) -> QuantumRing:
     """Ring with couplings validated through degree d_max.

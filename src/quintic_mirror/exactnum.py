@@ -62,15 +62,6 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or a bare integer string) into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
 class _Element:
     """Subtraction, division and powers of a ring element, from its own
     ``_coerce`` (None for a foreign operand), +, unary -, * and ``inverse``."""
@@ -265,12 +256,6 @@ class CyclotomicElement(_Element):
         return _cyclotomic(_zeta_product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
-
-    def galois(self, k: int) -> "CyclotomicElement":
-        """Apply the field automorphism zeta -> zeta^k (k coprime to 5)."""
-        if k % 5 == 0:
-            raise ValueError("zeta -> zeta^k needs k coprime to 5")
-        return _cyclotomic(_zeta_galois(self.num, k), self.den)
 
     def inverse(self) -> "CyclotomicElement":
         """Invert using the product of Galois conjugates: 1/x = conj(x)/N(x).
@@ -601,17 +586,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, self.coeffs[k:], self.shift)
 
     # -- calculus ------------------------------------------------------
-
-    def derivative(self) -> "TruncatedSeries":
-        """d/dx of a shift-free series; the order drops by one."""
-        if self.has_shift():
-            raise ValueError("derivative is only provided for shift-free series")
-        if self.order == 0:
-            return TruncatedSeries.zero(self.ring, 0)
-        out = tuple(
-            self.ring.coerce(n) * self.coeffs[n] for n in range(1, self.order + 1)
-        )
-        return TruncatedSeries(self.ring, out, self.ring.zero())
 
     def theta(self) -> "TruncatedSeries":
         """x d/dx, valid for any shift: coefficient n picks up (shift + n)."""

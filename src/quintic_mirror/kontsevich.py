@@ -60,11 +60,6 @@ def chern_from_adjunction() -> CharacteristicClasses:
     return CharacteristicClasses(c1, c2, c3, _todd_from(c1, c2))
 
 
-def todd_class(c: CharacteristicClasses) -> NilpotentElement:
-    """Recompute the Todd class from c1 and c2."""
-    return _todd_from(c.c1, c.c2)
-
-
 def euler_number(c: CharacteristicClasses) -> Fraction:
     """The integral of the top Chern class."""
     return integrate(c.c3)

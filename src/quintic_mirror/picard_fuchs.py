@@ -60,14 +60,6 @@ class PeriodOperator:
         p1 = tuple(Fraction(-5) * c for c in p1)
         return PeriodOperator((p0, p1))
 
-    def to_json(self) -> dict:
-        from .exactnum import rational_str
-
-        return {
-            "version": 1,
-            "theta_polynomials": [[rational_str(c) for c in t] for t in self.terms],
-        }
-
 
 def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeries:
     """Apply sum_j z^j p_j(theta) to x^shift * sum_n a_n x^n coefficientwise.
@@ -112,10 +104,6 @@ class FrobeniusBundle:
     ring: NilpotentRing
     series: TruncatedSeries
 
-    @property
-    def order(self) -> int:
-        return self.series.order
-
     def component(self, k: int) -> TruncatedSeries:
         """The rational series multiplying a^k in the bundle."""
         if not 0 <= k < self.ring.modulus_degree:
@@ -123,9 +111,6 @@ class FrobeniusBundle:
         return TruncatedSeries(
             QQ, tuple(c.coeffs[k] for c in self.series.coeffs), Fraction(0)
         )
-
-    def to_json(self) -> dict:
-        return {"version": 1, "series": self.series.to_json()}
 
 
 def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
@@ -162,50 +147,6 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
         num, den = [c // g for c in num], den // g
         coeffs.append(NilpotentElement(tuple(Fraction(c, den) for c in num)))
     return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs), alpha))
-
-
-def solutions_at_infinity(order: int) -> list:
-    """The four solutions at z = infinity, as series in w = 1/z.
-
-    Solution k (k = 1..4) is w^(k/5) * sum_m c_m w^m with
-    c_m = [a (a+1) ... (a+m-1)]^5 / [(5a)(5a+1) ... (5a+5m-1)] at a = k/5;
-    the returned series carries the exponent k/5 in its shift.  These
-    exponents are exactly the roots of the indicial polynomial
-    (5a - 1)(5a - 2)(5a - 3)(5a - 4).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = []
-    for k in range(1, 5):
-        alpha = Fraction(k, 5)
-        coeffs = [Fraction(1)]
-        c = Fraction(1)
-        for m in range(1, order + 1):
-            c = c * (alpha + m - 1) ** 5
-            for i in range(5):
-                c = c / (5 * alpha + 5 * (m - 1) + i)
-            coeffs.append(c)
-        out.append(TruncatedSeries.from_coefficients(QQ, coeffs, shift=alpha))
-    return out
-
-
-def indicial_at_infinity(alpha) -> Fraction:
-    """(5a - 1)(5a - 2)(5a - 3)(5a - 4), whose roots are the exponents at infinity."""
-    a = Fraction(alpha)
-    out = Fraction(1)
-    for k in range(1, 5):
-        out *= 5 * a - k
-    return out
-
-
-def residual_factor_at_infinity(alpha) -> Fraction:
-    """The coefficient of z^(-a+1) left over when the operator hits w^a-type data:
-    -5 (-5a + 1)(-5a + 2)(-5a + 3)(-5a + 4)."""
-    a = Fraction(alpha)
-    out = Fraction(-5)
-    for k in range(1, 5):
-        out *= -5 * a + k
-    return out
 
 
 @frozen

@@ -68,10 +68,6 @@ class UnipotentMonodromy3:
             raise ValueError(f"determinant is {det}, not 1")
         return UnipotentMonodromy3(entries)
 
-    @staticmethod
-    def identity() -> "UnipotentMonodromy3":
-        return UnipotentMonodromy3(_IDENTITY3)
-
     def __mul__(self, other: "UnipotentMonodromy3") -> "UnipotentMonodromy3":
         return UnipotentMonodromy3(integer_matmul(self.entries, other.entries))
 
@@ -102,9 +98,6 @@ class UnipotentMonodromy3:
         n3 = integer_matmul(n2, n)
         return all(x == 0 for row in n3 for x in row)
 
-    def to_json(self) -> list:
-        return [list(row) for row in self.entries]
-
 
 @frozen
 class VertexData:
@@ -133,9 +126,6 @@ class VertexData:
                 UnipotentMonodromy3.from_rows(rows3),
             )
         )
-
-    def to_json(self) -> dict:
-        return {"monodromies": [m.to_json() for m in self.monodromies]}
 
 
 def _common_fixed_dimension(matrices) -> int:

@@ -16,9 +16,8 @@ affine hull.  The polar dual uses the inequality <x, y> >= -1, so a facet
 <n, x> <= c with c > 0 on the primal side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
-the small arithmetic around hypersurface moduli: lattice point counts,
-moduli dimension, and the Gorenstein witness vectors mu, nu of an
-exponent matrix with their pairing.
+the small arithmetic around hypersurface moduli: lattice point counts
+and the moduli dimension.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class OriginNotInteriorError(ValueError):
 
 class NonReflexiveError(ValueError):
     """The polar dual is not a lattice polytope."""
-
-
-class InfeasibleWitnessError(ValueError):
-    """A Gorenstein witness system has no rational solution."""
 
 
 def _lattice_point(p) -> tuple:
@@ -347,7 +342,7 @@ def quintic_newton_polytope() -> LatticePolytope:
 
 
 # ---------------------------------------------------------------------------
-# moduli counting and Gorenstein witnesses
+# moduli counting
 # ---------------------------------------------------------------------------
 
 
@@ -365,67 +360,3 @@ def moduli_dimension(num_monomials: int, group_dimension: int) -> int:
             "no moduli remain"
         )
     return n - g
-
-
-@frozen
-class GorensteinWitness:
-    """Rational vectors with P mu = (1,...,1) and nu^t P = (1,...,1)."""
-
-    mu: tuple
-    nu: tuple
-    pairing: Fraction
-
-
-def _rows_of(matrix) -> list:
-    rows = getattr(matrix, "rows", matrix)
-    return [[Fraction(x) for x in r] for r in rows]
-
-
-def gorenstein_check(matrix) -> GorensteinWitness:
-    """Solve the two witness systems for an exponent matrix.
-
-    Free variables are set to zero, making the witness deterministic;
-    either system being unsolvable raises ``InfeasibleWitnessError``.
-    The pairing nu^t P mu measures the degree drop of the associated
-    complete intersection.
-    """
-    rows = _rows_of(matrix)
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    ones_rows = [Fraction(1)] * m
-    ones_cols = [Fraction(1)] * n
-    mu = solve_rational(rows, ones_rows)
-    if mu is None:
-        raise InfeasibleWitnessError("no rational mu with P mu = (1,...,1)")
-    transpose = [list(col) for col in zip(*rows)]
-    nu = solve_rational(transpose, ones_cols)
-    if nu is None:
-        raise InfeasibleWitnessError("no rational nu with nu^t P = (1,...,1)")
-    pairing = Fraction(dot(nu, [dot(row, mu) for row in rows]))
-    return GorensteinWitness(tuple(mu), tuple(nu), pairing)
-
-
-def cy_dimension(matrix, witness: GorensteinWitness, d: int) -> int:
-    """Dimension of the critical locus as a Calabi-Yau: d - 2 (nu^t P mu).
-
-    The witness is re-validated against the matrix before use.
-    """
-    rows = _rows_of(matrix)
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    if len(witness.mu) != n or len(witness.nu) != m:
-        raise InfeasibleWitnessError("witness shape does not match the matrix")
-    p_mu = [dot(row, witness.mu) for row in rows]
-    if any(v != 1 for v in p_mu):
-        raise InfeasibleWitnessError("mu does not satisfy P mu = (1,...,1)")
-    if any(dot(witness.nu, col) != 1 for col in zip(*rows)):
-        raise InfeasibleWitnessError("nu does not satisfy nu^t P = (1,...,1)")
-    recomputed = dot(witness.nu, p_mu)
-    if witness.pairing != recomputed:
-        raise InfeasibleWitnessError(
-            f"stored pairing {witness.pairing} disagrees with nu^t P mu = {recomputed}"
-        )
-    value = Fraction(d) - 2 * witness.pairing
-    if value.denominator != 1:
-        raise ValueError(f"pairing {witness.pairing} gives a non-integer dimension")
-    return int(value)

@@ -14,7 +14,6 @@ from quintic_mirror.exactnum import (
     NilpotentRing,
     RingMismatchError,
     TruncatedSeries,
-    parse_rational,
     rational_str,
     series_product,
 )
@@ -32,17 +31,6 @@ def test_rational_str_normalizes() -> None:
     assert rational_str(Fraction(-6, 8)) == "-3/4"
     assert rational_str(0) == "0/1"
     assert rational_str(7) == "7/1"
-
-
-def test_parse_rational_round_trip() -> None:
-    for q in [Fraction(0), Fraction(2875), Fraction(-770, 3), Fraction(1, 3125)]:
-        assert parse_rational(rational_str(q)) == q
-    assert parse_rational(" 5 ") == 5
-
-
-def test_parse_rational_rejects_garbage() -> None:
-    with pytest.raises(ValueError):
-        parse_rational("five")
 
 
 # -- nilpotent ring ----------------------------------------------------------
@@ -102,25 +90,6 @@ def test_zeta_power_sum_vanishes() -> None:
     for k in range(1, 5):
         total = total + z**k
     assert total.is_zero()
-
-
-def test_cyclotomic_galois_action() -> None:
-    z = CyclotomicElement.zeta()
-    for k in range(1, 5):
-        assert z.galois(k).coeffs == (z**k).coeffs
-    # composition sigma_2 of sigma_3 = sigma_6 = sigma_1
-    x = z + z**2
-    assert x.galois(3).galois(2).coeffs == x.coeffs
-
-
-def test_cyclotomic_norm_is_rational() -> None:
-    rng = random.Random(7)
-    for _ in range(20):
-        x = CyclotomicElement(tuple(_random_fraction(rng) for _ in range(4)))
-        norm = x
-        for k in (2, 3, 4):
-            norm = norm * x.galois(k)
-        assert norm.is_rational()
 
 
 def test_cyclotomic_random_inverse(seed: int = 20260822) -> None:
@@ -207,7 +176,6 @@ def test_cyclotomic_integer_form_matches_the_fraction_reference(seed: int) -> No
             (x * b[0], tuple(p * b[0] for p in a)),
             (b[1] - x, tuple(int(i == 0) * b[1] - p for i, p in enumerate(a))),
         ]
-        cases += [(x.galois(k), _ref_galois(a, k)) for k in (1, 2, 3, 4, -1, 7)]
         cases += [(x**k, _ref_pow(a, k)) for k in (0, 1, 2, 3, 5)]
         if any(a):
             cases += [(x.inverse(), _ref_inverse(a)), (x**-2, _ref_pow(a, -2))]
@@ -298,8 +266,7 @@ def test_series_binomial_power() -> None:
 
 def test_series_theta_matches_x_ddx() -> None:
     f = TruncatedSeries.from_coefficients(QQ, [3, 1, 4, 1, 5])
-    via_derivative = f.derivative().mul_by_power(1).truncate(f.order)
-    assert f.theta().coeffs == via_derivative.coeffs
+    assert f.theta().coeffs == (0, 1, 8, 3, 20)
 
 
 def test_series_shift_addition_rules() -> None:

@@ -12,12 +12,9 @@ from quintic_mirror.picard_fuchs import (
     PeriodOperator,
     apply_operator,
     frobenius_at_zero,
-    indicial_at_infinity,
     monodromy_at_infinity,
     monodromy_at_infinity_power_basis,
     monodromy_at_zero,
-    residual_factor_at_infinity,
-    solutions_at_infinity,
 )
 
 
@@ -189,46 +186,6 @@ def test_modulus_one_gives_plain_holomorphic_series() -> None:
     assert not bundle.series.has_shift()
     for n in range(4):
         assert bundle.component(0).coefficient(n) == _holomorphic_oracle(n)
-
-
-# -- series solutions at z = infinity ---------------------------------------
-
-
-def test_infinity_exponents_are_indicial_roots() -> None:
-    for k in range(1, 5):
-        assert indicial_at_infinity(Fraction(k, 5)) == 0
-    assert indicial_at_infinity(0) != 0
-    assert indicial_at_infinity(1) != 0
-
-
-def test_infinity_solutions_satisfy_recurrence() -> None:
-    # Independent check: the coefficient recurrence translated back through
-    # z = 1/w demands (a+m)^4 c_m = -p1(-(a+m+1)) c_{m+1} for every m.
-    op = PeriodOperator.quintic()
-    sols = solutions_at_infinity(8)
-    assert len(sols) == 4
-    for k, sol in enumerate(sols, start=1):
-        alpha = Fraction(k, 5)
-        assert sol.shift == alpha
-        assert sol.coefficient(0) == 1
-        for m in range(8):
-            lhs = (alpha + m) ** 4 * sol.coefficient(m)
-            rhs = -_theta_poly_at(op.terms[1], -(alpha + m + 1), QQ) * sol.coefficient(m + 1)
-            assert lhs == rhs
-
-
-def test_infinity_first_coefficient_frozen() -> None:
-    sols = solutions_at_infinity(1)
-    assert sols[0].coefficient(1) == Fraction(1, 375000)
-
-
-def test_residual_factor_is_scaled_indicial_polynomial() -> None:
-    # -5 prod(-5a+k) and prod(5a-k) share roots; the prefactor is -5
-    for a in (Fraction(0), Fraction(1, 2), Fraction(-2, 5), Fraction(3)):
-        assert residual_factor_at_infinity(a) == -5 * indicial_at_infinity(a)
-    for k in range(1, 5):
-        assert residual_factor_at_infinity(Fraction(k, 5)) == 0
-    assert residual_factor_at_infinity(0) == -120
 
 
 # -- monodromy ---------------------------------------------------------------

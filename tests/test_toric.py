@@ -7,17 +7,12 @@ from fractions import Fraction
 import pytest
 
 from quintic_mirror import toric
-from quintic_mirror.glsm import ExponentMatrix
 from quintic_mirror.linalg import canonical_kernel_basis, rational_rank, unimodular_inverse
 from quintic_mirror.toric import (
     Facet,
-    GorensteinWitness,
-    InfeasibleWitnessError,
     LatticePolytope,
     NonReflexiveError,
     OriginNotInteriorError,
-    cy_dimension,
-    gorenstein_check,
     moduli_dimension,
     projective_space_fan_polytope,
     quintic_newton_polytope,
@@ -316,31 +311,3 @@ def test_moduli_dimension_guards() -> None:
         moduli_dimension(25, 25)
     with pytest.raises(ValueError):
         moduli_dimension(0, 5)
-
-
-# -- Gorenstein cone check ---------------------------------------------------
-
-
-def test_gorenstein_quintic_witness() -> None:
-    p = ExponentMatrix.quintic()
-    witness = gorenstein_check(p.rows)
-    assert witness.pairing == 1
-    for row in p.rows:
-        assert sum(Fraction(row[j]) * witness.mu[j] for j in range(6)) == 1
-    columns = zip(*p.rows)
-    for col in columns:
-        assert sum(witness.nu[i] * Fraction(col[i]) for i in range(6)) == 1
-    assert cy_dimension(p.rows, witness, 5) == 3
-
-
-def test_gorenstein_witness_revalidated() -> None:
-    p = ExponentMatrix.quintic()
-    witness = gorenstein_check(p.rows)
-    tampered = GorensteinWitness(witness.mu, witness.nu, witness.pairing + 1)
-    with pytest.raises(InfeasibleWitnessError):
-        cy_dimension(p.rows, tampered, 5)
-
-
-def test_gorenstein_infeasible_matrix() -> None:
-    with pytest.raises(InfeasibleWitnessError):
-        gorenstein_check([[0, 0], [0, 0]])
