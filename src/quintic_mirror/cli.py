@@ -67,9 +67,9 @@ class _Parser(argparse.ArgumentParser):
 # so an order of 10^12 would never finish; with a ceiling it fails at once.
 # Each ceiling keeps one process within about a minute on a 2-vCPU Xeon
 # virtual machine with Python 3.11.7: `periods --order 1000` takes about
-# 1 s, and `gw --order 250 --dmax 250` about 13 s (6 s at 200).
+# 1 s, and `gw --order 300 --dmax 300` 8 to 11 s (4 to 5 s at 250, 2 s at 200).
 MAX_ORDER = 1000
-MAX_GW_ORDER = 250
+MAX_GW_ORDER = 300
 
 
 def _order_up_to(ceiling: int):
@@ -185,8 +185,9 @@ def _json_arrays(path: str, **depths: int) -> list:
     return [data[name] for name in depths]
 
 
-def _checked(build, *values, where: str = ""):
-    """build(*values), its rejection of the values reported as bad input."""
+def _checked(build, *values, where: str):
+    """build(*values), its rejection of the values reported as bad input,
+    after ``where`` (the input file's ``"path: "``, or ``""`` for a built-in)."""
     try:
         return build(*values)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -195,6 +196,10 @@ def _checked(build, *values, where: str = ""):
 
 def _source(args) -> str:
     return "builtin" if args.input_path is None else args.input_path
+
+
+def _where(args) -> str:
+    return "" if args.input_path is None else f"{args.input_path}: "
 
 
 # -- subcommand implementations -------------------------------------------
@@ -297,7 +302,7 @@ def _cmd_polytope(args):
         label = "fan simplex of the degree-5 hypersurface family"
     else:
         (points,) = _json_arrays(args.input_path, points=2)
-        polytope = _checked(toric.LatticePolytope, points, where=f"{args.input_path}: ")
+        polytope = _checked(toric.LatticePolytope, points, where=_where(args))
         label = args.input_path
     reflexive = polytope.is_reflexive().is_reflexive
     if reflexive:
@@ -379,7 +384,7 @@ def _cmd_glsm_kahler(args):
         charges = [[1, 0], [0, 1]]
     else:
         magnitudes, charges = _json_arrays(args.input_path, magnitudes=1, charges=2)
-    r = _checked(glsm.kahler_parameter, magnitudes, charges)
+    r = _checked(glsm.kahler_parameter, magnitudes, charges, where=_where(args))
     formatted = [f"{v:.12g}" if v != 0 else "0" for v in r]
     if args.format == "table":
         return [
@@ -434,7 +439,7 @@ def _cmd_syz_classify(args):
     (triple,) = _json_arrays(path, monodromies=3)
     if len(triple) != 3:
         raise CommandError(EXIT_INPUT, f"{path}: need exactly three matrices")
-    vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=f"{path}: ")
+    vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=_where(args))
     profile = syz.fixed_space_profile(vertex)
     kind = syz.classify_vertex(vertex)
     if args.format == "table":
@@ -461,7 +466,7 @@ def _cmd_syz_k3(args):
         multiplicities = [1] * 24
     else:
         (multiplicities,) = _json_arrays(args.input_path, multiplicities=1)
-    euler_ok = _checked(syz.k3_semistable_check, multiplicities)
+    euler_ok = _checked(syz.k3_semistable_check, multiplicities, where=_where(args))
     witness = syz.sl2_mirror_selfconjugacy(1)
     total = sum(int(k) for k in multiplicities)
     if args.format == "table":

@@ -16,8 +16,8 @@ kernel each (:func:`series_product`, :func:`series_inverse`) on integer
 numerators over one denominator; ``NilpotentElement`` uses the same two,
 as QQ[a]/(a^N) is the ring of QQ series in a truncated at order N - 1.
 Series over the other rings are containers (the Frobenius bundle, the
-operator residual): they add, scale and serialize, and their products
-raise :class:`RingMismatchError`.  No floats appear in this module.
+operator residual): they add, scale and serialize, and their products,
+exp and reversion raise :class:`RingMismatchError`.  No floats here.
 """
 
 from __future__ import annotations
@@ -287,6 +287,25 @@ def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
         if x:
             for j, y in enumerate(b[: order + 1 - i]):
                 out[i + j] += x * y
+    return out
+
+
+def int_power_head(h: Sequence[int], m: int) -> list:
+    """Coefficients 0..m-1 of h^m for an integer sequence h with h_0 != 0.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7), from
+    h (h^m)' = m h' h^m:  N_0 = h_0^m and, for k >= 1,
+
+        N_k = sum_{j=1}^{k} ((m+1) j - k) h_j N_(k-j) / (k h_0),
+
+    where the division is exact because h^m has integer coefficients:
+    about m^2/2 products, against m products of length m by convolution.
+    """
+    h0 = h[0]
+    out = [h0**m]
+    for k in range(1, m):
+        weights = [((m + 1) * j - k) * c for j, c in enumerate(h[1 : k + 1], 1)]
+        out.append(sum(map(operator.mul, weights, reversed(out))) // (k * h0))
     return out
 
 
@@ -598,23 +617,31 @@ class TruncatedSeries:
     # -- transcendental operations ------------------------------------
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential; needs shift zero and constant term 0.
+        """Series exponential over QQ; needs shift zero and constant term 0.
 
-        With e = exp(self), x d/dx gives n e_n = sum_{k=1}^{n} k a_k e_{n-k}.
+        With e = exp(self), x d/dx gives m e_m = sum_{k=1}^{m} k a_k e_(m-k).
+        On integers, with a = A/d and e_j = E_j/D over one running
+        denominator D, e_m = S/(m d D) for S = sum_k k A_k E_(m-k): E_m is
+        S/(m d) when that is exact, and otherwise D and the earlier E_j grow
+        by the least factor that makes it so.  One O(m) integer dot product
+        per coefficient; on an integral series D stays 1.
         """
         if self.has_shift():
             raise ValueError("exp needs a shift-free series")
-        if not self.ring.is_zero(self.coeffs[0]):
+        self._check_qq()
+        if self.coeffs[0] != 0:
             raise ValueError("exp needs constant term exactly 0")
-        n = self.order
-        e = [self.ring.zero() for _ in range(n + 1)]
-        e[0] = self.ring.one()
-        for m in range(1, n + 1):
-            acc = self.ring.zero()
-            for k in range(1, m + 1):
-                acc = acc + self.ring.coerce(k) * self.coeffs[k] * e[m - k]
-            e[m] = acc * self.ring.invert(self.ring.coerce(m))
-        return TruncatedSeries(self.ring, tuple(e), self.ring.zero())
+        num, d = integer_form(self.coeffs)
+        slopes = [k * c for k, c in enumerate(num)]
+        e, den = [1], 1  # e_j = e[j] / den
+        for m in range(1, self.order + 1):
+            s = sum(map(operator.mul, slopes[1 : m + 1], reversed(e)))
+            g = math.gcd(s, m * d)
+            scale = m * d // g
+            if scale != 1:
+                e, den = [x * scale for x in e], den * scale
+            e.append(s // g)
+        return TruncatedSeries(QQ, tuple(Fraction(x, den) for x in e), Fraction(0))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)); the inner series must have constant term 0."""
@@ -639,10 +666,12 @@ class TruncatedSeries:
             [x^m] b = (1/m) [x^(m-1)] h^m,
             [x^m] g(b) = (1/m) [x^(m-1)] g' h^m   (m >= 1),   g(b)_0 = g_0.
 
-        One loop builds the powers h^m on integer numerators, one product at
-        a time: n products, O(n^3) integer operations at order n, plus one
-        O(m) dot product per g and m.  Each g(b) stops at the smaller of g's
-        order and self's.  Returns b alone, or (b, g_1(b), ...) given outer.
+        Step m reads only coefficients 0..m-1 of h^m, which
+        :func:`int_power_head` takes from the integer numerators of h by
+        Miller's recurrence: about n^3/6 integer products at order n, plus
+        one O(m) dot product per g and m.  Each g(b) stops at the smaller of
+        g's order and self's.  Returns b alone, or (b, g_1(b), ...) given
+        outer.
         """
         if any(g.has_shift() for g in (self, *outer)):
             raise ValueError("reversion needs shift-free series")
@@ -658,12 +687,12 @@ class TruncatedSeries:
         gs = (TruncatedSeries.variable(QQ, n), *outer)
         slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in gs]
         composed = [[g.coeffs[0]] for g in gs]
-        power, power_den = [1], 1  # h^m = power / power_den
+        power_den = 1  # h^m = (integer numerators) / power_den
         for m in range(1, n + 1):
-            power, power_den = int_convolve(power, h, n - 1), power_den * den
+            head, power_den = int_power_head(h, m), power_den * den
             for (num, num_den), out in zip(slopes, composed):
                 if m < len(num):
-                    dot = sum(map(operator.mul, num[1 : m + 1], reversed(power[:m])))
+                    dot = sum(map(operator.mul, num[1 : m + 1], reversed(head)))
                     out.append(Fraction(dot, m * power_den * num_den))
         series = tuple(TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in composed)
         return series if outer else series[0]

@@ -90,12 +90,25 @@ def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     identity = SquareExactMatrix.identity(m.field, m.size)
+    if m != identity and _is_nilpotent(m - identity):
+        return None  # over a field of characteristic 0, M = I + N has infinite order
     power = m
     for k in range(1, max_order + 1):
         if power == identity:
             return k
         power = power * m
     return None
+
+
+def _is_nilpotent(n: SquareExactMatrix) -> bool:
+    """N^size = 0, by squaring; a nonzero trace rules it out with no product."""
+    field = n.field
+    if not field.is_zero(sum((n.rows[i][i] for i in range(n.size)), field.zero())):
+        return False
+    power, k = n, 1
+    while k < n.size:
+        power, k = power * power, 2 * k
+    return all(field.is_zero(x) for row in power.rows for x in row)
 
 
 def jordan_profile(m: SquareExactMatrix) -> tuple:

@@ -466,7 +466,7 @@ def test_bad_input_values_exit_2_with_one_error_line(
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:")
-    assert message in lines[0]
+    assert message in lines[0] and str(path) in lines[0]
     assert len(lines[0]) <= len(str(path)) + 120
 
 

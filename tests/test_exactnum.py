@@ -14,6 +14,8 @@ from quintic_mirror.exactnum import (
     NilpotentRing,
     RingMismatchError,
     TruncatedSeries,
+    int_convolve,
+    int_power_head,
     rational_str,
     series_product,
 )
@@ -432,6 +434,35 @@ def test_lagrange_reversion_matches_term_by_term_reference(ring) -> None:
     for order in (1, 3, 6):
         f = _random_reversible(ring, rng, order)
         assert f.reversion().coeffs == _reference_reversion(f)
+
+
+@pytest.mark.parametrize("h0", [2, -3])
+def test_miller_power_head_matches_repeated_convolution(h0: int) -> None:
+    # The gw series have h_0 = 1 and denominator 1, so they cannot tell a
+    # division by k from a division by k h_0; these inputs can.
+    rng = random.Random(17)
+    h = [h0] + [rng.randint(-9, 9) for _ in range(11)]
+    power = [1]
+    for m in range(1, 13):
+        power = int_convolve(power, h, 11)
+        assert int_power_head(h, m) == power[:m]
+    # The same h as the inverse of f/x, over a denominator: f has a non-unit
+    # linear coefficient and non-integral coefficients.
+    h_series = TruncatedSeries.from_coefficients(QQ, [Fraction(c, 4) for c in h[:8]])
+    f = h_series.inverse().mul_by_power(1)
+    assert f.coeffs[1] == Fraction(4, h0)
+    assert f.reversion().coeffs == _reference_reversion(f)
+
+
+def test_exp_of_non_integral_series_matches_fraction_recurrence() -> None:
+    # a_k = (-1)^k (k+2)/(3k+1): the running denominator of exp must grow.
+    order = 14
+    a = [Fraction(0)] + [Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(1, order + 1)]
+    e = [Fraction(1)]
+    for m in range(1, order + 1):
+        e.append(sum(k * a[k] * e[m - k] for k in range(1, m + 1)) / m)
+    assert TruncatedSeries.from_coefficients(QQ, a).exp().coeffs == tuple(e)
+    assert any(c.denominator > 1 for c in e)
 
 
 def test_reversion_pass_composes_outer_series_with_the_inverse() -> None:

@@ -122,6 +122,23 @@ def test_matrix_order_sentinel() -> None:
         matrix_order(quintic_twist(), 0)
 
 
+def test_matrix_order_of_a_unipotent_matrix_needs_no_powers(monkeypatch) -> None:
+    # M != I with M - I nilpotent has infinite order over QQ: a few squarings
+    # of M - I settle it, however large max_order is.
+    products = []
+    multiply = SquareExactMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SquareExactMatrix, "__mul__", counted)
+    assert matrix_order(twist_matrix(1), 10**4) is None
+    assert len(products) <= 3
+    monkeypatch.undo()
+    assert matrix_order(quintic_twist() * quintic_spherical(), 10) == 5
+
+
 def test_jordan_profiles() -> None:
     assert jordan_profile(quintic_twist()) == (3, 2, 1, 0)
     assert jordan_profile(quintic_spherical()) == (1, 0, 0, 0)
