@@ -186,20 +186,16 @@ def _json_arrays(path: str, **depths: int) -> list:
 
 
 def _checked(build, *values, where: str):
-    """build(*values), its rejection of the values reported as bad input,
-    after ``where`` (the input file's ``"path: "``, or ``""`` for a built-in)."""
+    """build(*values), its rejection of the values reported as bad input after
+    ``where``, the input file's path (``""`` for a built-in input)."""
     try:
         return build(*values)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise CommandError(EXIT_INPUT, f"{where}{exc}")
+        raise CommandError(EXIT_INPUT, f"{where}: {exc}" if where else str(exc))
 
 
 def _source(args) -> str:
     return "builtin" if args.input_path is None else args.input_path
-
-
-def _where(args) -> str:
-    return "" if args.input_path is None else f"{args.input_path}: "
 
 
 # -- subcommand implementations -------------------------------------------
@@ -302,7 +298,7 @@ def _cmd_polytope(args):
         label = "fan simplex of the degree-5 hypersurface family"
     else:
         (points,) = _json_arrays(args.input_path, points=2)
-        polytope = _checked(toric.LatticePolytope, points, where=_where(args))
+        polytope = _checked(toric.LatticePolytope, points, where=args.input_path)
         label = args.input_path
     reflexive = polytope.is_reflexive().is_reflexive
     if reflexive:
@@ -384,7 +380,7 @@ def _cmd_glsm_kahler(args):
         charges = [[1, 0], [0, 1]]
     else:
         magnitudes, charges = _json_arrays(args.input_path, magnitudes=1, charges=2)
-    r = _checked(glsm.kahler_parameter, magnitudes, charges, where=_where(args))
+    r = _checked(glsm.kahler_parameter, magnitudes, charges, where=args.input_path or "")
     formatted = [f"{v:.12g}" if v != 0 else "0" for v in r]
     if args.format == "table":
         return [
@@ -439,7 +435,7 @@ def _cmd_syz_classify(args):
     (triple,) = _json_arrays(path, monodromies=3)
     if len(triple) != 3:
         raise CommandError(EXIT_INPUT, f"{path}: need exactly three matrices")
-    vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=_where(args))
+    vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=path)
     profile = syz.fixed_space_profile(vertex)
     kind = syz.classify_vertex(vertex)
     if args.format == "table":
@@ -466,7 +462,7 @@ def _cmd_syz_k3(args):
         multiplicities = [1] * 24
     else:
         (multiplicities,) = _json_arrays(args.input_path, multiplicities=1)
-    euler_ok = _checked(syz.k3_semistable_check, multiplicities, where=_where(args))
+    euler_ok = _checked(syz.k3_semistable_check, multiplicities, where=args.input_path or "")
     witness = syz.sl2_mirror_selfconjugacy(1)
     total = sum(int(k) for k in multiplicities)
     if args.format == "table":
@@ -511,26 +507,33 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("table", "structured"),
-        default="table",
-        help="output rendering (default: table)",
-    )
+def _subcommands(parser, group: str, lazy: bool):
+    """The subcommand action of a group ("" for the top level).  A lazy parser
+    adds one word's parser only, so its usage line is given every word."""
+    words = [name.split()[-1] for name, *_ in COMMANDS if name.rpartition(" ")[0] == group]
+    return parser.add_subparsers(dest=f"{group}_command" if group else "command", required=True,
+                                 metavar="{" + ",".join(words) + "}" if lazy else None)
 
-    parser = _Parser(
-        prog="quintic-mirror",
-        description="Exact mirror-symmetry computations for the quintic threefold.",
-    )
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command; or, when argv starts with one command's
+    words, of that command's path alone, which parses argv the same way."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "structured"), default="table",
+                        help="output rendering (default: table)")
+    parser = _Parser(prog="quintic-mirror",
+                     description="Exact mirror-symmetry computations for the quintic threefold.")
+    path = next((name + " " for name, _, handler, _ in COMMANDS
+                 if handler and name.split() == list(argv[: name.count(" ") + 1])), "")
+    groups = {"": _subcommands(parser, "", bool(path))}
     for name, help_text, handler, options in COMMANDS:
+        if path and not path.startswith(name + " "):
+            continue
         *group, word = name.split()
         subparsers = groups[" ".join(group)]
         if handler is None:
             p = subparsers.add_parser(word, help=help_text)
-            groups[name] = p.add_subparsers(dest=f"{word}_command", required=True)
+            groups[name] = _subcommands(p, name, bool(path))
             continue
         p = subparsers.add_parser(word, parents=[common], help=help_text)
         for flag, keywords in options:
@@ -540,9 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

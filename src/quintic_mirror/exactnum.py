@@ -619,12 +619,11 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Series exponential over QQ; needs shift zero and constant term 0.
 
-        With e = exp(self), x d/dx gives m e_m = sum_{k=1}^{m} k a_k e_(m-k).
-        On integers, with a = A/d and e_j = E_j/D over one running
-        denominator D, e_m = S/(m d D) for S = sum_k k A_k E_(m-k): E_m is
-        S/(m d) when that is exact, and otherwise D and the earlier E_j grow
-        by the least factor that makes it so.  One O(m) integer dot product
-        per coefficient; on an integral series D stays 1.
+        x d/dx gives m e_m = sum_{k=1}^{m} k a_k e_(m-k).  With a = A/d and
+        e_j = E_j/D over one running denominator D, that is e_m = S/(m d D)
+        for the integer dot product S = sum_k k A_k E_(m-k): E_m = S/(m d)
+        when exact, else D and the E_j first grow by the least factor that
+        makes it so.  On an integral series D stays 1.
         """
         if self.has_shift():
             raise ValueError("exp needs a shift-free series")

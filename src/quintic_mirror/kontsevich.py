@@ -102,13 +102,12 @@ def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
 
 def _is_nilpotent(n: SquareExactMatrix) -> bool:
     """N^size = 0, by squaring; a nonzero trace rules it out with no product."""
-    field = n.field
-    if not field.is_zero(sum((n.rows[i][i] for i in range(n.size)), field.zero())):
+    if not n.field.is_zero(sum((n.rows[i][i] for i in range(n.size)), n.field.zero())):
         return False
     power, k = n, 1
     while k < n.size:
         power, k = power * power, 2 * k
-    return all(field.is_zero(x) for row in power.rows for x in row)
+    return all(n.field.is_zero(x) for row in power.rows for x in row)
 
 
 def jordan_profile(m: SquareExactMatrix) -> tuple:

@@ -649,6 +649,32 @@ def test_order_ceiling_itself_is_accepted() -> None:
     assert args.order == cli.MAX_ORDER
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--order", "26", "--dmax", "9", "--format", "structured"],
+        ["gw", "-h"],
+        ["gw", "extra"],
+        ["gw", "--order", str(cli.MAX_GW_ORDER + 1)],
+        ["glsm", "kahler", "--in", "radii.json"],
+        ["glsm", "kahler", "-h"],
+        ["syz", "classify"],
+        ["syz", "k3", "--format", "json"],
+    ],
+)
+def test_parser_of_one_command_parses_like_the_parser_of_all(capsys, argv) -> None:
+    # argv naming a command builds only that command's path; its result,
+    # help and errors must be those of the full parser.
+    seen = []
+    for parser in (cli.build_parser(argv), cli.build_parser()):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        seen.append((parsed, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
 def test_gw_solves_and_reverts_once(capsys, monkeypatch) -> None:
     calls = {"frobenius": 0, "reversion": 0}
     compose_calls = []

@@ -135,8 +135,6 @@ def test_matrix_order_of_a_unipotent_matrix_needs_no_powers(monkeypatch) -> None
     monkeypatch.setattr(SquareExactMatrix, "__mul__", counted)
     assert matrix_order(twist_matrix(1), 10**4) is None
     assert len(products) <= 3
-    monkeypatch.undo()
-    assert matrix_order(quintic_twist() * quintic_spherical(), 10) == 5
 
 
 def test_jordan_profiles() -> None:
