@@ -1,6 +1,6 @@
-"""Record one benchmark run as ``BENCH_<pr>.json`` at the checkout root.
+"""Record one benchmark run as ``BENCH_<N>.json`` at the checkout root.
 
-    python3 tools/bench_record.py --pr 13 --seed 1 --seconds 20
+    python3 tools/bench_record.py --number N --seed 1 --seconds 20
 
 Runs ``python3 perfbench/run.py --workload all --seed S --seconds T`` of
 this checkout as a child process, parses the last line of its stdout (one
@@ -47,7 +47,7 @@ def write_bench(path: Path, doc: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pr", required=True, type=int, help="number in the file name")
+    parser.add_argument("--number", required=True, type=int, help="N in the name BENCH_N.json")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
                          text=True, check=True).stdout.strip()
     doc = bench_document(run.stdout, sha=sha, python=platform.python_version(),
                          nproc=os.cpu_count() or 1, seed=args.seed, seconds=args.seconds)
-    out = ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.number}.json"
     write_bench(out, doc)
     print(f"{out.name}: correct={doc['correct']} attempted={doc['attempted']} failed={doc['failed']}")
     return 0
