@@ -39,7 +39,7 @@ def frozen(cls):
         return f"{self.__class__.__qualname__}({inner})"
 
     def refuse(self, name, *value):
-        raise AttributeError(f"{title} is frozen: cannot set or delete {name!r}")
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
 
     methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
                "__repr__": __repr__, "__setattr__": refuse, "__delattr__": refuse}

@@ -71,7 +71,7 @@ def build_mirror_map(order: int) -> MirrorMap:
     bundle = frobenius_at_zero(order, modulus_degree=2)
     phi0 = bundle.component(0)
     ratio = bundle.component(1) / phi0
-    if not QQ.is_zero(ratio.coefficient(0)):
+    if ratio.coefficient(0):
         raise ValueError("logarithm-free period ratio has a constant term")
     q_of_z = ratio.exp().mul_by_power(1)
     theta_t = 1 + ratio.theta()

@@ -6,8 +6,8 @@ Three layers live here, all exact:
   solve and inverse on plain lists of rational rows and behind rank, det
   and inverse of :class:`SquareExactMatrix`,
 * integer lattice routines: the product, dot product and Bareiss
-  determinant of integer matrices, Smith normal form with unimodular
-  transforms, Hermite row reduction, saturated kernel bases, and a
+  determinant of integer matrices, Smith normal form with its unimodular
+  column transform, Hermite row reduction, saturated kernel bases, and a
   deterministic sign normalization for kernel generators,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
@@ -50,24 +50,23 @@ def gauss_jordan(field: Ring, rows, width: int) -> tuple:
     column has no pivot.
     """
     a = [list(row) for row in rows]
-    is_zero = field.is_zero
     pivots = []
     det = field.one()
     for col in range(width):
         r = len(pivots)
         if r == len(a):
             break
-        pivot = next((i for i in range(r, len(a)) if not is_zero(a[i][col])), None)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
             det = -det
         det = det * a[r][col]
-        inv = field.invert(a[r][col])
+        inv = 1 / a[r][col]
         a[r] = [inv * x for x in a[r]]
         for i, row in enumerate(a):
-            if i != r and not is_zero(row[col]):
+            if i != r and row[col]:
                 f = row[col]
                 a[i] = [x - f * y for x, y in zip(row, a[r])]
         pivots.append(col)
@@ -191,9 +190,9 @@ def integer_det(rows) -> int:
 
 @frozen
 class SmithDecomposition:
-    """U * A * V = D with U, V unimodular and D a diagonal divisor chain."""
+    """U * A * V = D for some unimodular U, with V unimodular and D a
+    diagonal divisor chain; U itself is not kept."""
 
-    u: tuple
     d: tuple
     v: tuple
 
@@ -208,7 +207,7 @@ class SmithDecomposition:
 
 
 def smith_normal_form(rows) -> SmithDecomposition:
-    """Smith normal form over the integers with both transform matrices.
+    """Smith normal form over the integers with the column transform V.
 
     Pivots are chosen by minimal absolute value and reduced by Euclidean
     steps; a final divisibility sweep enforces d_i | d_{i+1}.
@@ -216,12 +215,10 @@ def smith_normal_form(rows) -> SmithDecomposition:
     a = [list(r) for r in integer_matrix(rows)]
     m = len(a)
     n = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -232,7 +229,6 @@ def smith_normal_form(rows) -> SmithDecomposition:
     def add_row(i, j, q):
         # row_i += q * row_j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, q):
         # col_i += q * col_j
@@ -240,10 +236,6 @@ def smith_normal_form(rows) -> SmithDecomposition:
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(m, n):
@@ -259,7 +251,7 @@ def smith_normal_form(rows) -> SmithDecomposition:
         swap_cols(t, pivot[1])
         while True:
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             clean = True
             for i in range(t + 1, m):
                 if a[i][t] != 0:
@@ -295,11 +287,7 @@ def smith_normal_form(rows) -> SmithDecomposition:
             swap_cols(t, best[1])
         t += 1
 
-    return SmithDecomposition(
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in v),
-    )
+    return SmithDecomposition(tuple(map(tuple, a)), tuple(map(tuple, v)))
 
 
 def integer_kernel_basis(rows) -> list:
@@ -486,13 +474,12 @@ class SquareExactMatrix:
         if not isinstance(other, SquareExactMatrix):
             return self.scale(other)
         self._check(other)
-        is_zero = self.field.is_zero
         out = []
         for row in self.rows:
             # sum_k a_ik (row k of other), skipping the many zero a_ik of M and M - I
             acc = None
             for a, other_row in zip(row, other.rows):
-                if is_zero(a):
+                if not a:
                     continue
                 terms = [a * b for b in other_row]
                 acc = terms if acc is None else list(map(operator.add, acc, terms))

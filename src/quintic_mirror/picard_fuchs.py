@@ -12,7 +12,8 @@ produces the holomorphic solution together with its logarithmic partners:
 the bundle Phi_a = sum_n A_n(a) z^(a+n) expands as
 Phi^(0) + Phi^(1) a + Phi^(2) a^2 + ..., and component k is the plain
 rational series multiplying a^k.  The recurrence for the bundle and the
-operator residual both run on integer numerators over common denominators.
+operator residual both read and write the integer numerators and common
+denominator of each QQ[a]/(a^N) element directly.
 
 Monodromy matrices act on row vectors (gamma -> gamma M) throughout; this
 orientation is what makes the displayed unipotent matrix at z = 0 come out
@@ -67,21 +68,18 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
     The term z^j p_j(theta) sends a_m x^(shift+m) to
     p_j(shift + m) a_m x^(shift+m+j), so the residual coefficient at
     exponent shift + n is sum_j p_j(shift + n - j) a_{n-j}.  The ring is
-    QQ[a]/(a^N), or QQ as the case N = 1.  Each a_n is cleared of
-    denominators once, into a window of len(op.terms) integer forms, and
-    the sum runs on ints mod a^N.
+    QQ[a]/(a^N), with QQ as the case N = 1, and the sum runs on the
+    integer numerators of the a_n and the shift, mod a^N.
     """
-    nilpotent = isinstance(series.ring, NilpotentRing)
-    coords = (lambda x: x.coeffs) if nilpotent else (lambda x: (x,))
-    shift, shift_den = integer_form(coords(series.shift))
+    shift, shift_den = list(series.shift.num), series.shift.den
     top = len(shift) - 1
     thetas = [integer_form(p) for p in op.terms]
     window = deque(maxlen=len(op.terms))
     out = []
     for n, a_n in enumerate(series.coeffs):
-        window.appendleft(integer_form(coords(a_n)))
+        window.appendleft(a_n)
         terms = []
-        for j, ((p, p_den), (a, a_den)) in enumerate(zip(thetas, window)):
+        for j, ((p, p_den), a) in enumerate(zip(thetas, window)):
             # shift_den^deg p_den p(shift + n - j), by Horner on ints mod a^N
             x = [shift[0] + (n - j) * shift_den] + shift[1:]
             value, scale = [0] * (top + 1), 1
@@ -89,11 +87,10 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
                 value = int_convolve(value, x, top)
                 value[0] += c * scale
                 scale *= shift_den
-            terms.append((int_convolve(value, a, top), p_den * scale // shift_den * a_den))
+            terms.append((int_convolve(value, a.num, top), p_den * scale // shift_den * a.den))
         den = math.lcm(*(d for _, d in terms))
         acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
-        element = tuple(Fraction(c, den) for c in acc)
-        out.append(NilpotentElement(element) if nilpotent else element[0])
+        out.append(NilpotentElement.from_integers(acc, den))
     return TruncatedSeries(series.ring, tuple(out), series.shift)
 
 
@@ -109,7 +106,7 @@ class FrobeniusBundle:
         if not 0 <= k < self.ring.modulus_degree:
             raise IndexError(f"component {k} outside 0..{self.ring.modulus_degree - 1}")
         return TruncatedSeries(
-            QQ, tuple(c.coeffs[k] for c in self.series.coeffs), Fraction(0)
+            QQ, tuple(Fraction(c.num[k], c.den) for c in self.series.coeffs), Fraction(0)
         )
 
 
@@ -124,8 +121,8 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
     integer numerator vector mod a^N over one common denominator.  As
     n^(N+4) / (a + n)^5 = Q_n(a) = sum_{j<N} C(-5, j) n^(N-1-j) a^j mod a^N,
     each step multiplies the numerators by P_n(a) = prod_{k=5n-4}^{5n}
-    (5a + k) and Q_n(a) mod a^N and the denominator by n^(N+4), then
-    divides out the gcd of all of them.
+    (5a + k) and Q_n(a) mod a^N and the denominator by n^(N+4), and
+    ``NilpotentElement.from_integers`` puts the result in lowest terms.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -135,17 +132,14 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
     alpha = ring.generator() if modulus_degree >= 2 else ring.zero()
     top = modulus_degree - 1
     binomials = [(-1) ** j * math.comb(j + 4, 4) for j in range(modulus_degree)]
-    num, den = [1] + [0] * top, 1
     coeffs = [ring.one()]
     for n in range(1, order + 1):
         step = [n ** (top - j) * c for j, c in enumerate(binomials)]
         for k in range(5 * n - 4, 5 * n + 1):
             step = int_convolve(step, (k, 5), top)
-        num = int_convolve(num, step, top)
-        den *= n ** (modulus_degree + 4)
-        g = math.gcd(den, *num)
-        num, den = [c // g for c in num], den // g
-        coeffs.append(NilpotentElement(tuple(Fraction(c, den) for c in num)))
+        last = coeffs[-1]
+        num, den = int_convolve(last.num, step, top), last.den * n ** (modulus_degree + 4)
+        coeffs.append(NilpotentElement.from_integers(num, den))
     return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs), alpha))
 
 

@@ -16,9 +16,11 @@ from quintic_mirror.exactnum import (
     TruncatedSeries,
     int_convolve,
     int_power_head,
+    power,
     rational_str,
     series_product,
 )
+from quintic_mirror.picard_fuchs import frobenius_at_zero
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -33,6 +35,28 @@ def test_rational_str_normalizes() -> None:
     assert rational_str(Fraction(-6, 8)) == "-3/4"
     assert rational_str(0) == "0/1"
     assert rational_str(7) == "7/1"
+
+
+def test_power_multiplies_by_one_only_for_k_zero() -> None:
+    # x^3 takes 2 products and x^5 three: the first product is never by `one`.
+    products = []
+
+    class Monomial:
+        def __init__(self, e):
+            self.e = e
+
+        def __mul__(self, other):
+            products.append(1)
+            return Monomial(self.e + other.e)
+
+        def inverse(self):
+            return Monomial(-self.e)
+
+    one = Monomial(0)
+    for k, count in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-3, 2)):
+        products.clear()
+        assert (power(Monomial(1), k, one).e, len(products)) == (k, count)
+    assert power(Monomial(1), 0, one) is one
 
 
 # -- nilpotent ring ----------------------------------------------------------
@@ -75,6 +99,50 @@ def test_nilpotent_degree_mismatch() -> None:
     a4 = NilpotentElement.generator(4)
     with pytest.raises(RingMismatchError):
         _ = a3 + a4
+
+
+def _assert_lowest_terms(x) -> None:
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+def test_nilpotent_equal_values_by_different_routes_are_equal() -> None:
+    a = NilpotentElement.generator(4)
+    pairs = [
+        (NilpotentElement((Fraction(2, 4), 1)), NilpotentElement((Fraction(1, 2), 1))),
+        ((1 + a) * (1 + a).inverse(), NilpotentElement.constant(1, 4)),
+        (
+            NilpotentElement.from_integers((6, -4, 0, 2), -4),
+            NilpotentElement((Fraction(-3, 2), 1, 0, Fraction(-1, 2))),
+        ),
+        (a * 6 / 6 - a, NilpotentElement.constant(0, 4)),
+    ]
+    for left, right in pairs:
+        _assert_lowest_terms(left)
+        assert left == right
+        assert hash(left) == hash(right)
+        assert (left.num, left.den) == (right.num, right.den)
+
+
+def test_frobenius_coefficients_are_in_lowest_terms() -> None:
+    for c in frobenius_at_zero(50).series.coeffs:
+        _assert_lowest_terms(c)
+
+
+def test_truth_value_and_reciprocal_agree_with_is_zero_and_inverse() -> None:
+    a = NilpotentElement.generator(3)
+    z = CyclotomicElement.zeta()
+    third = NilpotentElement.constant(Fraction(-2, 3), 3)
+    for x in (a, 1 + a, a * 0, third, z, z - z, 1 + z**2 / 3):
+        assert bool(x) is not x.is_zero()
+        try:
+            inverse = x.inverse()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _ = 1 / x
+        else:
+            assert 1 / x == inverse
+            assert Fraction(2, 3) / x == inverse * Fraction(2, 3)
 
 
 # -- cyclotomic field --------------------------------------------------------
@@ -157,8 +225,7 @@ def _wide_fraction(rng: random.Random) -> Fraction:
 
 
 def _assert_canonical(x: CyclotomicElement) -> None:
-    assert x.den > 0
-    assert math.gcd(x.den, *x.num) == 1
+    _assert_lowest_terms(x)
     assert all(isinstance(c, Fraction) for c in x.coeffs)
 
 
@@ -408,7 +475,7 @@ def _naive_compose(ring, outer, inner, order: int) -> list:
 def _reference_reversion(f: TruncatedSeries) -> tuple:
     """O(n^4) reversion: fix each coefficient from the defect of f(b) - x."""
     ring = f.ring
-    a1_inv = ring.invert(f.coeffs[1])
+    a1_inv = 1 / f.coeffs[1]
     b = [ring.zero(), a1_inv]
     for m in range(2, f.order + 1):
         defect = _naive_compose(ring, f.coeffs[: m + 1], b + [ring.zero()], m)[m]

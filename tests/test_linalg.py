@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -90,10 +92,10 @@ def test_gauss_jordan_properties(field, seed: int = 31) -> None:
             det = ma.det()
             assert (ma * mb).det() == det * mb.det()
             assert gauss_jordan(field, a, n)[2] == det
-            assert (ma.rank() == n) == (not field.is_zero(det))
+            assert (ma.rank() == n) == bool(det)
             if trial % 2 and n > 1:
-                assert field.is_zero(det)
-            if field.is_zero(det):
+                assert not det
+            if not det:
                 with pytest.raises(ValueError):
                     ma.inverse()
             else:
@@ -155,22 +157,44 @@ def test_smith_frozen_example() -> None:
     assert smith_normal_form([[2, 4], [6, 8]]).divisors == (2, 4)
 
 
+def _minor_gcd(a, k: int) -> int:
+    """gcd of all k x k minors of a."""
+    rows, cols = range(len(a)), range(len(a[0]))
+    return math.gcd(
+        *(
+            integer_det([[a[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(rows, k)
+            for cs in itertools.combinations(cols, k)
+        )
+    )
+
+
 def test_smith_decomposition_properties(seed: int = 20260822) -> None:
+    # What callers read: the divisors (d_1 ... d_k is the gcd of the k x k
+    # minors) and a unimodular V whose columns past the divisors span the
+    # kernel, A V having column j divisible by d_j.
     rng = random.Random(seed)
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         a = _random_int_matrix(rng, m, n)
         dec = smith_normal_form(a)
-        unimodular_inverse(dec.u)  # raises ValueError unless unimodular
-        unimodular_inverse(dec.v)
-        uav = integer_matmul(integer_matmul(dec.u, a), dec.v)
-        assert uav == dec.d
+        unimodular_inverse(dec.v)  # raises ValueError unless unimodular
         divisors = dec.divisors
         for i in range(m):
             for j in range(n):
                 expected = divisors[i] if i == j and i < len(divisors) else 0
-                assert uav[i][j] == expected
+                assert dec.d[i][j] == expected
+        for k in range(1, min(m, n) + 1):
+            want = math.prod(divisors[:k]) if k <= len(divisors) else 0
+            assert _minor_gcd(a, k) == want
+        av = integer_matmul(a, dec.v)
+        for j in range(n):
+            column = [row[j] for row in av]
+            if j < len(divisors):
+                assert all(x % divisors[j] == 0 for x in column)
+            else:
+                assert not any(column)
         for d, e in zip(divisors, divisors[1:]):
             assert d >= 0
             if d:

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in the package has a caller.
+"""Every public top-level function and class in the package has a caller,
+and every module-level import in the package, tests and tools is used.
 
 A name counts as called when a chain of references reaches it from a
 root: the command line (the module-level code of the package modules,
@@ -92,3 +93,22 @@ def test_package_exports_no_names() -> None:
     tree = _parse(_PACKAGE / "__init__.py")
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1
+
+
+def _unused_imports(path: Path) -> list:
+    """Names bound by module-level imports of path that nothing else in it references."""
+    tree = _parse(path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.partition(".")[0])
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [f"{path.relative_to(_ROOT)}: {name}" for name in bound if name not in used]
+
+
+def test_every_module_level_import_is_used() -> None:
+    paths = [*_PACKAGE.glob("*.py"), *(_ROOT / "tests").glob("*.py"), *(_ROOT / "tools").glob("*.py")]
+    assert [line for path in sorted(paths) for line in _unused_imports(path)] == []
