@@ -62,12 +62,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Ceilings on the series orders and degree bounds (--order, --dmax).  The
-# series kernels cost at least the cube of the order in growing integers,
-# so an order of 10^12 would never finish; with a ceiling it fails at once.
-# Each ceiling keeps one process within about a minute on a 2-vCPU Xeon
-# virtual machine with Python 3.11.7: `periods --order 1000` takes about
-# 1 s, and `gw --order 300 --dmax 300` 8 to 11 s (4 to 5 s at 250, 2 s at 200).
+# Ceilings on --order and --dmax: the series kernels cost at least the cube of
+# the order in growing integers, so 10^12 would never finish but fails at once.
+# Each keeps a process within about a minute (2-vCPU Xeon VM, Python 3.11.7):
+# `periods --order 1000` takes 0.85 to 0.9 s, `gw --order 300 --dmax 300` 8 to
+# 11 s.  At 1000 the longest number `periods` prints has 4,142 digits, below
+# CPython's int-to-str limit of 4,300; tests/test_cli.py fails if a rise crosses it.
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
@@ -206,16 +206,22 @@ def _cmd_periods(args):
     operator = picard_fuchs.PeriodOperator.quintic()
     if not picard_fuchs.apply_operator(operator, bundle.series).is_zero():
         raise CommandError(EXIT_INVARIANT, "operator residual is nonzero")
-    components = {f"phi{k}": bundle.component(k) for k in range(4)}
-    if args.format == "table":
+    # phi_k's coefficient of z^n is num[k]/den of A_n(a), in lowest terms
+    table = args.format == "table"
+    components = {f"phi{k}": [] for k in range(4)}
+    for c in bundle.series.coeffs:
+        for num, texts in zip(c.num, components.values()):
+            g = math.gcd(num, c.den)
+            texts.append(str(num // g) if table and c.den == g else f"{num // g}/{c.den // g}")
+    if table:
         return [
             f"period solutions at z = 0, truncated past z^{args.order}",
-            *(_series_line(name, comp) for name, comp in components.items()),
+            *(f"{name}: " + " ".join(texts) for name, texts in components.items()),
             "operator residual vanishes: yes",
         ]
     return {
         "order": args.order,
-        "components": {name: comp.to_json() for name, comp in components.items()},
+        "components": {name: {"coefficients": texts} for name, texts in components.items()},
         "operator_residual_zero": True,
     }
 

@@ -23,7 +23,6 @@ upper-triangular with bands 1, 1/2, 1/6.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 
 from ._frozen import frozen
@@ -35,7 +34,6 @@ from .exactnum import (
     TruncatedSeries,
     int_convolve,
     integer_form,
-    series_product,
 )
 from .kontsevich import twist_matrix
 from .linalg import SquareExactMatrix
@@ -54,12 +52,23 @@ class PeriodOperator:
     @staticmethod
     def quintic() -> "PeriodOperator":
         """theta^4 - 5 z (5 theta + 1)(5 theta + 2)(5 theta + 3)(5 theta + 4)."""
-        p0 = (Fraction(0),) * 4 + (Fraction(1),)
-        p1 = (Fraction(1),)
+        p1 = [-5]
         for k in range(1, 5):
-            p1 = series_product(p1, (Fraction(k), Fraction(5)), len(p1))
-        p1 = tuple(Fraction(-5) * c for c in p1)
-        return PeriodOperator((p0, p1))
+            p1 = int_convolve(p1, (k, 5), len(p1))
+        return PeriodOperator(((0, 0, 0, 0, 1), tuple(p1)))
+
+
+def _at(poly: list, width: int, n: int) -> list:
+    """A polynomial in (a, m), held flat with a^k m^i at k * width + i for
+    i < width, at m = n by Horner: one integer per power of a.  Below that
+    m-degree, ``int_convolve(p, q, N * width - 1)`` is the product mod a^N."""
+    out = []
+    for k in range(0, len(poly), width):
+        value = 0
+        for c in reversed(poly[k : k + width]):
+            value = value * n + c
+        out.append(value)
+    return out
 
 
 def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeries:
@@ -68,26 +77,29 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
     The term z^j p_j(theta) sends a_m x^(shift+m) to
     p_j(shift + m) a_m x^(shift+m+j), so the residual coefficient at
     exponent shift + n is sum_j p_j(shift + n - j) a_{n-j}.  The ring is
-    QQ[a]/(a^N), with QQ as the case N = 1, and the sum runs on the
-    integer numerators of the a_n and the shift, mod a^N.
+    QQ[a]/(a^N), with QQ as the case N = 1.  Each p_j(shift + m), scaled to
+    integer numerators, is expanded once as a polynomial in m (see
+    :func:`_at`), so each n costs Horner steps and one convolution per term.
     """
-    shift, shift_den = list(series.shift.num), series.shift.den
-    top = len(shift) - 1
-    thetas = [integer_form(p) for p in op.terms]
-    window = deque(maxlen=len(op.terms))
+    shift, shift_den = series.shift.num, series.shift.den
+    top, width = len(shift) - 1, max(map(len, op.terms))
+    # shift + m = (s + d m) / d with s + d m flat, as in _at
+    x = [shift[k // width] if k % width == 0 else shift_den * (k == 1)
+         for k in range((top + 1) * width)]
+    expanded = []
+    for p in op.terms:
+        p, p_den = integer_form(p)
+        value = [p[-1]] + [0] * (len(x) - 1)
+        for i, c in enumerate(reversed(p[:-1]), 1):
+            value = int_convolve(value, x, len(x) - 1)
+            value[0] += c * shift_den**i
+        expanded.append((value, p_den * shift_den ** (len(p) - 1)))
     out = []
-    for n, a_n in enumerate(series.coeffs):
-        window.appendleft(a_n)
+    for n in range(series.order + 1):
         terms = []
-        for j, ((p, p_den), a) in enumerate(zip(thetas, window)):
-            # shift_den^deg p_den p(shift + n - j), by Horner on ints mod a^N
-            x = [shift[0] + (n - j) * shift_den] + shift[1:]
-            value, scale = [0] * (top + 1), 1
-            for c in reversed(p):
-                value = int_convolve(value, x, top)
-                value[0] += c * scale
-                scale *= shift_den
-            terms.append((int_convolve(value, a.num, top), p_den * scale // shift_den * a.den))
+        for j, (value, p_den) in enumerate(expanded[: n + 1]):
+            a = series.coeffs[n - j]
+            terms.append((int_convolve(_at(value, width, n - j), a.num, top), p_den * a.den))
         den = math.lcm(*(d for _, d in terms))
         acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
         out.append(NilpotentElement.from_integers(acc, den))
@@ -119,9 +131,10 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
 
     The recurrence runs on ints: with N = modulus_degree, A_n(a) is an
     integer numerator vector mod a^N over one common denominator.  As
-    n^(N+4) / (a + n)^5 = Q_n(a) = sum_{j<N} C(-5, j) n^(N-1-j) a^j mod a^N,
-    each step multiplies the numerators by P_n(a) = prod_{k=5n-4}^{5n}
-    (5a + k) and Q_n(a) mod a^N and the denominator by n^(N+4), and
+    n^(N+4) / (a + n)^5 = sum_{j<N} C(-5, j) n^(N-1-j) a^j mod a^N, the
+    step n^(N+4) / (a + n)^5 prod_{k=5n-4}^{5n} (5a + k) is, mod a^N, a
+    polynomial in n, expanded once (see :func:`_at`).  Each n multiplies
+    the numerators by its value and the denominator by n^(N+4), and
     ``NilpotentElement.from_integers`` puts the result in lowest terms.
     """
     if order < 0:
@@ -130,16 +143,17 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
         raise ValueError("modulus degree must be >= 1")
     ring = NilpotentRing(modulus_degree)
     alpha = ring.generator() if modulus_degree >= 2 else ring.zero()
-    top = modulus_degree - 1
-    binomials = [(-1) ** j * math.comb(j + 4, 4) for j in range(modulus_degree)]
+    top, width = modulus_degree - 1, modulus_degree + 5
+    step = [0] * (modulus_degree * width)
+    for j in range(modulus_degree):
+        step[j * width + top - j] = (-1) ** j * math.comb(j + 4, 4)
+    for i in range(5):  # times 5a + 5n - i
+        step = int_convolve(step, [-i, 5] + [0] * (width - 2) + [5], len(step) - 1)
     coeffs = [ring.one()]
     for n in range(1, order + 1):
-        step = [n ** (top - j) * c for j, c in enumerate(binomials)]
-        for k in range(5 * n - 4, 5 * n + 1):
-            step = int_convolve(step, (k, 5), top)
         last = coeffs[-1]
-        num, den = int_convolve(last.num, step, top), last.den * n ** (modulus_degree + 4)
-        coeffs.append(NilpotentElement.from_integers(num, den))
+        num = int_convolve(last.num, _at(step, width, n), top)
+        coeffs.append(NilpotentElement.from_integers(num, last.den * n ** (modulus_degree + 4)))
     return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs), alpha))
 
 

@@ -649,6 +649,15 @@ def test_order_ceiling_itself_is_accepted() -> None:
     assert args.order == cli.MAX_ORDER
 
 
+def test_periods_at_the_order_ceiling_stays_below_the_int_to_str_limit() -> None:
+    # CPython's str() refuses an int of more than default_max_str_digits
+    # (4,300) digits.  At MAX_ORDER the longest numerator `periods` prints
+    # has 4,142; a higher ceiling must not turn into a traceback unnoticed.
+    limit = 10 ** (sys.int_info.default_max_str_digits - 1)
+    bundle = picard_fuchs.frobenius_at_zero(cli.MAX_ORDER)
+    assert all(abs(x) < limit for c in bundle.series.coeffs for x in (*c.num, c.den))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

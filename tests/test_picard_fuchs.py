@@ -113,7 +113,7 @@ def _frobenius_oracle(order: int, degree: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 5])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_frobenius_matches_closed_form(degree) -> None:
     bundle = frobenius_at_zero(60, modulus_degree=degree)
     got = [c.coeffs for c in bundle.series.coeffs]
@@ -148,10 +148,12 @@ def _reference_residual(op, series) -> tuple:
     )
 
 
-@pytest.mark.parametrize("ring", [NilpotentRing(1), NilpotentRing(4)], ids=str)
+@pytest.mark.parametrize("ring", [NilpotentRing(d) for d in (1, 2, 4, 5)], ids=str)
 def test_residual_matches_term_by_term_reference(ring) -> None:
-    # Three theta-polynomials with rational coefficients, a shift with a
+    # Theta-polynomials with rational coefficients, a shift with a
     # denominator and a nilpotent part, and zero coefficients in the series.
+    # The last three operators add constant theta-polynomials (all of them,
+    # in the last), and one has more terms than the series has coefficients.
     rng = random.Random(15)
 
     def rational():
@@ -160,11 +162,15 @@ def test_residual_matches_term_by_term_reference(ring) -> None:
     def element():
         return NilpotentElement(tuple(rational() for _ in range(ring.modulus_degree)))
 
-    for _ in range(5):
-        terms = tuple(tuple(rational() for _ in range(rng.randint(1, 5))) for _ in range(3))
+    cases = [(3, 12, ())] * 5 + [(4, 12, (1,)), (6, 4, (0, 5)), (2, 5, (0, 1))]
+    for terms_count, length, constant in cases:
+        terms = tuple(
+            tuple(rational() for _ in range(1 if j in constant else rng.randint(1, 5)))
+            for j in range(terms_count)
+        )
         op = PeriodOperator(terms)
-        coeffs = [element() for _ in range(12)]
-        coeffs[3] = coeffs[4] = ring.zero()
+        coeffs = [element() for _ in range(length)]
+        coeffs[3:5] = [ring.zero()] * len(coeffs[3:5])
         series = TruncatedSeries(ring, tuple(coeffs), element())
         residual = apply_operator(op, series)
         assert residual.coeffs == _reference_residual(op, series)
