@@ -206,7 +206,7 @@ def _cmd_periods(args):
     operator = picard_fuchs.PeriodOperator.quintic()
     if not picard_fuchs.apply_operator(operator, bundle.series).is_zero():
         raise CommandError(EXIT_INVARIANT, "operator residual is nonzero")
-    # phi_k's coefficient of z^n is num[k]/den of A_n(a), in lowest terms
+    # phi_k's z^n coefficient is num[k]/den of A_n(a), in lowest terms; tables drop /1
     table = args.format == "table"
     components = {f"phi{k}": [] for k in range(4)}
     for c in bundle.series.coeffs:
