@@ -8,11 +8,13 @@ floating-point numbers the interface ever emits come from
 ``glsm kahler``, printed to 12 significant digits.
 
 Each subcommand is one row of ``COMMANDS``: its words, help text,
-handler and options.  A handler computes, then returns only the
-rendering that ``args.format`` asks for: a list of table lines, or the
-fields of the structured document.  ``main`` adds ``"schema"`` and
-``"command"`` (the words joined by ``-``) to the document and prints
-the one rendering.
+handler and options.  ``parse`` reads a command's words and ``--flag
+value`` pairs straight from the rows, without argparse; any other argv
+goes to ``build_parser``'s argparse parser, which prints help and usage
+errors.  A handler computes, then returns only the rendering that
+``args.format`` asks for: a list of table lines, or the fields of the
+structured document.  ``main`` adds ``"schema"`` and ``"command"`` (the
+words joined by ``-``) to the document and prints the one rendering.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -21,11 +23,10 @@ Failures print one line to stderr of the form ``error: <category>: ...``.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import enumerative, glsm, kontsevich, picard_fuchs, syz, toric
 from .exactnum import CyclotomicElement, NilpotentElement, rational_str
@@ -53,37 +54,26 @@ class CommandError(Exception):
         self.category = _CATEGORY_BY_CODE[code]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code pinned to 1 instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: usage: {self.prog}: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 # Ceilings on --order and --dmax: the series kernels cost at least the cube of
 # the order in growing integers, so 10^12 would never finish but fails at once.
 # Each keeps a process within about a minute (2-vCPU Xeon VM, Python 3.11.7):
 # `periods --order 1000` takes 0.85 to 0.9 s, `gw --order 300 --dmax 300` 8 to
-# 11 s.  At 1000 the longest number `periods` prints has 4,142 digits, below
-# CPython's int-to-str limit of 4,300; tests/test_cli.py fails if a rise crosses it.
+# 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
+# lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
 
 def _order_up_to(ceiling: int):
-    """An argparse type: an integer from 1 to `ceiling`."""
+    """An option type: an integer from 1 to `ceiling`, or a ValueError saying why not."""
 
     def order(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be at least 1")
-        if value > ceiling:
-            raise argparse.ArgumentTypeError(f"must be at most {ceiling}")
+            raise ValueError(f"not an integer: {text!r}")
+        if not 1 <= value <= ceiling:
+            raise ValueError("must be at least 1" if value < 1 else f"must be at most {ceiling}")
         return value
 
     return order
@@ -156,6 +146,7 @@ def _reject_constant(name: str):
 
 
 def _load_json(path: str):
+    import json
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_constant=_reject_constant)
@@ -492,11 +483,13 @@ _GW_ORDER = ("--order", {"type": _order_up_to(MAX_GW_ORDER), "default": 12})
 _DMAX = ("--dmax", {"type": _order_up_to(MAX_GW_ORDER), "default": 3})
 _IN = ("--in", {"dest": "input_path", "default": None})
 _REQUIRED_IN = ("--in", {"dest": "input_path", "required": True})
+_FORMAT = ("--format", {"choices": ("table", "structured"), "default": "table",
+                        "help": "output rendering (default: table)"})
 
 # One row per command, in help order: its words, help text, handler and
-# options (each an add_argument flag and keywords).  A row without a
-# handler is a group; the rows after it that start with its word are its
-# commands.
+# options (each an add_argument flag and keywords; every command also takes
+# _FORMAT).  A row without a handler is a group; the rows after it that start
+# with its word are its commands.
 COMMANDS = (
     ("periods", "period solutions and operator residual", _cmd_periods, [_ORDER]),
     ("monodromy", "monodromy matrices at z = 0 and infinity", _cmd_monodromy, []),
@@ -513,56 +506,95 @@ COMMANDS = (
 )
 
 
-def _subcommands(parser, group: str, lazy: bool):
-    """The subcommand action of a group ("" for the top level).  A lazy parser
-    adds one word's parser only, so its usage line is given every word."""
-    words = [name.split()[-1] for name, *_ in COMMANDS if name.rpartition(" ")[0] == group]
-    return parser.add_subparsers(dest=f"{group}_command" if group else "command", required=True,
-                                 metavar="{" + ",".join(words) + "}" if lazy else None)
+def parse(argv: list) -> SimpleNamespace | None:
+    """The full parser's arguments for argv that is one command's words, then
+    ``--flag value`` pairs of its flags whose values pass their type and choices;
+    None for any other argv (help, ``--ord``, ``--flag=value``, ``-5``, errors)."""
+    for name, _, handler, options in COMMANDS:
+        words = name.split()
+        if handler and argv[: len(words)] == words:
+            break
+    else:
+        return None
+    flags = {flag: (kw.get("dest", flag[2:]), kw) for flag, kw in (_FORMAT, *options)}
+    fields = {dest: kw.get("default") for dest, kw in flags.values() if not kw.get("required")}
+    rest = argv[len(words):]
+    try:
+        for flag, text in zip(rest[::2], rest[1::2]):
+            dest, kw = flags[flag]
+            fields[dest] = kw.get("type", str)(text)
+            if text.startswith("-") or fields[dest] not in kw.get("choices", [fields[dest]]):
+                return None
+    except (KeyError, ValueError):
+        return None
+    if len(rest) % 2 or len(fields) < len(flags):
+        return None
+    # the words chosen at the top level and, for a group's command, in the group
+    fields.update(zip(("command", f"{words[0]}_command"), words))
+    return SimpleNamespace(**fields, handler=handler, command_name=name.replace(" ", "-"))
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command; or, when argv starts with one command's
-    words, of that command's path alone, which parses argv the same way."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "structured"), default="table",
-                        help="output rendering (default: table)")
-    parser = _Parser(prog="quintic-mirror",
-                     description="Exact mirror-symmetry computations for the quintic threefold.")
-    path = next((name + " " for name, _, handler, _ in COMMANDS
-                 if handler and name.split() == list(argv[: name.count(" ") + 1])), "")
-    groups = {"": _subcommands(parser, "", bool(path))}
+def build_parser():
+    """The full parser of every command; its help, usage lines and errors are
+    the ones the program prints."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):  # a usage error exits 1, not 2
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: usage: {self.prog}: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    def reported(convert):  # argparse prints an ArgumentTypeError's bare message
+        def checked(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(exc)
+        return checked
+
+    parser = Parser(prog="quintic-mirror",
+                    description="Exact mirror-symmetry computations for the quintic threefold.")
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
     for name, help_text, handler, options in COMMANDS:
-        if path and not path.startswith(name + " "):
-            continue
         *group, word = name.split()
-        subparsers = groups[" ".join(group)]
+        p = groups[" ".join(group)].add_parser(word, help=help_text)
         if handler is None:
-            p = subparsers.add_parser(word, help=help_text)
-            groups[name] = _subcommands(p, name, bool(path))
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
             continue
-        p = subparsers.add_parser(word, parents=[common], help=help_text)
-        for flag, keywords in options:
-            p.add_argument(flag, **keywords)
+        for flag, keywords in (_FORMAT, *options):
+            p.add_argument(flag, **{**keywords, "type": reported(keywords.get("type", str))})
         p.set_defaults(handler=handler, command_name=name.replace(" ", "-"))
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # The program's own integers print in full under any int-to-str digit limit
+    # (CPython 3.10.7 and later); with an --in file the limit stays, to bound its parsing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and getattr(args, "input_path", None) is None:
+        sys.set_int_max_str_digits(0)
     try:
         rendering = args.handler(args)
+        if args.format == "table":
+            text = "\n".join(rendering) + "\n"
+        else:
+            import json
+            doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except CommandError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return exc.code
-    if args.format == "table":
-        text = "\n".join(rendering) + "\n"
-    else:
-        doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(text)
     return EXIT_OK
 

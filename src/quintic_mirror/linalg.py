@@ -381,15 +381,9 @@ def canonical_kernel_basis(rows) -> list:
 def unimodular_inverse(rows) -> tuple:
     """Inverse of a unimodular integer matrix, as integer tuple rows."""
     inv = rational_inverse(rows)
-    out = []
-    for row in inv:
-        new = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            new.append(x.numerator)
-        out.append(tuple(new))
-    return tuple(out)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(x.numerator for x in row) for row in inv)
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,11 @@ class UnipotentMonodromy3:
     def __mul__(self, other: "UnipotentMonodromy3") -> "UnipotentMonodromy3":
         return UnipotentMonodromy3(integer_matmul(self.entries, other.entries))
 
-    def transpose(self) -> "UnipotentMonodromy3":
-        e = self.entries
-        return UnipotentMonodromy3(
-            tuple(tuple(e[j][i] for j in range(3)) for i in range(3))
-        )
-
     def inverse(self) -> "UnipotentMonodromy3":
         return UnipotentMonodromy3(unimodular_inverse(self.entries))
 
     def inverse_transpose(self) -> "UnipotentMonodromy3":
-        return self.inverse().transpose()
+        return UnipotentMonodromy3(tuple(zip(*unimodular_inverse(self.entries))))
 
     def minus_identity(self) -> tuple:
         return tuple(
@@ -144,9 +138,6 @@ def fixed_space_profile(v: VertexData) -> tuple:
 
 
 def classify_vertex(v: VertexData) -> str:
-    m1, m2, m3 = v.monodromies
-    if not (m1 * m2 * m3).is_identity():
-        raise ProductConditionError("monodromy product is not the identity")
     profile = fixed_space_profile(v)
     if profile == (2, 1):
         return VERTEX_TYPE_21

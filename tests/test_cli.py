@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -651,11 +652,25 @@ def test_order_ceiling_itself_is_accepted() -> None:
 
 def test_periods_at_the_order_ceiling_stays_below_the_int_to_str_limit() -> None:
     # CPython's str() refuses an int of more than default_max_str_digits
-    # (4,300) digits.  At MAX_ORDER the longest numerator `periods` prints
-    # has 4,142; a higher ceiling must not turn into a traceback unnoticed.
+    # (4,300) digits.  main lifts that limit while it renders, but at
+    # MAX_ORDER the longest numerator `periods` prints (4,142 digits) stays
+    # below it, so a caller printing frobenius_at_zero itself needs no lift.
     limit = 10 ** (sys.int_info.default_max_str_digits - 1)
     bundle = picard_fuchs.frobenius_at_zero(cli.MAX_ORDER)
     assert all(abs(x) < limit for c in bundle.series.coeffs for x in (*c.num, c.den))
+
+
+# argv that cli.parse reads by itself; the rest of the grid below falls back
+# to the full parser
+_PLAIN_ARGV = [
+    ["gw", "--order", "26", "--dmax", "9", "--format", "structured"],
+    ["glsm", "kahler", "--in", "radii.json"],
+    ["gw", "--order", "4", "--dmax", "2", "--order", "5"],
+    ["gw", "--order", " 7"],
+    ["gw", "--order", "1_0"],
+    ["polytope", "--in", ""],
+    ["kontsevich"],
+]
 
 
 @pytest.mark.parametrize(
@@ -669,19 +684,100 @@ def test_periods_at_the_order_ceiling_stays_below_the_int_to_str_limit() -> None
         ["glsm", "kahler", "-h"],
         ["syz", "classify"],
         ["syz", "k3", "--format", "json"],
+        ["gw", "--ord", "20"],
+        ["gw", "--format=structured"],
+        ["gw", "--order", "0", "--dmax", "2", "--order", "5"],
+        ["gw", "--order", "4", "--dmax", "2", "--order", "5"],
+        ["gw", "--order", "-5"],
+        ["gw", "--order", " 7"],
+        ["gw", "--order", "1_0"],
+        ["gw", "--order", "9" * 5000],
+        ["polytope", "--in", "-h"],
+        ["polytope", "--in", ""],
+        ["syz", "classify", "--format", "structured"],
+        ["periods", "--dmax", "3"],
+        ["glsm"],
+        [],
+        ["quintic"],
+        ["kontsevich"],
     ],
 )
-def test_parser_of_one_command_parses_like_the_parser_of_all(capsys, argv) -> None:
-    # argv naming a command builds only that command's path; its result,
-    # help and errors must be those of the full parser.
-    seen = []
-    for parser in (cli.build_parser(argv), cli.build_parser()):
-        try:
-            parsed = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            parsed = exc.code
-        seen.append((parsed, *capsys.readouterr()))
+def test_parser_of_one_command_parses_like_the_parser_of_all(
+    capsys, monkeypatch, tmp_path, argv
+) -> None:
+    # cli.parse reads one command's `--flag value` pairs without argparse and
+    # returns None for anything else, which main leaves to the full parser.
+    # Its arguments, and main's exit code, stdout and stderr, must be those
+    # of the full parser.
+    monkeypatch.chdir(tmp_path)
+    parsed = cli.parse(argv)
+    assert (parsed is not None) == (argv in _PLAIN_ARGV)
+    try:
+        full = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        full = exc.code
+    capsys.readouterr()
+    if parsed is not None:
+        assert vars(parsed) == full
+    seen = [_run(capsys, argv)]
+    monkeypatch.setattr(cli, "parse", lambda argv: None)
+    seen.append(_run(capsys, argv))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [(["kontsevich"], ["argparse", "gettext", "json"]), (["gw", "--format", "structured"], ["argparse"])],
+)
+def test_commands_import_argparse_and_json_only_when_needed(argv, absent) -> None:
+    # argparse (which loads gettext) and json add milliseconds to every process
+    # that imports them; -S keeps the interpreter's own start-up imports out.
+    script = (
+        "import sys\n"
+        "from quintic_mirror import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(code, sorted(set({absent!r}) & set(sys.modules)), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True,
+    )
+    assert result.stderr == "0 []\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["periods", "--order", "200"], ["gw", "--order", "190", "--dmax", "1", "--format", "structured"]],
+)
+def test_program_integers_print_under_any_int_to_str_limit(argv) -> None:
+    # 640 digits is the lowest limit CPython accepts; both commands print longer
+    # integers, and must print the same bytes as with no limit.
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "quintic_mirror.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(_SRC), PYTHONINTMAXSTRDIGITS=digits),
+            capture_output=True,
+        )
+        for digits in ("0", "640")
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
+    assert runs[1].stdout == runs[0].stdout
+    assert max(len(digits) for digits in re.findall(rb"\d+", runs[1].stdout)) > 640
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_int_to_str_limit_still_bounds_input_files_and_is_restored(capsys, tmp_path) -> None:
+    path = tmp_path / "long.json"
+    path.write_text('{"multiplicities": [' + "9" * 700 + "]}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _run(capsys, ["syz", "k3", "--in", str(path)])
+        assert code == 2 and err.startswith("error: input: malformed JSON") and "640" in err
+        assert _run(capsys, ["periods", "--order", "200"])[0] == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gw_solves_and_reverts_once(capsys, monkeypatch) -> None:
