@@ -72,8 +72,10 @@ def _order_up_to(ceiling: int):
             value = int(text)
         except ValueError:
             raise ValueError(f"not an integer: {text!r}")
-        if not 1 <= value <= ceiling:
-            raise ValueError("must be at least 1" if value < 1 else f"must be at most {ceiling}")
+        if value < 1:
+            raise ValueError("must be at least 1")
+        if value > ceiling:
+            raise ValueError(f"must be at most {ceiling}")
         return value
 
     return order
