@@ -63,6 +63,13 @@ class CommandError(Exception):
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
+# Ceilings on a `polytope --in` file.  A hull costs about points times facets,
+# and cyclic polytopes have the most facets: 128 points 2(t, ..., t^5), t = -63
+# to 64 (32-bit), have 15,500 facets and take 25 s; in 4 dimensions, 5.5 s.
+MAX_POLYTOPE_POINTS = 128
+MAX_POLYTOPE_DIM = 5
+MAX_COORDINATE_BITS = 32
+
 
 def _order_up_to(ceiling: int):
     """An option type: an integer from 1 to `ceiling`, or a ValueError saying why not."""
@@ -296,9 +303,18 @@ def _cmd_polytope(args):
         polytope = toric.projective_space_fan_polytope()
         label = "fan simplex of the degree-5 hypersurface family"
     else:
-        (points,) = _json_arrays(args.input_path, points=2)
-        polytope = _checked(toric.LatticePolytope, points, where=args.input_path)
         label = args.input_path
+        (points,) = _json_arrays(label, points=2)
+        bits = [abs(int(x)).bit_length() for p in points for x in p
+                if isinstance(x, (int, float)) and math.isfinite(x)]
+        for value, ceiling, what in (
+            (len(points), MAX_POLYTOPE_POINTS, "points"),
+            (max(map(len, points), default=0), MAX_POLYTOPE_DIM, "coordinates in a point"),
+            (max(bits, default=0), MAX_COORDINATE_BITS, "bits in a coordinate"),
+        ):
+            if value > ceiling:
+                raise CommandError(EXIT_INPUT, f"{label}: {value} {what}, at most {ceiling} allowed")
+        polytope = _checked(toric.LatticePolytope, points, where=label)
     reflexive = polytope.is_reflexive().is_reflexive
     if reflexive:
         dual = polytope.polar_dual()

@@ -1,19 +1,19 @@
 """Lattice polytopes, polar duality, and hypersurface moduli counts.
 
 Polytopes are stored by their vertex lists (extreme points only, sorted).
-A full-dimensional hull in Z^d is found from its vertices alone.  Each
-point taken maximizes a linear functional, ties broken lexicographically,
-so it is a vertex: the lexicographic extremes and the extremes along
-normals of their affine hull until the set spans Z^d, then, round by
-round, the point farthest outside each facet of the set so far.  Facets
-come from a brute-force search over d-subsets of that set: the
-hyperplane through a subset has as primitive normal its integer cofactor
-vector (the signed (d-1)-minors of the difference vectors over their
-gcd), and it is a facet when no two points lie strictly on opposite
-sides.  The cost grows with the number of vertices, not of input points.
-Lower-dimensional polytopes are reduced to full dimension inside their
-affine hull.  The polar dual uses the inequality <x, y> >= -1, so a facet
-<n, x> <= c with c > 0 on the primal side becomes the dual vertex -n/c.
+A full-dimensional hull in Z^d grows by beneath-beyond insertion from a
+d-simplex among extreme points, whose facets have integer cofactor
+normals.  A point no facet lies strictly below is skipped; otherwise the
+facets it sees go, the facets through it gain it, and over each ridge
+between a seen facet and one beneath it a new facet is the combination of
+the two that vanishes at the point.  Ridges are read from bitmasks of the
+points on each facet, so a hull costs about points times facets.  Lattice
+points are listed fibre by fibre, each coordinate's range taken from the
+facets of the projection onto the coordinates so far, at about the cost
+of the projections' lattice points.  Lower-dimensional polytopes are
+reduced to full dimension inside their affine hull.  The polar dual uses
+the inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the
+primal side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -22,7 +22,6 @@ and the moduli dimension.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .linalg import (
     integer_det,
     integer_kernel_basis,
     integer_matrix,
-    rational_rank,
     solve_rational,
 )
 
@@ -88,8 +86,8 @@ class LatticePolytope:
             raise ValueError("a point needs at least one coordinate")
         self._ambient = ambient
         base = pts[0]
-        diffs = [tuple(x - b for x, b in zip(p, base)) for p in pts[1:]]
-        self._dim = rational_rank(diffs) if diffs else 0
+        affine = _affine_basis(pts)
+        self._dim = len(affine) - 1
 
         self._facets: tuple | None = None
         self._reduced: LatticePolytope | None = None
@@ -104,7 +102,7 @@ class LatticePolytope:
             # Work inside the affine hull: a saturated basis of the
             # direction lattice gives integer coordinates for every
             # lattice point of the hull, reducing to the full-dim case.
-            normals = integer_kernel_basis(diffs)
+            normals = integer_kernel_basis([[x - b for x, b in zip(p, base)] for p in affine[1:]])
             basis = integer_kernel_basis(normals)
             self._hull_basis = tuple(basis)
             reduced_pts = [self._to_reduced(p) for p in pts]
@@ -163,15 +161,20 @@ class LatticePolytope:
         if self._dim == 0:
             return [self._vertices[0]]
         if self._dim == self._ambient:
-            ranges = [
-                range(min(v[i] for v in self._vertices), max(v[i] for v in self._vertices) + 1)
-                for i in range(self._ambient)
-            ]
-            return [
-                p
-                for p in itertools.product(*ranges)
-                if all(dot(f.normal, p) <= f.offset for f in self._facets)
-            ]
+            # fibre by fibre: each prefix (x_1..x_k) is a lattice point of
+            # the projection to the first k coordinates, and the facets of
+            # the next projection that involve x_(k+1) bound its range
+            points = [()]
+            for k in range(self._ambient):
+                facets = self._facets
+                if k + 1 < self._ambient:
+                    _, facets = _full_dim_hull(sorted({v[: k + 1] for v in self._vertices}), k + 1)
+                upper = [(f.normal[:k], f.offset, f.normal[k]) for f in facets if f.normal[k] > 0]
+                lower = [(f.normal[:k], f.offset, -f.normal[k]) for f in facets if f.normal[k] < 0]
+                points = [q + (x,) for q in points for x in range(
+                    max(-((c - dot(n, q)) // m) for n, c, m in lower),
+                    min((c - dot(n, q)) // m for n, c, m in upper) + 1)]
+            return points
         return sorted(self._from_reduced(y) for y in self._reduced.lattice_points())
 
     # -- polarity ------------------------------------------------------
@@ -224,56 +227,35 @@ class LatticePolytope:
         return f"LatticePolytope(vertices={list(self._vertices)!r})"
 
 
-def _hyperplane_normal(rows) -> tuple | None:
-    """Primitive integer normal to the span of d - 1 vectors in Z^d, up to
-    sign: the signed maximal minors divided by their gcd.  None when the
-    vectors are dependent, which is exactly when every minor vanishes."""
+def _hyperplane_normal(points, inside) -> tuple:
+    """(normal, offset) of the hyperplane through d affinely independent
+    points of Z^d, with <normal, inside> < offset: the signed maximal minors
+    of their differences from the first point, divided by their gcd."""
+    rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
     minors = [
         integer_det([r[:i] + r[i + 1:] for r in rows]) * (-1) ** i
-        for i in range(len(rows[0]))
+        for i in range(len(points[0]))
     ]
-    g = math.gcd(*minors)
-    if g == 0:
-        return None
-    return tuple(m // g for m in minors)
+    g = math.gcd(*minors) * (1 if dot(minors, inside) < dot(minors, points[0]) else -1)
+    return tuple(m // g for m in minors), dot(minors, points[0]) // g
 
 
-def _full_dim_facets(points, ambient: int, new: int) -> set:
-    """Brute-force facet search over d-subsets of `points`, the vertex set
-    grown so far by `_full_dim_hull`, that contain one of its first `new`
-    points: every hyperplane through such a subset that keeps all of
-    `points` on one side, oriented outwards.  With k vertices that is at
-    most C(k, d) subsets of k dot products each."""
-    if ambient == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        return {Facet((-1,), -lo), Facet((1,), hi)}
-    found = set()
-    for i in range(new):
-        base = points[i]
-        for rest in itertools.combinations(points[i + 1:], ambient - 1):
-            normal = _hyperplane_normal(
-                [[x - b for x, b in zip(p, base)] for p in rest]
-            )
-            if normal is None:
-                continue
-            offset = dot(normal, base)
-            above = below = False
-            for p in points:
-                value = dot(normal, p)
-                if value > offset:
-                    above = True
-                elif value < offset:
-                    below = True
-                else:
-                    continue
-                if above and below:
-                    break
-            else:
-                if above:
-                    normal, offset = tuple(-n for n in normal), -offset
-                found.add(Facet(normal, offset))
-    return found
+def _affine_basis(points) -> list:
+    """points[0] and each later point whose difference from it is independent
+    of those taken before (fraction-free elimination): dim + 1 points."""
+    base = points[0]
+    basis, reduced = [base], []
+    for p in points[1:]:
+        r = [x - b for x, b in zip(p, base)]
+        for k, row in reduced:
+            r = [row[k] * x - r[k] * y for x, y in zip(r, row)]
+        if any(r):
+            g = math.gcd(*r)
+            reduced.append((next(k for k, x in enumerate(r) if x), [x // g for x in r]))
+            basis.append(p)
+            if len(basis) > len(base):
+                break
+    return basis
 
 
 def _extreme(points, functional) -> tuple:
@@ -284,7 +266,10 @@ def _extreme(points, functional) -> tuple:
 
 def _full_dim_hull(points, ambient: int) -> tuple:
     """Sorted vertices and facets of the hull of distinct points spanning
-    Z^d, from a vertex set grown until no point lies outside a facet."""
+    Z^d, by beneath-beyond insertion into a d-simplex of seed points.
+
+    Each facet is kept as (normal, offset, mask), where bit i of the mask
+    is set when points[i] has been inserted and lies on the hyperplane."""
     base = points[0]
     seed = {base, points[-1]}
     while True:
@@ -295,26 +280,55 @@ def _full_dim_hull(points, ambient: int) -> tuple:
             break
         seed.add(_extreme(points, normals[0]))
         seed.add(_extreme(points, [-n for n in normals[0]]))
-    vertices, facets, new = [], set(), sorted(seed)
-    while new:
-        # An old facet with no new point outside it is a facet of the
-        # larger set; every other facet contains one of the new points.
-        vertices = new + vertices
-        fresh = _full_dim_facets(vertices, ambient, len(new))
-        facets = {
-            f for f in facets if all(dot(f.normal, p) <= f.offset for p in new)
-        }
-        facets |= fresh
-        # A facet that survives a round had no point outside it, so only
-        # the fresh ones can have one.
-        outside = set()
-        for f in fresh:
-            beyond = [p for p in points if dot(f.normal, p) > f.offset]
-            if beyond:
-                outside.add(_extreme(beyond, f.normal))
-        new = sorted(outside)
+    inserted = [points.index(p) for p in _affine_basis(sorted(seed))]
+    facets = [
+        (*_hyperplane_normal([points[i] for i in inserted if i != j], points[j]),
+         sum(1 << i for i in inserted if i != j))
+        for j in inserted
+    ]
+    # far points first: they are the likeliest vertices, and once they are
+    # in, most of the others fall inside and are skipped
+    centre = [sum(points[i][k] for i in inserted) for k in range(ambient)]
+    order = sorted(
+        set(range(len(points))) - set(inserted),
+        key=lambda i: -sum(((ambient + 1) * x - c) ** 2 for x, c in zip(points[i], centre)),
+    )
+    for i in order:
+        p, bit = points[i], 1 << i
+        heights = [dot(n, p) - c for n, c, _ in facets]
+        if max(heights) <= 0:
+            continue
+        inserted.append(i)
+        # a facet F that p sees meets another facet G (whose points never
+        # include all of F's) in a ridge when no third facet holds all their
+        # common points, and a third facet that does meets F in at least as
+        # many; over a ridge with G strictly beneath p, the new facet is the
+        # combination of F and G that vanishes at p
+        cone = []
+        for (nf, cf, mf), a in zip(facets, heights):
+            if a <= 0:
+                continue
+            near = [(common, g, b) for g, b in zip(facets, heights)
+                    if (common := mf & g[2]) != mf and common.bit_count() >= ambient - 1]
+            for common, (ng, cg, _), b in near:
+                if b < 0 and sum(common & other == common for other, _, _ in near) == 1:
+                    normal = [a * y - b * x for x, y in zip(nf, ng)]
+                    g = math.gcd(*normal)
+                    offset = (a * cg - b * cf) // g
+                    cone.append((tuple(n // g for n in normal), offset, common | bit))
+        facets = [
+            (n, c, m | bit if h == 0 else m) for (n, c, m), h in zip(facets, heights) if h <= 0
+        ] + cone
+    # a vertex is the only point on all the facets through it
+    vertices = []
+    for i in inserted:
+        meet = -1
+        for _, _, m in facets:
+            meet &= m if m >> i & 1 else -1
+        if meet == 1 << i:
+            vertices.append(points[i])
     return tuple(sorted(vertices)), tuple(
-        sorted(facets, key=lambda f: (f.normal, f.offset))
+        sorted((Facet(n, c) for n, c, _ in facets), key=lambda f: (f.normal, f.offset))
     )
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -483,6 +484,52 @@ def test_polytope_points_must_be_an_array_of_arrays(capsys, tmp_path, points) ->
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f'error: input: {path}: "points" must be an array of arrays']
+
+
+def test_polytope_sheared_fan_simplex_is_fast(capsys, tmp_path) -> None:
+    # the fan simplex under x1 += 8(x2+x3+x4), x2 += 8(x3+x4), x3 += 8 x4: a
+    # scan of its dual's bounding box would visit about 10^12 points
+    shear = [[1, 8, 8, 8], [0, 1, 8, 8], [0, 0, 1, 8], [0, 0, 0, 1]]
+    fan = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
+    points = [[sum(a * x for a, x in zip(row, p)) for row in shear] for p in fan]
+    path = _write_json(tmp_path, "sheared.json", {"points": points})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["polytope", "--in", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "dual lattice points: 126"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[t, t * t] for t in range(cli.MAX_POLYTOPE_POINTS + 1)],
+         f"{cli.MAX_POLYTOPE_POINTS + 1} points, at most {cli.MAX_POLYTOPE_POINTS} allowed"),
+        ([[0] * (cli.MAX_POLYTOPE_DIM + 1)],
+         f"{cli.MAX_POLYTOPE_DIM + 1} coordinates in a point, at most {cli.MAX_POLYTOPE_DIM} allowed"),
+        ([[1, 0], [0, -(2 ** cli.MAX_COORDINATE_BITS)], [-1, 1]],
+         f"{cli.MAX_COORDINATE_BITS + 1} bits in a coordinate, at most {cli.MAX_COORDINATE_BITS} allowed"),
+    ],
+    ids=["points", "dimension", "bits"],
+)
+def test_polytope_input_above_a_ceiling_is_refused(capsys, tmp_path, points, message) -> None:
+    path = _write_json(tmp_path, "big.json", {"points": points})
+    code, out, err = _run(capsys, ["polytope", "--in", path])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: input: {path}: {message}"]
+
+
+def test_polytope_input_at_the_ceilings_is_accepted(capsys, tmp_path) -> None:
+    top = 2 ** cli.MAX_COORDINATE_BITS - 1
+    points = [[int(i == j) for j in range(cli.MAX_POLYTOPE_DIM)] for i in range(cli.MAX_POLYTOPE_DIM)]
+    points += [[-1] * cli.MAX_POLYTOPE_DIM, [top] + [0] * (cli.MAX_POLYTOPE_DIM - 1)]
+    points += [[0] * cli.MAX_POLYTOPE_DIM] * (cli.MAX_POLYTOPE_POINTS - len(points))
+    path = _write_json(tmp_path, "top.json", {"points": points})
+    code, out, err = _run(capsys, ["polytope", "--in", path])
+    assert code == 0 and err == ""
+    assert f"dimension: {cli.MAX_POLYTOPE_DIM}" in out.splitlines()
 
 
 @pytest.mark.parametrize(

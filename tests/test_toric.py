@@ -115,6 +115,15 @@ def _reference_vertices(points, facets, ambient: int) -> tuple:
     )
 
 
+def _box_scan(vertices, facets) -> list:
+    """Reference lattice points: every point of the vertices' bounding box
+    that satisfies the facet inequalities, in lexicographic order."""
+    ranges = [range(min(c), max(c) + 1) for c in zip(*vertices)]
+    return [
+        p for p in itertools.product(*ranges) if all(_dot(f.normal, p) <= f.offset for f in facets)
+    ]
+
+
 def _cloud_with_degenerate_subsets(rng: random.Random, d: int, count: int, radius: int) -> list:
     """Random points plus the collinear a, a + u, a + 2u, a + 3u and two
     points a + v, a + u + 2v in a plane through that line, all within the
@@ -144,8 +153,30 @@ def test_facets_match_smith_kernel_reference(ambient, count, radius) -> None:
         facets = _reference_facets(distinct, ambient)
         assert poly.facets() == facets
         assert poly.vertices == _reference_vertices(distinct, facets, ambient)
+        if radius == 4:
+            assert poly.lattice_points() == _box_scan(poly.vertices, facets)
         compared += 1
     assert compared >= 4
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4, 5])
+def test_hull_and_lattice_points_match_brute_force_on_small_boxes(ambient) -> None:
+    # Points drawn from {-1, 0, 1}^d: many are coplanar, so facets carry
+    # extra points and two facets can share d - 1 points without meeting
+    # in a ridge.
+    rng = random.Random(ambient)
+    box = list(itertools.product((-1, 0, 1), repeat=ambient))
+    compared = 0
+    while compared < 25:
+        points = sorted(rng.sample(box, rng.randint(ambient + 2, min(len(box), 11))))
+        poly = LatticePolytope(points)
+        if poly.dim < ambient:
+            continue
+        facets = _reference_facets(points, ambient)
+        assert poly.facets() == facets
+        assert poly.vertices == _reference_vertices(points, facets, ambient)
+        assert poly.lattice_points() == _box_scan(poly.vertices, facets)
+        compared += 1
 
 
 # -- hull from the vertices: dense inputs ------------------------------------
@@ -221,6 +252,18 @@ def test_hull_of_dense_point_sets_matches_reference(shape) -> None:
         poly = LatticePolytope(moved)
         assert poly.facets() == _map_facets(facets, u)
         assert poly.vertices == tuple(sorted(_map_points(vertices, u)))
+        # each shape is every lattice point of its hull
+        assert poly.lattice_points() == sorted(moved) == _box_scan(moved, poly.facets())
+
+
+@pytest.mark.parametrize("count", [20, 30])
+def test_cyclic_polytope_keeps_every_point_and_has_the_neighbourly_facet_count(count) -> None:
+    # points on the moment curve (t, t^2, t^3, t^4) are all vertices, and the
+    # cyclic 4-polytope on n of them has n(n - 3)/2 facets
+    points = [(t, t**2, t**3, t**4) for t in range(count)]
+    poly = LatticePolytope(points)
+    assert poly.vertices == tuple(points)
+    assert len(poly.facets()) == count * (count - 3) // 2
 
 
 def test_seed_grows_until_it_spans(monkeypatch) -> None:
