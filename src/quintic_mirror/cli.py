@@ -64,8 +64,8 @@ MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
 # Ceilings on a `polytope --in` file.  A hull costs about points times facets,
-# and cyclic polytopes have the most facets: 128 points 2(t, ..., t^5), t = -63
-# to 64 (32-bit), have 15,500 facets and take 25 s; in 4 dimensions, 5.5 s.
+# and the moment curve has the most: 128 points 2(t, ..., t^5), t = -63..64, at
+# 32 bits, have 15,500 facets and take 25 s (same VM; 5.5 s in 4 dimensions).
 MAX_POLYTOPE_POINTS = 128
 MAX_POLYTOPE_DIM = 5
 MAX_COORDINATE_BITS = 32
@@ -307,13 +307,13 @@ def _cmd_polytope(args):
         (points,) = _json_arrays(label, points=2)
         bits = [abs(int(x)).bit_length() for p in points for x in p
                 if isinstance(x, (int, float)) and math.isfinite(x)]
-        for value, ceiling, what in (
+        for value, cap, what in (
             (len(points), MAX_POLYTOPE_POINTS, "points"),
             (max(map(len, points), default=0), MAX_POLYTOPE_DIM, "coordinates in a point"),
             (max(bits, default=0), MAX_COORDINATE_BITS, "bits in a coordinate"),
         ):
-            if value > ceiling:
-                raise CommandError(EXIT_INPUT, f"{label}: {value} {what}, at most {ceiling} allowed")
+            if value > cap:
+                raise CommandError(EXIT_INPUT, f"{label}: {value} {what}, at most {cap} allowed")
         polytope = _checked(toric.LatticePolytope, points, where=label)
     reflexive = polytope.is_reflexive().is_reflexive
     if reflexive:

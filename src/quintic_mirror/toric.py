@@ -308,8 +308,8 @@ def _full_dim_hull(points, ambient: int) -> tuple:
         for (nf, cf, mf), a in zip(facets, heights):
             if a <= 0:
                 continue
-            near = [(common, g, b) for g, b in zip(facets, heights)
-                    if (common := mf & g[2]) != mf and common.bit_count() >= ambient - 1]
+            near = [(common, facet, h) for facet, h in zip(facets, heights)
+                    if (common := mf & facet[2]) != mf and common.bit_count() >= ambient - 1]
             for common, (ng, cg, _), b in near:
                 if b < 0 and sum(common & other == common for other, _, _ in near) == 1:
                     normal = [a * y - b * x for x, y in zip(nf, ng)]
