@@ -488,7 +488,7 @@ def test_polytope_points_must_be_an_array_of_arrays(capsys, tmp_path, points) ->
 
 def test_polytope_sheared_fan_simplex_is_fast(capsys, tmp_path) -> None:
     # the fan simplex under x1 += 8(x2+x3+x4), x2 += 8(x3+x4), x3 += 8 x4: a
-    # scan of its dual's bounding box would visit about 10^12 points
+    # scan of its dual's bounding box would visit about 2 * 10^8 points
     shear = [[1, 8, 8, 8], [0, 1, 8, 8], [0, 0, 1, 8], [0, 0, 0, 1]]
     fan = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
     points = [[sum(a * x for a, x in zip(row, p)) for row in shear] for p in fan]
