@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,6 +282,23 @@ def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -
     assert result.returncode == 2
     lines = result.stderr.decode("utf-8").splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:")
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly() -> None:
+    # like `quintic-mirror periods --order 1000 | head -c 100`: the program
+    # stops writing and exits 0 with nothing on stderr, not a BrokenPipeError
+    process = subprocess.Popen(
+        [sys.executable, "-m", "quintic_mirror.cli", "periods", "--order", "1000"],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(process.stdout.read(100)) == 100
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 0
+    assert err == b""
 
 
 # -- determinism -------------------------------------------------------------
@@ -588,6 +606,40 @@ def test_periods_output_digest_is_frozen(capsys, order, fmt, digest) -> None:
     code, out, err = _run(capsys, ["periods", "--order", str(order), "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class _CountingSink:
+    """A stdout that discards what it is given and counts the characters."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv", [["periods", "--order", "400", "--format", "structured"], ["periods", "--order", "300"]]
+)
+def test_periods_holds_its_output_about_once(monkeypatch, argv) -> None:
+    # main writes each line, or json.dump's chunks, as it goes: the traced
+    # peak is the bundle, the coefficient strings and one line, not the
+    # strings, the joined text and its encoded bytes at once (3.0 to 3.3
+    # times the output when main printed one joined string).
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.5 * sink.written
 
 
 @pytest.mark.parametrize(
