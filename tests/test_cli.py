@@ -284,16 +284,20 @@ def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -
     assert len(lines) == 1 and lines[0].startswith("error: input:")
 
 
-def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly() -> None:
-    # like `quintic-mirror periods --order 1000 | head -c 100`: the program
-    # stops writing and exits 0 with nothing on stderr, not a BrokenPipeError
+@pytest.mark.parametrize("argv, wanted", [(["periods", "--order", "1000"], 100), (["kontsevich"], 0)])
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(argv, wanted) -> None:
+    # like `quintic-mirror periods --order 1000 | head -c 100`, or a reader that
+    # reads nothing: the program stops writing and exits 0 with nothing on
+    # stderr, not a BrokenPipeError, whether the pipe closes mid-output or
+    # before main flushes a short output (stdout block-buffered, as on any pipe)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     process = subprocess.Popen(
-        [sys.executable, "-m", "quintic_mirror.cli", "periods", "--order", "1000"],
-        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        [sys.executable, "-m", "quintic_mirror.cli", *argv],
+        env=dict(env, PYTHONPATH=str(_SRC)),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert len(process.stdout.read(100)) == 100
+    assert len(process.stdout.read(wanted)) == wanted
     process.stdout.close()
     err = process.stderr.read()
     process.stderr.close()
@@ -626,10 +630,10 @@ class _CountingSink:
     "argv", [["periods", "--order", "400", "--format", "structured"], ["periods", "--order", "300"]]
 )
 def test_periods_holds_its_output_about_once(monkeypatch, argv) -> None:
-    # main writes each line, or json.dump's chunks, as it goes: the traced
-    # peak is the bundle, the coefficient strings and one line, not the
-    # strings, the joined text and its encoded bytes at once (3.0 to 3.3
-    # times the output when main printed one joined string).
+    # main writes each line, or json.dump's chunks, as it goes, so the traced
+    # peak is the bundle, the coefficient strings and one line: 1.7 to 2.0
+    # times the output.  Holding the joined text and its encoded bytes beside
+    # the strings would take it past 3.
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
