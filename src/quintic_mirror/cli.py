@@ -18,6 +18,8 @@ words joined by ``-``) to the document and writes the one rendering to
 stdout as it goes, a line or a ``json.dump`` chunk at a time, so no
 command holds its output twice.  When the reader closes the pipe early
 (``| head``), ``main`` stops writing and exits 0 with nothing on stderr.
+A process is start-up, imports, the handler and shutdown; as the entry
+(argv None) ``main`` has exit freeze the heap so shutdown skips the gc.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -591,6 +593,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the process entry: the OS frees the heap, so exit need not collect it
+        import atexit, gc
+        atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse(argv)
     if args is None:

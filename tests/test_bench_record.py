@@ -1,10 +1,13 @@
-"""The BENCH writer on a canned result line; no benchmark runs."""
+"""The BENCH writer on canned result lines, and the committed BENCH files;
+no benchmark runs."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", _TOOL)
@@ -45,3 +48,69 @@ def test_bench_file_holds_the_run_and_its_provenance(tmp_path) -> None:
         },
     }
     assert path.read_text(encoding="utf-8").endswith("}\n")
+
+
+def _line(correct: bool, failed: int, cpu_s: float) -> str:
+    return json.dumps({"correct": correct, "attempted": 100, "failed": failed,
+                       "metrics": {"gw-deep.cpu_s": {"value": cpu_s, "unit": "s"}}})
+
+
+def test_paired_file_summarizes_each_side_and_counts_the_change_wins() -> None:
+    # pair i runs on seed 5 + i; the parent ran first in pairs 0 and 2
+    pairs = [
+        {"parent": _line(True, 0, 0.40), "change": _line(True, 0, 0.35)},
+        {"change": _line(True, 0, 0.36), "parent": _line(True, 0, 0.36)},
+        {"parent": "gw-deep seed 7: 3 rounds\n" + _line(True, 0, 0.44), "change": _line(True, 0, 0.30)},
+        {"change": _line(False, 2, 0.33), "parent": _line(True, 0, 0.38)},
+    ]
+    doc = bench_record.paired_document(
+        pairs, shas={"parent": "aaa", "change": "bbb"}, python="3.11.7", nproc=2, seed=5, seconds=20.0,
+    )
+    assert {k: doc[k] for k in ("python", "nproc", "seed", "seconds", "pairs")} == {
+        "python": "3.11.7", "nproc": 2, "seed": 5, "seconds": 20.0, "pairs": 4,
+    }
+    assert doc["parent"] == {"sha": "aaa", "correct": True, "attempted": 400, "failed": 0}
+    assert doc["change"] == {"sha": "bbb", "correct": False, "attempted": 400, "failed": 2}
+    assert [(r["pair"], r["seed"], r["side"], r["failed"]) for r in doc["runs"]] == [
+        (0, 5, "parent", 0), (0, 5, "change", 0), (1, 6, "change", 0), (1, 6, "parent", 0),
+        (2, 7, "parent", 0), (2, 7, "change", 0), (3, 8, "change", 2), (3, 8, "parent", 0),
+    ]
+    cpu = doc["metrics"]["gw-deep.cpu_s"]
+    # a tie (pair 1) counts for neither side
+    assert cpu["change_wins"] == 3
+    assert cpu["unit"] == "s"
+    assert cpu["parent"] == pytest.approx({"q1": 0.3750, "median": 0.39, "q3": 0.41})
+    assert cpu["change"] == pytest.approx({"q1": 0.3225, "median": 0.34, "q3": 0.3525})
+
+
+def test_one_pair_gives_each_side_its_single_value() -> None:
+    doc = bench_record.paired_document(
+        [{"parent": _line(True, 0, 0.40), "change": _line(True, 0, 0.35)}],
+        shas={"parent": "aaa", "change": "bbb"}, python="3.11.7", nproc=2, seed=1, seconds=20.0,
+    )
+    cpu = doc["metrics"]["gw-deep.cpu_s"]
+    assert cpu["parent"] == {"q1": 0.40, "median": 0.40, "q3": 0.40}
+    assert cpu["change_wins"] == 1
+
+
+_ROOT = _TOOL.parent.parent
+_BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+_END_TO_END = [f"{workload['name']}.{metric['name']}"
+               for workload in _BENCHMARK["workloads"] for metric in _BENCHMARK["end_to_end"]]
+
+
+@pytest.mark.parametrize("path", sorted(_ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_committed_bench_file_is_whole_and_correct(path) -> None:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert len(_END_TO_END) == 20
+    sides = bench_record.SIDES if "pairs" in doc else (None,)
+    for side in sides:
+        record = doc[side] if side else doc
+        assert record["sha"]
+        assert record["correct"] is True
+        assert record["failed"] == 0
+        for key in _END_TO_END:
+            entry = doc["metrics"][key]
+            assert isinstance(entry[side]["median"] if side else entry["value"], float), key
+    if "pairs" in doc:
+        assert all(run["failed"] == 0 for run in doc["runs"])

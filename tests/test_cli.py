@@ -305,6 +305,31 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(argv, wante
     assert err == b""
 
 
+def test_only_the_process_entry_freezes_the_heap_at_exit() -> None:
+    # perfbench's child environment.  The checker is registered before main, so
+    # it runs after main's exit hook (atexit runs last in, first out) and sees
+    # what the interpreter's shutdown would collect.
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(_SRC), "PYTHONHASHSEED": "0"}
+    checker = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "from quintic_mirror.cli import main\n"
+    )
+    frozen = {}
+    for how, call in [
+        ("entry", "sys.argv = ['quintic-mirror', 'kontsevich']\nsys.exit(main())\n"),
+        ("in-process", "sys.exit(main(['kontsevich']))\n"),
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-c", checker + call], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0 and result.stdout.startswith("tangent classes")
+        frozen[how] = int(result.stderr)
+    # the import-time heap: about 13,000 objects on CPython 3.11
+    assert frozen["entry"] > 1000
+    assert frozen["in-process"] == 0
+
+
 # -- determinism -------------------------------------------------------------
 
 

@@ -1,13 +1,21 @@
-"""Record one benchmark run as ``BENCH_<N>.json`` at the checkout root.
+"""Record benchmark runs as ``BENCH_<N>.json`` at the checkout root.
 
     python3 tools/bench_record.py --number N --seed 1 --seconds 20
+    python3 tools/bench_record.py --number N --seed 1 --seconds 20 --parent DIR --pairs 5
 
 Runs ``python3 perfbench/run.py --workload all --seed S --seconds T`` of
 this checkout as a child process, parses the last line of its stdout (one
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``)
 and writes it together with the git SHA of the checkout, the Python
-version, the processor count, the seed and the seconds.  Stdlib only; it
-writes nothing under ``perfbench/``.
+version, the processor count, the seed and the seconds.
+
+With ``--parent DIR``, a checkout of the parent commit, it runs K pairs
+of parent and change instead, on seeds S..S+K-1, alternating which side
+runs first, and writes each side's SHA and totals, each run's
+``attempted`` and ``failed``, and per metric each side's median and
+quartiles and the number of pairs the change won.  Every end-to-end
+metric is lower-is-better (``BENCHMARK.json``); a tie counts for neither
+side.  Stdlib only; it writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -16,18 +24,24 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _result(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def bench_document(stdout: str, *, sha: str, python: str, nproc: int, seed: int,
                    seconds: float) -> dict:
     """The BENCH record of one ``perfbench/run.py --workload all`` run, from
     the result object on the last line of its stdout."""
-    result = json.loads(stdout.strip().splitlines()[-1])
+    result = _result(stdout)
     return {
         "sha": sha,
         "python": python,
@@ -41,8 +55,68 @@ def bench_document(stdout: str, *, sha: str, python: str, nproc: int, seed: int,
     }
 
 
+def _spread(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def paired_document(pairs: list, *, shas: dict, python: str, nproc: int, seed: int,
+                    seconds: float) -> dict:
+    """The BENCH record of alternating parent/change runs: ``pairs[i]`` maps
+    each side to its perfbench stdout on seed + i, in the order the two ran."""
+    runs, results = [], {side: [] for side in SIDES}
+    for i, stdouts in enumerate(pairs):
+        for side, stdout in stdouts.items():
+            result = _result(stdout)
+            results[side].append(result)
+            runs.append({"pair": i, "seed": seed + i, "side": side, "correct": result["correct"],
+                         "attempted": result["attempted"], "failed": result["failed"]})
+    metrics = {}
+    for key, entry in results["change"][0]["metrics"].items():
+        values = {side: [r["metrics"][key]["value"] for r in results[side]] for side in SIDES}
+        metrics[key] = {
+            "unit": entry["unit"],
+            **{side: _spread(values[side]) for side in SIDES},
+            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        }
+    return {
+        "python": python,
+        "nproc": nproc,
+        "seed": seed,
+        "seconds": seconds,
+        "pairs": len(pairs),
+        **{side: {"sha": shas[side],
+                  "correct": all(r["correct"] for r in results[side]),
+                  "attempted": sum(r["attempted"] for r in results[side]),
+                  "failed": sum(r["failed"] for r in results[side])} for side in SIDES},
+        "runs": runs,
+        "metrics": metrics,
+    }
+
+
 def write_bench(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _perfbench(checkout: Path, seed: int, seconds: float) -> str | None:
+    """The stdout of one ``--workload all`` run of the checkout's perfbench,
+    or None (with its stderr passed on) if it failed."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if run.returncode != 0 or not run.stdout.strip():
+        sys.stderr.write(run.stderr)
+        print(f"error: perfbench in {checkout} exited {run.returncode}", file=sys.stderr)
+        return None
+    return run.stdout
+
+
+def _sha(checkout: Path) -> str:
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -50,24 +124,39 @@ def main(argv=None) -> int:
     parser.add_argument("--number", required=True, type=int, help="N in the name BENCH_N.json")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--parent", type=Path, help="a checkout of the parent commit to pair with")
+    parser.add_argument("--pairs", type=int, default=1, help="pairs of runs with --parent")
     args = parser.parse_args(argv)
+    if args.pairs < 1 or (args.pairs > 1 and args.parent is None):
+        parser.error("--pairs takes a positive count and needs --parent")
 
-    run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(args.seed), "--seconds", str(args.seconds)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    if run.returncode != 0 or not run.stdout.strip():
-        sys.stderr.write(run.stderr)
-        print(f"error: perfbench exited {run.returncode}", file=sys.stderr)
-        return 1
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                         text=True, check=True).stdout.strip()
-    doc = bench_document(run.stdout, sha=sha, python=platform.python_version(),
-                         nproc=os.cpu_count() or 1, seed=args.seed, seconds=args.seconds)
+    meta = {"python": platform.python_version(), "nproc": os.cpu_count() or 1,
+            "seed": args.seed, "seconds": args.seconds}
+    if args.parent is None:
+        stdout = _perfbench(ROOT, args.seed, args.seconds)
+        if stdout is None:
+            return 1
+        doc = bench_document(stdout, sha=_sha(ROOT), **meta)
+        summary = f"correct={doc['correct']} attempted={doc['attempted']} failed={doc['failed']}"
+    else:
+        checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+        pairs = []
+        for i in range(args.pairs):
+            stdouts = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                stdouts[side] = _perfbench(checkouts[side], args.seed + i, args.seconds)
+                if stdouts[side] is None:
+                    return 1
+                result = _result(stdouts[side])
+                print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
+                      f"correct={result['correct']} failed={result['failed']}", file=sys.stderr)
+            pairs.append(stdouts)
+        doc = paired_document(pairs, shas={side: _sha(checkouts[side]) for side in SIDES}, **meta)
+        summary = " ".join(f"{side}: correct={doc[side]['correct']} attempted={doc[side]['attempted']} "
+                           f"failed={doc[side]['failed']}" for side in SIDES)
     out = ROOT / f"BENCH_{args.number}.json"
     write_bench(out, doc)
-    print(f"{out.name}: correct={doc['correct']} attempted={doc['attempted']} failed={doc['failed']}")
+    print(f"{out.name}: {summary}")
     return 0
 
 
