@@ -11,15 +11,17 @@ Each subcommand is one row of ``COMMANDS``: its words, help text,
 handler and options.  ``parse`` reads a command's words and ``--flag
 value`` pairs straight from the rows, without argparse; any other argv
 goes to ``build_parser``'s argparse parser, which prints help and usage
-errors.  A handler computes, then returns only the rendering that
-``args.format`` asks for: a list of table lines, or the fields of the
-structured document.  ``main`` adds ``"schema"`` and ``"command"`` (the
-words joined by ``-``) to the document and writes the one rendering to
-stdout as it goes, a line or a ``json.dump`` chunk at a time, so no
-command holds its output twice.  When the reader closes the pipe early
-(``| head``), ``main`` stops writing and exits 0 with nothing on stderr.
-A process is start-up, imports, the handler and shutdown; as the entry
-(argv None) ``main`` has exit freeze the heap so shutdown skips the gc.
+errors.  A handler computes and checks, then returns only the rendering
+that ``args.format`` asks for: any iterable of table lines, or the fields
+of the structured document, in which an array may be a generator.
+``main`` adds ``"schema"`` and ``"command"`` (the words joined by ``-``)
+to the document and writes the one rendering to stdout as it goes, a line
+or a ``json.dump`` chunk at a time (``_lazy`` lists each generator as json
+reaches it), so no command holds its rendered output: ``periods`` holds
+its Frobenius bundle and one component's strings.  When the reader
+closes the pipe early (``| head``), ``main`` stops writing and exits 0
+with nothing on stderr.  A process is start-up, imports, the handler and
+shutdown; as the entry (argv None), ``main`` freezes the heap for exit.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
+from itertools import chain
+from types import GeneratorType, SimpleNamespace
 
 from . import enumerative, glsm, kontsevich, picard_fuchs, syz, toric
 from .exactnum import CyclotomicElement, NilpotentElement, rational_str
@@ -213,22 +216,19 @@ def _cmd_periods(args):
     operator = picard_fuchs.PeriodOperator.quintic()
     if not picard_fuchs.apply_operator(operator, bundle.series).is_zero():
         raise CommandError(EXIT_INVARIANT, "operator residual is nonzero")
-    # phi_k's z^n coefficient is num[k]/den of A_n(a), in lowest terms; tables drop /1.
-    # Each table line is joined before the next component's strings are built.
     table = args.format == "table"
-    components = {}
-    for k in range(4):
-        texts = []
+
+    def texts(k):  # phi_k's z^n coefficient: num[k]/den of A_n(a) in lowest terms; tables drop /1
         for c in bundle.series.coeffs:
             g = math.gcd(num := c.num[k], c.den)
-            texts.append(str(num // g) if table and c.den == g else f"{num // g}/{c.den // g}")
-        components[f"phi{k}"] = " ".join([f"phi{k}:", *texts]) if table else {"coefficients": texts}
+            yield str(num // g) if table and c.den == g else f"{num // g}/{c.den // g}"
+
+    # rendered as written: one component's strings at a time, after the gate above
     if table:
-        return [
-            f"period solutions at z = 0, truncated past z^{args.order}",
-            *components.values(),
-            "operator residual vanishes: yes",
-        ]
+        heading = f"period solutions at z = 0, truncated past z^{args.order}"
+        lines = (" ".join([f"phi{k}:", *texts(k)]) for k in range(4))
+        return chain([heading], lines, ["operator residual vanishes: yes"])
+    components = {f"phi{k}": {"coefficients": texts(k)} for k in range(4)}
     return {"order": args.order, "components": components, "operator_residual_zero": True}
 
 
@@ -592,6 +592,13 @@ def build_parser():
     return parser
 
 
+def _lazy(value) -> list:
+    """json's default: a generator in the document is written as an array."""
+    if isinstance(value, GeneratorType):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv=None) -> int:
     if argv is None:  # the process entry: the OS frees the heap, so exit need not collect it
         import atexit, gc
@@ -618,7 +625,7 @@ def main(argv=None) -> int:
         else:
             import json
             doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
-            json.dump(doc, out, indent=2, sort_keys=True)
+            json.dump(doc, out, indent=2, sort_keys=True, default=_lazy)
             out.write("\n")
         out.flush()
     except CommandError as exc:

@@ -93,7 +93,9 @@ class _Element:
     @classmethod
     def from_integers(cls, num: Sequence[int], den: int):
         """The element num/den, with common factors and the sign of den divided out."""
-        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        # last numerator first: num[0] of a Frobenius coefficient is a multiple of den
+        g = math.gcd(den, *reversed(num))
+        g = g if den > 0 else -g
         if g != 1:
             num, den = [n // g for n in num], den // g
         x = object.__new__(cls)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -264,6 +265,24 @@ def test_monodromy_gate_rejects_a_power_basis_matrix_not_conjugate_to_the_diagon
         assert len(lines) == 1 and lines[0].startswith("error: invariant:")
 
 
+def test_periods_gate_runs_before_any_output(capsys, monkeypatch) -> None:
+    # the residual of a bundle whose last coefficient is off by one: the gate
+    # must trip before main writes a byte, in either rendering
+    apply_operator = picard_fuchs.apply_operator
+
+    def off_by_one(operator, series):
+        *head, last = series.coeffs
+        return apply_operator(operator, TruncatedSeries(series.ring, (*head, last + 1), series.shift))
+
+    monkeypatch.setattr(cli.picard_fuchs, "apply_operator", off_by_one)
+    for fmt in ("table", "structured"):
+        code, out, err = _run(capsys, ["periods", "--order", "20", "--format", fmt])
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invariant:")
+
+
 def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -> None:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
 
@@ -284,7 +303,14 @@ def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -
     assert len(lines) == 1 and lines[0].startswith("error: input:")
 
 
-@pytest.mark.parametrize("argv, wanted", [(["periods", "--order", "1000"], 100), (["kontsevich"], 0)])
+@pytest.mark.parametrize(
+    "argv, wanted",
+    [
+        (["periods", "--order", "1000"], 100),
+        (["periods", "--order", "1000", "--format", "structured"], 100),
+        (["kontsevich"], 0),
+    ],
+)
 def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(argv, wanted) -> None:
     # like `quintic-mirror periods --order 1000 | head -c 100`, or a reader that
     # reads nothing: the program stops writing and exits 0 with nothing on
@@ -348,6 +374,12 @@ def test_output_is_byte_deterministic(capsys, argv) -> None:
     second = _run(capsys, argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_lazy_writes_a_generator_as_an_array_and_refuses_other_iterables() -> None:
+    assert json.dumps({"x": (str(k) for k in range(3))}, default=cli._lazy) == '{"x": ["0", "1", "2"]}'
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"x": {1, 2}}, default=cli._lazy)
 
 
 def test_structured_output_has_sorted_keys(capsys) -> None:
@@ -672,6 +704,34 @@ def test_periods_holds_its_output_about_once(monkeypatch, argv) -> None:
 
 
 @pytest.mark.parametrize(
+    "argv, bound",
+    [(["periods", "--order", "400", "--format", "structured"], 2.0), (["periods", "--order", "300"], 2.75)],
+)
+def test_periods_holds_the_bundle_and_one_coefficient_array(monkeypatch, argv, bound) -> None:
+    # _cmd_periods renders each component's strings only as main writes them,
+    # so the traced peak is the Frobenius bundle, one component's strings (and,
+    # as a table, its joined line) and json's chunks: about 1.7 times the
+    # bundle structured and 2.5 times as a table at these orders.  Rendering
+    # all four components before the first write takes it to 2.8 and 3.2.
+    tracemalloc.start()
+    try:
+        bundle = picard_fuchs.frobenius_at_zero(int(argv[2]))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del bundle
+    monkeypatch.setattr(sys, "stdout", _CountingSink())
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= bound * size
+
+
+@pytest.mark.parametrize(
     "points, digest",
     [
         (_CUBE_POINTS, "9160b603886ef6810749b93afb337b439573fa2e8c48c576cc9b8479f25cef67"),
@@ -851,6 +911,36 @@ def test_parser_of_one_command_parses_like_the_parser_of_all(
     monkeypatch.setattr(cli, "parse", lambda argv: None)
     seen.append(_run(capsys, argv))
     assert seen[0] == seen[1]
+
+
+# the pieces random argv are drawn from: command words, flags (an
+# abbreviation and a help flag among them), `--flag=value` forms and values,
+# valid and not
+_WORDS = ["periods", "monodromy", "gw", "polytope", "glsm", "transpose", "kahler",
+          "kontsevich", "syz", "classify", "quintic-counts", "k3", "quintic"]
+_FLAGS = ["--order", "--dmax", "--format", "--in", "--ord", "-h", "--order=5",
+          "--format=table", "--in=p.json", "--"]
+_VALUES = ["5", "12", "300", "301", "1000", "1001", "-5", " 7", "1_0", "\u0663", "0x10",
+           "", "0", "table", "structured", "json", "p.json", "-h", "--order", "9" * 30]
+
+
+def test_parse_agrees_with_the_full_parser_on_random_argv() -> None:
+    # every argv cli.parse accepts must parse to the same fields under argparse
+    rng = random.Random(20)
+    names = [name.split() for name, _, handler, _ in cli.COMMANDS if handler]
+    parser = cli.build_parser()
+    accepted = 0
+    for _ in range(20000):
+        argv = list(rng.choice(names)) if rng.random() < 0.9 else rng.sample(_WORDS, rng.randint(0, 2))
+        for _ in range(rng.randint(0, 3)):
+            argv += [rng.choice(_FLAGS), rng.choice(_VALUES)]
+        if rng.random() < 0.1:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(_WORDS + _FLAGS + _VALUES))
+        parsed = cli.parse(argv)
+        if parsed is not None:
+            accepted += 1
+            assert vars(parsed) == vars(parser.parse_args(argv)), argv
+    assert accepted > 1000
 
 
 @pytest.mark.parametrize(
