@@ -68,8 +68,8 @@ class CommandError(Exception):
 # `periods --order 1000` takes 0.85 to 0.9 s, `gw --order 300 --dmax 300` 8 to
 # 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
 # lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
-# Its 8.1 MB of output streamed, `periods --order 1000` peaks at 27 MB of RSS
-# (structured; 30 MB as a table), where printing one joined string took 43-45 MB.
+# Rendered as written, `periods --order 1000` (8.1 MB out) peaks at 22 MB of RSS
+# (26 MB as a table); built whole first it took 27 (30) MB, as one string 43-45 MB.
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
