@@ -307,8 +307,8 @@ def test_module_run_as_a_process_exits_with_the_code_of_main(capsys, tmp_path) -
     "argv, wanted",
     [
         (["periods", "--order", "1000"], 100),
-        (["periods", "--order", "1000", "--format", "structured"], 100),
         (["kontsevich"], 0),
+        (["periods", "--order", "1000", "--format", "structured"], 100),
     ],
 )
 def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(argv, wanted) -> None:
