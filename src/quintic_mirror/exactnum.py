@@ -148,10 +148,6 @@ class _Element:
         o = self._coerce(other)
         return NotImplemented if o is None else self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -236,13 +232,6 @@ class CyclotomicElement(_Element):
     def zeta(power: int = 1) -> "CyclotomicElement":
         """zeta_5^power, reduced into the power basis."""
         return CyclotomicElement.from_integers(_zeta_galois((0, 1, 0, 0), power), 1)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    @property
-    def rational_part(self) -> Fraction:
-        return Fraction(self.num[0], self.den)
 
     _product = staticmethod(_zeta_product)
 
@@ -500,17 +489,6 @@ class TruncatedSeries:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, tuple(-c for c in self.coeffs), self.shift)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.ring, other, self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self.ring.coerce(scalar)

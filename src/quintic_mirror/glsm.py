@@ -226,7 +226,8 @@ def invariant_coordinates(p: ExponentMatrix) -> list:
 
     These are the integer relations among the rows of P: each kernel
     vector m encodes the Laurent monomial prod_j c_j^(m_j) in the
-    coefficients.  Returned Hermite-reduced and sign-normalized.
+    coefficients.  Returned as :func:`canonical_kernel_basis` gives them:
+    the Smith kernel, sign-normalized vector by vector.
     """
     return [tuple(v) for v in canonical_kernel_basis([list(col) for col in zip(*p.rows)])]
 

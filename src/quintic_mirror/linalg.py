@@ -3,12 +3,12 @@
 Three layers live here, all exact:
 
 * one Gauss-Jordan elimination over a field descriptor, behind rank,
-  solve and inverse on plain lists of rational rows and behind rank, det
-  and inverse of :class:`SquareExactMatrix`,
+  solve and inverse on plain lists of rational rows and behind rank and
+  inverse of :class:`SquareExactMatrix`,
 * integer lattice routines: the product, dot product and Bareiss
   determinant of integer matrices, Smith normal form with its unimodular
-  column transform, Hermite row reduction, saturated kernel bases, and a
-  deterministic sign normalization for kernel generators,
+  column transform, saturated kernel bases, and a deterministic sign
+  normalization for kernel generators,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
   such as rank and inverse require a field).
@@ -317,43 +317,6 @@ def integer_left_kernel_basis(rows) -> list:
     return integer_kernel_basis(transpose)
 
 
-def hermite_rows(rows) -> list:
-    """Row-style Hermite reduction: echelon rows, positive pivots,
-    entries above each pivot reduced into [0, pivot)."""
-    b = [list(r) for r in integer_matrix(rows) if any(r)]
-    if not b:
-        return []
-    m, n = len(b), len(b[0])
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        while True:
-            nonzero = [i for i in range(r, m) if b[i][col] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: abs(b[i][col]))
-            b[r], b[i0] = b[i0], b[r]
-            if b[r][col] < 0:
-                b[r] = [-x for x in b[r]]
-            done = True
-            for i in range(r + 1, m):
-                if b[i][col] != 0:
-                    q = b[i][col] // b[r][col]
-                    b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-                    if b[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if b[r][col] != 0:
-            for i in range(r):
-                q = b[i][col] // b[r][col]
-                if q != 0:
-                    b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-            r += 1
-    return [row for row in b if any(row)]
-
-
 def canonical_sign(vec) -> tuple:
     """Pick between v and -v: fewer negative entries wins; on a tie the
     first nonzero entry is made positive."""
@@ -370,12 +333,10 @@ def canonical_sign(vec) -> tuple:
 
 
 def canonical_kernel_basis(rows) -> list:
-    """Deterministic kernel basis: Smith kernel, Hermite-reduced, then
-    sign-normalized row by row."""
-    basis = integer_kernel_basis(rows)
-    if not basis:
-        return []
-    return [canonical_sign(row) for row in hermite_rows(basis)]
+    """Deterministic kernel basis: the Smith kernel, sign-normalized row by
+    row.  A kernel of rank 1 has one primitive generator up to sign, so its
+    basis depends only on the kernel, not on how the rows are written."""
+    return [canonical_sign(row) for row in integer_kernel_basis(rows)]
 
 
 def unimodular_inverse(rows) -> tuple:
@@ -433,16 +394,6 @@ class SquareExactMatrix:
         if self.size != other.size:
             raise ValueError(f"sizes differ: {self.size} vs {other.size}")
 
-    def __add__(self, other: "SquareExactMatrix") -> "SquareExactMatrix":
-        self._check(other)
-        return SquareExactMatrix(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
-
     def __sub__(self, other: "SquareExactMatrix") -> "SquareExactMatrix":
         self._check(other)
         return SquareExactMatrix(
@@ -453,20 +404,7 @@ class SquareExactMatrix:
             ),
         )
 
-    def __neg__(self) -> "SquareExactMatrix":
-        return SquareExactMatrix(
-            self.field, tuple(tuple(-a for a in row) for row in self.rows)
-        )
-
-    def scale(self, scalar) -> "SquareExactMatrix":
-        s = self.field.coerce(scalar)
-        return SquareExactMatrix(
-            self.field, tuple(tuple(s * a for a in row) for row in self.rows)
-        )
-
     def __mul__(self, other: "SquareExactMatrix") -> "SquareExactMatrix":
-        if not isinstance(other, SquareExactMatrix):
-            return self.scale(other)
         self._check(other)
         out = []
         for row in self.rows:
@@ -480,14 +418,8 @@ class SquareExactMatrix:
             out.append((self.field.zero(),) * self.size if acc is None else tuple(acc))
         return SquareExactMatrix(self.field, tuple(out))
 
-    def __rmul__(self, scalar) -> "SquareExactMatrix":
-        return self.scale(scalar)
-
     def __pow__(self, k: int) -> "SquareExactMatrix":
         return power(self, k, SquareExactMatrix.identity(self.field, self.size))
-
-    def transpose(self) -> "SquareExactMatrix":
-        return SquareExactMatrix(self.field, tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return self == SquareExactMatrix.identity(self.field, self.size)
@@ -495,10 +427,6 @@ class SquareExactMatrix:
     def rank(self) -> int:
         """Rank by Gauss-Jordan elimination; the coefficient ring must be a field."""
         return len(gauss_jordan(self.field, self.rows, self.size)[1])
-
-    def det(self):
-        """Determinant by Gauss-Jordan elimination; the ring must be a field."""
-        return gauss_jordan(self.field, self.rows, self.size)[2]
 
     def inverse(self) -> "SquareExactMatrix":
         """Inverse by augmented elimination; the ring must be a field."""

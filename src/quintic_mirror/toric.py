@@ -112,13 +112,10 @@ class LatticePolytope:
 
     # -- coordinates in the affine hull --------------------------------
 
-    def _to_reduced(self, point) -> tuple | None:
+    def _to_reduced(self, point) -> tuple:
+        # a lattice point of the hull: the basis is saturated, so y is integral
         delta = tuple(x - b for x, b in zip(point, self._hull_base))
         y = solve_rational([list(col) for col in zip(*self._hull_basis)], delta)
-        if y is None:
-            return None
-        if any(v.denominator != 1 for v in y):
-            return None
         return tuple(v.numerator for v in y)
 
     def _from_reduced(self, y) -> tuple:
@@ -133,10 +130,6 @@ class LatticePolytope:
         return self._vertices
 
     @property
-    def ambient_dim(self) -> int:
-        return self._ambient
-
-    @property
     def dim(self) -> int:
         return self._dim
 
@@ -144,17 +137,6 @@ class LatticePolytope:
         if self._facets is None:
             raise ValueError("facet description needs a full-dimensional polytope")
         return self._facets
-
-    def contains(self, point) -> bool:
-        p = _lattice_point(point)
-        if len(p) != self._ambient:
-            raise ValueError("point has the wrong ambient dimension")
-        if self._dim == 0:
-            return p == self._vertices[0]
-        if self._dim == self._ambient:
-            return all(dot(f.normal, p) <= f.offset for f in self._facets)
-        y = self._to_reduced(p)
-        return y is not None and self._reduced.contains(y)
 
     def lattice_points(self) -> list:
         """All lattice points of the hull, in lexicographic order."""

@@ -250,10 +250,10 @@ def test_monodromy_gate_rejects_a_power_basis_matrix_not_conjugate_to_the_diagon
 ) -> None:
     genuine = picard_fuchs.monodromy_at_infinity_power_basis()
     m = genuine.matrix
-    bump = SquareExactMatrix.from_rows(
-        m.field, [[int(i == j == 0) for j in range(m.size)] for i in range(m.size)]
+    bumped = [[x + 1 if i == j == 0 else x for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    perturbed = picard_fuchs.MonodromyMatrix(
+        SquareExactMatrix.from_rows(m.field, bumped), genuine.basis_tag
     )
-    perturbed = picard_fuchs.MonodromyMatrix(m + bump, genuine.basis_tag)
     monkeypatch.setattr(
         cli.picard_fuchs, "monodromy_at_infinity_power_basis", lambda: perturbed
     )

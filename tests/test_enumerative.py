@@ -124,7 +124,7 @@ def test_coupling_by_inverse_matches_composition() -> None:
     # Y(z(q)) = 5 (1 - 3125 z(q))^-1 agrees with Y composed with z(q) at
     # every retained order, because z(q) = q + O(q^2).
     z_of_q = build_mirror_map(8).z_of_q
-    by_inverse = (1 - z_of_q.scale(3125)).inverse().scale(5)
+    by_inverse = (z_of_q.scale(3125).scale(-1) + 1).inverse().scale(5)
     by_composition = unnormalized_coupling(8).compose(z_of_q)
     assert by_inverse.truncate(8).coeffs == by_composition.coeffs
 

@@ -1,5 +1,6 @@
-"""Every public top-level function and class in the package has a caller,
-and every module-level import in the package, tests and tools is used.
+"""Every public top-level function and class in the package, and every
+public member of its classes, has a caller, and every module-level import
+in the package, tests and tools is used.
 
 A name counts as called when a chain of references reaches it from a
 root: the command line (the module-level code of the package modules,
@@ -8,10 +9,22 @@ which builds the command table), the acceptance gates in
 including the dotted names its ``layers.GROUPS`` table resolves.  A
 reference made only from inside a function or class that is itself
 unreached does not count, so a helper kept alive by dead code fails
-along with it.  References are matched by name, across modules, which
-can keep a name alive by a same-named reference elsewhere but never
-flags a name that is used.  ``__init__.py`` is not counted: the package
-exports no names, and callers import from the modules.
+along with it.
+
+Class members count as names of their own: a method, property,
+staticmethod or classmethod without a leading ``_`` must be reached, and
+each member's body is an edge from its name.  Dunders are reached along
+with their class, together with the class's bases, decorators and
+class-level statements.
+
+References are matched by name, across modules, which can keep a name
+alive by a same-named reference elsewhere but never flags a name that is
+used.  So the rule cannot see a dead operator dunder (``__neg__`` is
+called as ``-x``, never by name), nor a member whose name a local
+variable or another definition shadows (``scale``, ``det``,
+``transpose``, ``facets``); finding those takes a line trace of the
+program's traffic.  ``__init__.py`` is not counted: the package exports
+no names, and callers import from the modules.
 
 The sources are parsed with ``ast``; nothing is imported.
 """
@@ -59,6 +72,10 @@ def _group_names() -> set:
     raise AssertionError("perfbench/layers.py has no GROUPS table")
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _uncalled() -> list:
     roots = _group_names() | _names(_parse(_ROOT / "tests" / "test_acceptance.py"))
     for path in sorted((_ROOT / "perfbench").glob("*.py")):
@@ -69,12 +86,25 @@ def _uncalled() -> list:
         if path.name == "__init__.py":
             continue
         for node in _parse(path).body:
-            if isinstance(node, _DEFS):
-                edges.setdefault(node.name, set()).update(_names(node))
-                if not node.name.startswith("_"):
-                    public.append(f"{path.stem}.{node.name}")
-            else:
+            if not isinstance(node, _DEFS):
                 roots |= _names(node)
+                continue
+            if not node.name.startswith("_"):
+                public.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                edges.setdefault(node.name, set()).update(_names(node))
+                continue
+            # the class edge: bases, decorators, class-level statements, dunders
+            own = edges.setdefault(node.name, set())
+            for part in (*node.bases, *node.keywords, *node.decorator_list):
+                own |= _names(part)
+            for member in node.body:
+                if isinstance(member, _DEFS) and not _is_dunder(member.name):
+                    edges.setdefault(member.name, set()).update(_names(member))
+                    if not member.name.startswith("_"):
+                        public.append(f"{path.stem}.{node.name}.{member.name}")
+                else:
+                    own |= _names(member)
     reached = set()
     todo = list(roots)
     while todo:
@@ -82,7 +112,7 @@ def _uncalled() -> list:
         if name not in reached:
             reached.add(name)
             todo.extend(edges.get(name, ()))
-    return [q for q in public if q.partition(".")[2] not in reached]
+    return [q for q in public if q.rpartition(".")[2] not in reached]
 
 
 def test_every_public_name_has_a_caller() -> None:

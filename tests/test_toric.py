@@ -45,12 +45,11 @@ def _transform(poly: LatticePolytope, u: list) -> LatticePolytope:
 
 def test_fan_simplex_shape() -> None:
     p = projective_space_fan_polytope()
-    assert p.ambient_dim == 4
     assert p.dim == 4
     assert len(p.vertices) == 5
     assert len(p.facets()) == 5
-    assert p.contains((0, 0, 0, 0))
-    assert not p.contains((2, 0, 0, 0))
+    assert (0, 0, 0, 0) in p.lattice_points()
+    assert (2, 0, 0, 0) not in p.lattice_points()
 
 
 def test_newton_polytope_lattice_points() -> None:
@@ -67,13 +66,12 @@ def test_vertices_drop_interior_points() -> None:
 
 def test_lower_dimensional_polytopes() -> None:
     segment = LatticePolytope([(0, 0), (2, 0)])
-    assert segment.ambient_dim == 2
     assert segment.dim == 1
     assert len(segment.lattice_points()) == 3
     triangle = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert triangle.dim == 2
-    assert triangle.contains((0, 0, 0))
-    assert not triangle.contains((0, 0, 1))
+    assert (0, 0, 0) in triangle.lattice_points()
+    assert (0, 0, 1) not in triangle.lattice_points()
 
 
 # -- facet search against the Smith-kernel reference --------------------------
