@@ -13,15 +13,17 @@ value`` pairs straight from the rows, without argparse; any other argv
 goes to ``build_parser``'s argparse parser, which prints help and usage
 errors.  A handler computes and checks, then returns only the rendering
 that ``args.format`` asks for: any iterable of table lines, or the fields
-of the structured document, in which an array may be a generator.
-``main`` adds ``"schema"`` and ``"command"`` (the words joined by ``-``)
-to the document and writes the one rendering to stdout as it goes, a line
-or a ``json.dump`` chunk at a time (``_lazy`` lists each generator as json
-reaches it), so no command holds its rendered output: ``periods`` holds
-its Frobenius bundle and one component's strings.  When the reader
-closes the pipe early (``| head``), ``main`` stops writing and exits 0
-with nothing on stderr.  A process is start-up, imports, the handler and
-shutdown; as the entry (argv None), ``main`` freezes the heap for exit.
+of the structured document, which holds library values as they are.
+``_json`` is the one place a value's structured form is set; json calls
+it on each value it cannot write itself, as it reaches it.  ``main`` adds
+``"schema"`` and ``"command"`` (the words joined by ``-``) to the
+document and writes the one rendering to stdout as it goes, a line or a
+``json.dump`` chunk at a time, so no command holds its rendered output:
+``periods`` holds its Frobenius bundle and one component's strings.  When
+the reader closes the pipe early (``| head``), ``main`` stops writing and
+exits 0 with nothing on stderr.  A process is start-up, imports, the
+handler and shutdown; as the entry (argv None), ``main`` freezes the heap
+for exit.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -37,7 +39,8 @@ from itertools import chain
 from types import GeneratorType, SimpleNamespace
 
 from . import enumerative, glsm, kontsevich, picard_fuchs, syz, toric
-from .exactnum import CyclotomicElement, NilpotentElement, rational_str
+from .exactnum import CyclotomicElement, NilpotentElement, TruncatedSeries
+from .linalg import SquareExactMatrix
 
 SCHEMA = "quintic-mirror/1"
 
@@ -153,10 +156,6 @@ def _order_text(order) -> str:
     return "none" if order is None else str(order)
 
 
-def _lists(rows) -> list:
-    return [list(row) for row in rows]
-
-
 # -- input ------------------------------------------------------------------
 
 
@@ -265,7 +264,11 @@ def _cmd_monodromy(args):
         return lines
     return {
         "matrices": {
-            key: {"report": mono.to_json(), "order": order, "jordan_profile": list(profile)}
+            key: {
+                "report": {"version": 1, "basis": mono.basis_tag, "entries": mono.matrix},
+                "order": order,
+                "jordan_profile": profile,
+            }
             for key, _, mono, order, profile in reports
         }
     }
@@ -294,12 +297,9 @@ def _cmd_gw(args):
     return {
         "order": order,
         "d_max": args.dmax,
-        "mirror_map": {
-            "q_of_z": mirror.q_of_z.to_json(),
-            "z_of_q": mirror.z_of_q.to_json(),
-        },
-        "kappa": kappa.to_json(),
-        "instanton_numbers": table.to_json(),
+        "mirror_map": {"q_of_z": mirror.q_of_z, "z_of_q": mirror.z_of_q},
+        "kappa": kappa,
+        "instanton_numbers": {str(d): n for d, n in table.n.items()},
     }
 
 
@@ -338,12 +338,12 @@ def _cmd_polytope(args):
         return lines
     doc = {
         "source": _source(args),
-        "vertices": _lists(polytope.vertices),
+        "vertices": polytope.vertices,
         "dimension": polytope.dim,
         "reflexive": reflexive,
     }
     if reflexive:
-        doc["dual_vertices"] = _lists(dual.vertices)
+        doc["dual_vertices"] = dual.vertices
         doc["dual_lattice_point_count"] = count
         if builtin:
             doc["moduli_dimension"] = moduli
@@ -353,9 +353,9 @@ def _cmd_polytope(args):
 def _group_json(structure, generators) -> dict:
     return {
         "torus_rank": structure.torus_rank,
-        "torsion": list(structure.torsion),
+        "torsion": structure.torsion,
         "name": structure.describe(),
-        "generators": _lists(generators),
+        "generators": generators,
     }
 
 
@@ -384,14 +384,14 @@ def _cmd_glsm_transpose(args):
             *_block("mirror invariant coefficient monomials", invariants_hat or [[]]),
         ]
     return {
-        "P": p.to_json(),
-        "factorization": f.to_json(),
+        "P": p.rows,
+        "factorization": {"S": f.s_rows, "T": f.t_rows},
         "group": _group_json(structure, generators),
-        "mirror_P": p_hat.to_json(),
-        "mirror_factorization": f_hat.to_json(),
+        "mirror_P": p_hat.rows,
+        "mirror_factorization": {"S": f_hat.s_rows, "T": f_hat.t_rows},
         "mirror_group": _group_json(structure_hat, generators_hat),
-        "invariant_monomials": _lists(invariants),
-        "mirror_invariant_monomials": _lists(invariants_hat),
+        "invariant_monomials": invariants,
+        "mirror_invariant_monomials": invariants_hat,
     }
 
 
@@ -439,14 +439,14 @@ def _cmd_kontsevich(args):
             f"order of T*S: {_order_text(order)}",
         ]
     return {
-        "chern": {name: [rational_str(x) for x in c.coeffs] for name, c in chern.items()},
-        "euler_number": rational_str(euler),
-        "todd": [rational_str(x) for x in classes.todd.coeffs],
-        "twist": twist.to_json(),
-        "twist_jordan_profile": list(twist_profile),
-        "spherical": spherical.to_json(),
-        "spherical_jordan_profile": list(spherical_profile),
-        "product": product.to_json(),
+        "chern": chern,
+        "euler_number": euler,
+        "todd": classes.todd,
+        "twist": twist,
+        "twist_jordan_profile": twist_profile,
+        "spherical": spherical,
+        "spherical_jordan_profile": spherical_profile,
+        "product": product,
         "product_order": order,
     }
 
@@ -464,7 +464,7 @@ def _cmd_syz_classify(args):
             f"fixed-space profile: d1={profile[0]} d2={profile[1]}",
             f"vertex type: {kind}",
         ]
-    return {"profile": list(profile), "type": kind}
+    return {"profile": profile, "type": kind}
 
 
 def _cmd_syz_quintic_counts(args):
@@ -475,7 +475,7 @@ def _cmd_syz_quintic_counts(args):
             f"type (1,2) vertices: {summary.v12}",
             f"edges: {summary.edges}",
         ]
-    return {"summary": summary.to_json()}
+    return {"summary": {"v21": summary.v21, "v12": summary.v12, "edges": summary.edges}}
 
 
 def _cmd_syz_k3(args):
@@ -496,7 +496,7 @@ def _cmd_syz_k3(args):
         "source": _source(args),
         "multiplicity_sum": total,
         "semistable_euler_check": euler_ok,
-        "selfconjugacy_witness_k1": _lists(witness),
+        "selfconjugacy_witness_k1": witness,
     }
 
 
@@ -592,8 +592,18 @@ def build_parser():
     return parser
 
 
-def _lazy(value) -> list:
-    """json's default: a generator in the document is written as an array."""
+def _json(value):
+    """json's default, for the values it cannot write itself: a Fraction as
+    ``"num/den"``, a ring element as its coefficients, a shift-free series as
+    ``{"coefficients": ...}``, a matrix as its rows and a generator as an array."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (NilpotentElement, CyclotomicElement)):
+        return value.coeffs
+    if isinstance(value, TruncatedSeries) and not value.has_shift():
+        return {"coefficients": value.coeffs}
+    if isinstance(value, SquareExactMatrix):
+        return value.rows
     if isinstance(value, GeneratorType):
         return list(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -625,7 +635,7 @@ def main(argv=None) -> int:
         else:
             import json
             doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
-            json.dump(doc, out, indent=2, sort_keys=True, default=_lazy)
+            json.dump(doc, out, indent=2, sort_keys=True, default=_json)
             out.write("\n")
         out.flush()
     except CommandError as exc:

@@ -104,9 +104,6 @@ class InstantonTable:
     def degrees(self) -> tuple:
         return tuple(sorted(self.n))
 
-    def to_json(self) -> dict:
-        return {str(d): self.n[d] for d in self.degrees()}
-
 
 def extract_instantons(kappa: TruncatedSeries, d_max: int) -> InstantonTable:
     """Solve kappa = 5 + sum n_d d^3 q^d/(1 - q^d) for the n_d.

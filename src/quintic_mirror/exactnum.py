@@ -12,7 +12,7 @@ Elements of the last two share one base: integer numerators over one
 positive denominator in lowest terms, with sums, quotients and powers in
 common; each ring adds only its product of numerator tuples (a
 convolution truncated at a^N, or the 4x4 one folded by zeta^5 = 1) and
-its inverse.  The ring descriptors coerce and serialize.
+its inverse.  The ring descriptors coerce.
 
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with an optional symbolic exponent shift so that objects
@@ -20,8 +20,8 @@ like x^s * (sum of c_n x^n) can be manipulated without ever leaving exact
 arithmetic.  Series products and inverses run over QQ only, through one
 kernel each (:func:`series_product`, :func:`series_inverse`) on integer
 numerators over one denominator.  Series over the other rings are
-containers (the Frobenius bundle, the operator residual): they add, scale
-and serialize, and their products, exp and reversion raise
+containers (the Frobenius bundle, the operator residual): they add and
+scale, and their products, exp and reversion raise
 :class:`RingMismatchError`.  No floats here.
 """
 
@@ -63,12 +63,6 @@ def power(x, k: int, one):
             result = result * x
         k >>= 1
     return result
-
-
-def rational_str(q) -> str:
-    """Serialize a rational as ``"num/den"`` with den > 0; zero is ``"0/1"``."""
-    q = _as_fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 @frozen
@@ -336,25 +330,19 @@ class RationalField(_Ring):
             return _as_fraction(value)
         raise RingMismatchError(f"cannot coerce {value!r} into QQ")
 
-    def element_to_json(self, x):
-        return rational_str(x)
-
     def __str__(self) -> str:
         return "QQ"
 
 
 class _ElementRing(_Ring):
-    """Coercion and serialization for a ring of :class:`_Element`s; the
-    descriptor's ``_zero`` gives the element that coerces."""
+    """Coercion for a ring of :class:`_Element`s; the descriptor's ``_zero``
+    gives the element that coerces."""
 
     def coerce(self, value):
         x = self._zero()._coerce(value)
         if x is None:
             raise RingMismatchError(f"cannot coerce {value!r} into {self}")
         return x
-
-    def element_to_json(self, x):
-        return [rational_str(c) for c in x.coeffs]
 
 
 @frozen
@@ -498,13 +486,11 @@ class TruncatedSeries:
         """Product over QQ by :func:`series_product`, truncated at the smaller
         order; shifts add."""
         if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
+            return NotImplemented
         self._check_qq(other)
         n = min(self.order, other.order)
         out = series_product(self.coeffs, other.coeffs, n)
         return TruncatedSeries(QQ, out, self.shift + other.shift)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         return power(self, k, TruncatedSeries.one(self.ring, self.order))
@@ -519,7 +505,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self.scale(1 / self.ring.coerce(other))
+            return NotImplemented
         return self * other.inverse()
 
     # -- exponent bookkeeping -----------------------------------------
@@ -630,12 +616,3 @@ class TruncatedSeries:
                     out.append(Fraction(dot, m * power_den * num_den))
         series = tuple(TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in composed)
         return series if outer else series[0]
-
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Structured form: coefficients (and shift) rendered as num/den strings."""
-        doc = {"coefficients": [self.ring.element_to_json(c) for c in self.coeffs]}
-        if self.has_shift():
-            doc["shift"] = self.ring.element_to_json(self.shift)
-        return doc

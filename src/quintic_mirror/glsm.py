@@ -64,9 +64,6 @@ class ExponentMatrix:
     def transpose(self) -> "ExponentMatrix":
         return ExponentMatrix(tuple(zip(*self.rows)))
 
-    def to_json(self) -> list:
-        return [list(r) for r in self.rows]
-
 
 @frozen
 class ChargeFactorization:
@@ -109,9 +106,6 @@ class ChargeFactorization:
 
     def product(self) -> tuple:
         return integer_matmul(self.s_rows, self.t_rows)
-
-    def to_json(self) -> dict:
-        return {"S": [list(r) for r in self.s_rows], "T": [list(r) for r in self.t_rows]}
 
 
 @frozen

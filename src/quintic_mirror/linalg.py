@@ -438,6 +438,3 @@ class SquareExactMatrix:
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         return SquareExactMatrix(self.field, tuple(tuple(r[n:]) for r in reduced))
-
-    def to_json(self) -> list:
-        return [[self.field.element_to_json(x) for x in row] for row in self.rows]

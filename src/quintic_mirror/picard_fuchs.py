@@ -168,13 +168,6 @@ class MonodromyMatrix:
     matrix: SquareExactMatrix
     basis_tag: str
 
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "basis": self.basis_tag,
-            "entries": self.matrix.to_json(),
-        }
-
 
 def monodromy_at_zero() -> MonodromyMatrix:
     """Monodromy around z = 0 in the basis 1, L, L^2, L^3 (L = log branch step).

@@ -165,9 +165,6 @@ class FibrationGraphSummary:
     v12: int
     edges: int
 
-    def to_json(self) -> dict:
-        return {"v21": self.v21, "v12": self.v12, "edges": self.edges}
-
 
 def quintic_graph_counts(
     two_face_triangle_counts: list,

@@ -11,12 +11,13 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 
 from quintic_mirror import cli, enumerative, picard_fuchs
 from quintic_mirror.enumerative import IntegralityError
-from quintic_mirror.exactnum import TruncatedSeries
+from quintic_mirror.exactnum import QQ, CyclotomicElement, NilpotentElement, TruncatedSeries
 from quintic_mirror.linalg import SquareExactMatrix
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,6 +115,14 @@ def test_monodromy_orders(capsys) -> None:
     assert matrices["at_zero"]["jordan_profile"] == [3, 2, 1, 0]
     assert matrices["at_infinity"]["order"] == 5
     assert matrices["at_infinity_power_basis"]["order"] == 5
+
+
+def test_monodromy_json_carries_basis_tag(capsys) -> None:
+    code, out, err = _run(capsys, ["monodromy", "--format", "structured"])
+    report = json.loads(out)["matrices"]["at_zero"]["report"]
+    assert report["version"] == 1
+    assert report["basis"] == "lambda-power-basis-at-zero"
+    assert report["entries"][0][0] == "1/1"
 
 
 def test_kontsevich_reports_order_five(capsys) -> None:
@@ -376,10 +385,50 @@ def test_output_is_byte_deterministic(capsys, argv) -> None:
     assert first[0] == 0
 
 
-def test_lazy_writes_a_generator_as_an_array_and_refuses_other_iterables() -> None:
-    assert json.dumps({"x": (str(k) for k in range(3))}, default=cli._lazy) == '{"x": ["0", "1", "2"]}'
-    with pytest.raises(TypeError, match="set is not JSON serializable"):
-        json.dumps({"x": {1, 2}}, default=cli._lazy)
+def test_json_renders_each_library_kind_and_refuses_the_rest() -> None:
+    doc = {
+        "rationals": [Fraction(3, 4), Fraction(-6, 8), Fraction(0), Fraction(7)],
+        "nilpotent": NilpotentElement([1, Fraction(-1, 2)]),
+        "cyclotomic": CyclotomicElement([0, Fraction(-1, 3), 0, 2]),
+        "series": TruncatedSeries.from_coefficients(QQ, [1, Fraction(1, 2)]),
+        "matrix": SquareExactMatrix.identity(QQ, 2),
+        "generator": (str(k) for k in range(3)),
+    }
+    assert json.loads(json.dumps(doc, default=cli._json)) == {
+        "rationals": ["3/4", "-3/4", "0/1", "7/1"],
+        "nilpotent": ["1/1", "-1/2"],
+        "cyclotomic": ["0/1", "-1/3", "0/1", "2/1"],
+        "series": {"coefficients": ["1/1", "1/2"]},
+        "matrix": [["1/1", "0/1"], ["0/1", "1/1"]],
+        "generator": ["0", "1", "2"],
+    }
+    shifted = TruncatedSeries.from_coefficients(QQ, [1], shift=Fraction(2, 5))
+    for value, kind in (({1, 2}, "set"), (shifted, "TruncatedSeries")):
+        with pytest.raises(TypeError, match=f"{kind} is not JSON serializable"):
+            json.dumps({"x": value}, default=cli._json)
+
+
+def test_every_kind_json_renders_reaches_it_from_a_command(capsys, monkeypatch, tmp_path) -> None:
+    # each branch of cli._json has a command behind it, and no command hands it
+    # a value of any other type
+    path = _write_json(tmp_path, "vertex.json", {"monodromies": _SHEAR_TRIPLE})
+    seen = set()
+
+    def recording(value, render=cli._json):
+        seen.add(type(value))
+        return render(value)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    for name, _, handler, options in cli.COMMANDS:
+        if handler:
+            argv = [*name.split(), "--format", "structured"]
+            if cli._REQUIRED_IN in options:
+                argv += ["--in", path]
+            assert _run(capsys, argv)[0] == 0, name
+    assert seen == {
+        Fraction, NilpotentElement, CyclotomicElement, TruncatedSeries, SquareExactMatrix,
+        GeneratorType,
+    }
 
 
 def test_structured_output_has_sorted_keys(capsys) -> None:

@@ -234,10 +234,3 @@ def test_power_basis_conjugate_keeps_order_and_trace() -> None:
     for i in range(1, 4):
         trace = trace + m.entry(i, i)
     assert trace == CyclotomicElement.constant(-1)
-
-
-def test_monodromy_json_carries_basis_tag() -> None:
-    doc = monodromy_at_zero().to_json()
-    assert doc["version"] == 1
-    assert doc["basis"] == "lambda-power-basis-at-zero"
-    assert doc["entries"][0][0] == "1/1"

@@ -1,6 +1,7 @@
 """Every public top-level function and class in the package, and every
 public member of its classes, has a caller, and every module-level import
-in the package, tests and tools is used.
+in the package, tests and tools is used; and the package's sources stay
+within their tracked size.
 
 A name counts as called when a chain of references reaches it from a
 root: the command line (the module-level code of the package modules,
@@ -142,3 +143,12 @@ def _unused_imports(path: Path) -> list:
 def test_every_module_level_import_is_used() -> None:
     paths = [*_PACKAGE.glob("*.py"), *(_ROOT / "tests").glob("*.py"), *(_ROOT / "tools").glob("*.py")]
     assert [line for path in sorted(paths) for line in _unused_imports(path)] == []
+
+
+# the package's tracked size: physical lines of its modules, as `wc -l` counts them
+MAX_SOURCE_LINES = 3300
+
+
+def test_package_sources_stay_within_their_line_budget() -> None:
+    lines = sum(path.read_bytes().count(b"\n") for path in _PACKAGE.glob("*.py"))
+    assert lines <= MAX_SOURCE_LINES

@@ -192,11 +192,6 @@ def test_graph_counts_guards() -> None:
         quintic_graph_counts([1], [1], [], [])
 
 
-def test_graph_counts_json() -> None:
-    doc = quintic_fibration_summary().to_json()
-    assert doc == {"v21": 250, "v12": 50, "edges": 450}
-
-
 # -- K3 and two-dimensional checks ------------------------------------------
 
 
