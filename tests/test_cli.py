@@ -385,27 +385,23 @@ def test_output_is_byte_deterministic(capsys, argv) -> None:
     assert first[0] == 0
 
 
+def test_lazy_writes_a_generator_as_an_array_and_refuses_other_iterables() -> None:
+    assert json.dumps({"x": (str(k) for k in range(3))}, default=cli._json) == '{"x": ["0", "1", "2"]}'
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"x": {1, 2}}, default=cli._json)
+
+
 def test_json_renders_each_library_kind_and_refuses_the_rest() -> None:
     doc = {
-        "rationals": [Fraction(3, 4), Fraction(-6, 8), Fraction(0), Fraction(7)],
         "nilpotent": NilpotentElement([1, Fraction(-1, 2)]),
         "cyclotomic": CyclotomicElement([0, Fraction(-1, 3), 0, 2]),
-        "series": TruncatedSeries.from_coefficients(QQ, [1, Fraction(1, 2)]),
         "matrix": SquareExactMatrix.identity(QQ, 2),
-        "generator": (str(k) for k in range(3)),
     }
     assert json.loads(json.dumps(doc, default=cli._json)) == {
-        "rationals": ["3/4", "-3/4", "0/1", "7/1"],
         "nilpotent": ["1/1", "-1/2"],
         "cyclotomic": ["0/1", "-1/3", "0/1", "2/1"],
-        "series": {"coefficients": ["1/1", "1/2"]},
         "matrix": [["1/1", "0/1"], ["0/1", "1/1"]],
-        "generator": ["0", "1", "2"],
     }
-    shifted = TruncatedSeries.from_coefficients(QQ, [1], shift=Fraction(2, 5))
-    for value, kind in (({1, 2}, "set"), (shifted, "TruncatedSeries")):
-        with pytest.raises(TypeError, match=f"{kind} is not JSON serializable"):
-            json.dumps({"x": value}, default=cli._json)
 
 
 def test_every_kind_json_renders_reaches_it_from_a_command(capsys, monkeypatch, tmp_path) -> None:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from quintic_mirror import cli
 from quintic_mirror.exactnum import (
     QQ,
     ZETA5_FIELD,
@@ -27,6 +29,12 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 
 # -- rationals ---------------------------------------------------------------
+
+
+def test_rational_str_normalizes() -> None:
+    # the CLI's json default writes a rational in lowest terms as "num/den"
+    rendered = [Fraction(3, 4), Fraction(-6, 8), Fraction(0), Fraction(7)]
+    assert json.loads(json.dumps(rendered, default=cli._json)) == ["3/4", "-3/4", "0/1", "7/1"]
 
 
 def test_power_multiplies_by_one_only_for_k_zero() -> None:
@@ -425,6 +433,17 @@ def test_series_over_nilpotent_ring() -> None:
     for scaled in (lambda: s * 2, lambda: 2 * s, lambda: s / 2):
         with pytest.raises(TypeError):
             scaled()
+
+
+def test_series_json_shape() -> None:
+    # a shift-free series renders as its coefficients; a shifted one, which no
+    # document holds, is refused
+    plain = TruncatedSeries.from_coefficients(QQ, [1, Fraction(1, 2)])
+    doc = json.loads(json.dumps(plain, default=cli._json))
+    assert doc == {"coefficients": ["1/1", "1/2"]}
+    shifted = TruncatedSeries.from_coefficients(QQ, [1], shift=Fraction(2, 5))
+    with pytest.raises(TypeError, match="TruncatedSeries is not JSON serializable"):
+        json.dumps(shifted, default=cli._json)
 
 
 # -- Lagrange reversion and the integer QQ product ---------------------------

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from quintic_mirror import cli
 from quintic_mirror.kontsevich import chern_from_adjunction, euler_number
 from quintic_mirror.linalg import integer_kernel_basis, rational_rank
 from quintic_mirror.syz import (
@@ -190,6 +192,15 @@ def test_graph_counts_guards() -> None:
         quintic_graph_counts([1], [], [], [])
     with pytest.raises(ValueError):
         quintic_graph_counts([1], [1], [], [])
+
+
+def test_graph_counts_json(capsys) -> None:
+    # the summary's document is the one the syz quintic-counts command writes
+    summary = quintic_fibration_summary()
+    assert cli.main(["syz", "quintic-counts", "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)["summary"]
+    assert doc == {"v21": summary.v21, "v12": summary.v12, "edges": summary.edges}
+    assert doc == {"v21": 250, "v12": 50, "edges": 450}
 
 
 # -- K3 and two-dimensional checks ------------------------------------------
