@@ -12,14 +12,16 @@ handler and options.  ``parse`` reads a command's words and ``--flag
 value`` pairs straight from the rows, without argparse; any other argv
 goes to ``build_parser``'s argparse parser, which prints help and usage
 errors.  A handler computes and checks, then returns only the rendering
-that ``args.format`` asks for: any iterable of table lines, or the fields
-of the structured document, which holds library values as they are.
-``_json`` is the one place a value's structured form is set; json calls
+that ``args.format`` asks for: any iterable of table lines, each a string
+or an iterable of its parts, or the fields of the structured document,
+which holds library values as they are.  ``_dump`` writes the document as
+indented JSON with sorted keys, without the json module, and ``_json`` is
+the one place a library value's structured form is set; the writer calls
 it on each value it cannot write itself, as it reaches it.  ``main`` adds
 ``"schema"`` and ``"command"`` (the words joined by ``-``) to the
-document and writes the one rendering to stdout as it goes, a line or a
-``json.dump`` chunk at a time, so no command holds its rendered output:
-``periods`` holds its Frobenius bundle and one component's strings.  When
+document and writes the one rendering to stdout as it goes, a line's part
+or a writer's chunk at a time, so no command holds its rendered output:
+``periods`` holds its Frobenius bundle and one coefficient string.  When
 the reader closes the pipe early (``| head``), ``main`` stops writing and
 exits 0 with nothing on stderr.  A process is start-up, imports, the
 handler and shutdown; as the entry (argv None), ``main`` freezes the heap
@@ -71,8 +73,9 @@ class CommandError(Exception):
 # `periods --order 1000` takes 0.85 to 0.9 s, `gw --order 300 --dmax 300` 8 to
 # 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
 # lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
-# Rendered as written, `periods --order 1000` (8.1 MB out) peaks at 22 MB of RSS
-# (26 MB as a table); built whole first it took 27 (30) MB, as one string 43-45 MB.
+# Rendered as written, one coefficient at a time, `periods --order 1000` (8.1 MB
+# out) peaks at 19 MB of RSS in both formats; one component's strings at a time it
+# took 22 (26 as a table), built whole first 27 (30), as one string 43-45 MB.
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
@@ -222,10 +225,11 @@ def _cmd_periods(args):
             g = math.gcd(num := c.num[k], c.den)
             yield str(num // g) if table and c.den == g else f"{num // g}/{c.den // g}"
 
-    # rendered as written: one component's strings at a time, after the gate above
+    # rendered as written, one coefficient string at a time, after the gate above;
+    # a table line is its label and then its coefficients, each after a space
     if table:
         heading = f"period solutions at z = 0, truncated past z^{args.order}"
-        lines = (" ".join([f"phi{k}:", *texts(k)]) for k in range(4))
+        lines = (chain([f"phi{k}:"], (" " + t for t in texts(k))) for k in range(4))
         return chain([heading], lines, ["operator residual vanishes: yes"])
     components = {f"phi{k}": {"coefficients": texts(k)} for k in range(4)}
     return {"order": args.order, "components": components, "operator_residual_zero": True}
@@ -593,9 +597,10 @@ def build_parser():
 
 
 def _json(value):
-    """json's default, for the values it cannot write itself: a Fraction as
-    ``"num/den"``, a ring element as its coefficients, a shift-free series as
-    ``{"coefficients": ...}``, a matrix as its rows and a generator as an array."""
+    """The structured form of a library value, for the values ``_dump`` cannot
+    write itself: a Fraction as ``"num/den"``, a ring element as its
+    coefficients, a shift-free series as ``{"coefficients": ...}`` and a matrix
+    as its rows.  It is also a valid ``default`` for ``json.dump``."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (NilpotentElement, CyclotomicElement)):
@@ -604,9 +609,38 @@ def _json(value):
         return {"coefficients": value.coeffs}
     if isinstance(value, SquareExactMatrix):
         return value.rows
-    if isinstance(value, GeneratorType):
-        return list(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dump(value, write, pad: str) -> None:
+    """Write value as ``json.dump(value, indent=2, sort_keys=True,
+    default=_json)`` would, byte for byte, with pad the newline and indent of
+    its own level: a generator is written item by item as it yields, and json
+    is imported only for a string that needs escapes."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            write(f'"{value}"')
+        else:
+            import json
+            write(json.dumps(value))
+    elif value is None or isinstance(value, bool):
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple, GeneratorType)):
+        opening, closing = "{}" if isinstance(value, dict) else "[]"
+        inner, empty = pad + "  ", True
+        for item in sorted(value.items()) if opening == "{" else value:
+            write(opening + inner if empty else "," + inner)
+            empty = False
+            if opening == "{":
+                _dump(item[0], write, inner)
+                write(": ")
+                item = item[1]
+            _dump(item, write, inner)
+        write(opening + closing if empty else pad + closing)
+    else:
+        _dump(_json(value), write, pad)
 
 
 def main(argv=None) -> int:
@@ -629,13 +663,12 @@ def main(argv=None) -> int:
         rendering = args.handler(args)
         out = sys.stdout
         if args.format == "table":
-            for line in rendering:
-                out.write(line)
+            for line in rendering:  # a string, or an iterable of its parts
+                for part in [line] if isinstance(line, str) else line:
+                    out.write(part)
                 out.write("\n")
         else:
-            import json
-            doc = {"schema": SCHEMA, "command": args.command_name, **rendering}
-            json.dump(doc, out, indent=2, sort_keys=True, default=_json)
+            _dump({"schema": SCHEMA, "command": args.command_name, **rendering}, out.write, "\n")
             out.write("\n")
         out.flush()
     except CommandError as exc:

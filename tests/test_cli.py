@@ -385,10 +385,95 @@ def test_output_is_byte_deterministic(capsys, argv) -> None:
     assert first[0] == 0
 
 
+def _dumped(value) -> str:
+    parts = []
+    cli._dump(value, parts.append, "\n")
+    return "".join(parts)
+
+
+def _listed(value):
+    """value with every generator in it replaced by the list of its items."""
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, GeneratorType)):
+        return [_listed(item) for item in value]
+    return value
+
+
+def _json_text(value) -> str:
+    return json.dumps(_listed(value), indent=2, sort_keys=True, default=cli._json)
+
+
 def test_lazy_writes_a_generator_as_an_array_and_refuses_other_iterables() -> None:
-    assert json.dumps({"x": (str(k) for k in range(3))}, default=cli._json) == '{"x": ["0", "1", "2"]}'
+    parts = []
+
+    def items():  # notes how much was written before each item is made
+        for k in range(3):
+            made.append(len("".join(parts)))
+            yield str(k)
+
+    made = []
+    cli._dump({"x": items()}, parts.append, "\n")
+    assert "".join(parts) == '{\n  "x": [\n    "0",\n    "1",\n    "2"\n  ]\n}'
+    # each item is written before the next one is made
+    assert made == [len('{\n  "x": '), len('{\n  "x": [\n    "0"'), len('{\n  "x": [\n    "0",\n    "1"')]
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        json.dumps({"x": {1, 2}}, default=cli._json)
+        cli._dump({"x": {1, 2}}, parts.append, "\n")
+
+
+def test_dump_writes_what_json_writes_for_every_command_document(tmp_path) -> None:
+    # the built-in inputs and one --in file per input command, the last one in
+    # a directory whose name needs escapes (a non-ASCII letter, a quote and a
+    # backslash), so the writer's json fallback runs on its "source"
+    odd = tmp_path / 'dir \u00fc "q" \\b'
+    odd.mkdir()
+    files = {
+        "polytope": _write_json(tmp_path, "points.json", {"points": _CUBE_POINTS}),
+        "glsm kahler": _write_json(tmp_path, "radii.json", {"magnitudes": [0.5, 2.0], "charges": [[1, 0], [0, 1]]}),
+        "syz classify": _write_json(tmp_path, "vertex.json", {"monodromies": _SHEAR_TRIPLE}),
+        "syz k3": _write_json(odd, "k3.json", {"multiplicities": [2] * 12}),
+    }
+    argvs = [[*name.split(), "--format", "structured"] for name, _, handler, options in cli.COMMANDS
+             if handler and cli._REQUIRED_IN not in options]
+    argvs += [[*name.split(), "--format", "structured", "--in", path] for name, path in files.items()]
+
+    def document(argv):
+        args = cli.parse(argv)
+        return {"schema": cli.SCHEMA, "command": args.command_name, **args.handler(args)}
+
+    for argv in argvs:
+        assert _dumped(document(argv)) == _json_text(document(argv)), argv
+    assert '\\u00fc \\"q\\" \\\\b' in _dumped(document(argvs[-1]))
+
+
+def _random_text(rng) -> str:
+    # printable ASCII with quotes and backslashes, control characters, DEL,
+    # non-ASCII and astral characters, and a lone surrogate
+    alphabet = ["a", "Z", "~", " ", "/", '"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9", "\u2028",
+                "\U0001f600", "\ud800"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def _random_document(rng, depth: int = 0):
+    kind = rng.randrange(7 if depth < 4 else 3)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**63, -(10**40) - 3, rng.randrange(-(10**300), 10**300)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    items = [_random_document(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 5]))]
+    if kind == 3:
+        return {_random_text(rng): item for item in items}
+    return [list, tuple, lambda xs: (x for x in xs)][kind - 4](items)
+
+
+def test_dump_writes_what_json_writes_for_random_documents() -> None:
+    # the same document is drawn twice from its seed: once as the writer gets
+    # it, once for json, which lists each generator first
+    for seed in range(200):
+        document = _random_document(random.Random(seed))
+        assert _dumped(document) == _json_text(_random_document(random.Random(seed))), seed
 
 
 def test_json_renders_each_library_kind_and_refuses_the_rest() -> None:
@@ -408,23 +493,29 @@ def test_every_kind_json_renders_reaches_it_from_a_command(capsys, monkeypatch, 
     # each branch of cli._json has a command behind it, and no command hands it
     # a value of any other type
     path = _write_json(tmp_path, "vertex.json", {"monodromies": _SHEAR_TRIPLE})
-    seen = set()
+    # a value; generators are not among them, since the writer, cli._dump,
+    # writes those itself: it gets the periods coefficient arrays unlisted
+    seen, written = set(), {}
 
     def recording(value, render=cli._json):
         seen.add(type(value))
         return render(value)
 
+    def writing(value, write, pad, dump=cli._dump):
+        written[name].add(type(value))
+        return dump(value, write, pad)
+
     monkeypatch.setattr(cli, "_json", recording)
+    monkeypatch.setattr(cli, "_dump", writing)
     for name, _, handler, options in cli.COMMANDS:
         if handler:
+            written[name] = set()
             argv = [*name.split(), "--format", "structured"]
             if cli._REQUIRED_IN in options:
                 argv += ["--in", path]
             assert _run(capsys, argv)[0] == 0, name
-    assert seen == {
-        Fraction, NilpotentElement, CyclotomicElement, TruncatedSeries, SquareExactMatrix,
-        GeneratorType,
-    }
+    assert seen == {Fraction, NilpotentElement, CyclotomicElement, TruncatedSeries, SquareExactMatrix}
+    assert GeneratorType in written["periods"]
 
 
 def test_structured_output_has_sorted_keys(capsys) -> None:
@@ -732,10 +823,10 @@ class _CountingSink:
     "argv", [["periods", "--order", "400", "--format", "structured"], ["periods", "--order", "300"]]
 )
 def test_periods_holds_its_output_about_once(monkeypatch, argv) -> None:
-    # main writes each line, or json.dump's chunks, as it goes, so the traced
-    # peak is the bundle, the coefficient strings and one line: 1.7 to 2.0
-    # times the output.  Holding the joined text and its encoded bytes beside
-    # the strings would take it past 3.
+    # main writes each line's parts, or the writer's chunks, as it goes, so the
+    # traced peak is the bundle and one coefficient string: 0.7 to 0.8 times
+    # the output.  Holding the joined text and its encoded bytes beside the
+    # strings would take it past 3.
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -750,14 +841,16 @@ def test_periods_holds_its_output_about_once(monkeypatch, argv) -> None:
 
 @pytest.mark.parametrize(
     "argv, bound",
-    [(["periods", "--order", "400", "--format", "structured"], 2.0), (["periods", "--order", "300"], 2.75)],
+    [(["periods", "--order", "400", "--format", "structured"], 1.4), (["periods", "--order", "300"], 1.4)],
 )
 def test_periods_holds_the_bundle_and_one_coefficient_array(monkeypatch, argv, bound) -> None:
-    # _cmd_periods renders each component's strings only as main writes them,
-    # so the traced peak is the Frobenius bundle, one component's strings (and,
-    # as a table, its joined line) and json's chunks: about 1.7 times the
-    # bundle structured and 2.5 times as a table at these orders.  Rendering
-    # all four components before the first write takes it to 2.8 and 3.2.
+    # _cmd_periods renders each coefficient string only as main writes it, and
+    # main writes a table line in its parts, so the traced peak is the Frobenius
+    # bundle and one coefficient string: about 1.2 times the bundle in both
+    # renderings at these orders.  Holding one component's strings (json.dump
+    # lists a generator before writing it) took it to 1.7, a joined table line
+    # to 2.5, and rendering all four components before the first write to 2.8
+    # and 3.2.
     tracemalloc.start()
     try:
         bundle = picard_fuchs.frobenius_at_zero(int(argv[2]))
@@ -990,7 +1083,11 @@ def test_parse_agrees_with_the_full_parser_on_random_argv() -> None:
 
 @pytest.mark.parametrize(
     "argv, absent",
-    [(["kontsevich"], ["argparse", "gettext", "json"]), (["gw", "--format", "structured"], ["argparse"])],
+    [
+        (["kontsevich"], ["argparse", "gettext", "json"]),
+        (["gw", "--format", "structured"], ["argparse", "gettext", "json"]),
+        (["periods", "--format", "structured"], ["argparse", "gettext", "json"]),
+    ],
 )
 def test_commands_import_argparse_and_json_only_when_needed(argv, absent) -> None:
     # argparse (which loads gettext) and json add milliseconds to every process
