@@ -405,14 +405,13 @@ def _json_text(value) -> str:
 
 
 def test_lazy_writes_a_generator_as_an_array_and_refuses_other_iterables() -> None:
-    parts = []
+    parts, made = [], []
 
     def items():  # notes how much was written before each item is made
         for k in range(3):
             made.append(len("".join(parts)))
             yield str(k)
 
-    made = []
     cli._dump({"x": items()}, parts.append, "\n")
     assert "".join(parts) == '{\n  "x": [\n    "0",\n    "1",\n    "2"\n  ]\n}'
     # each item is written before the next one is made
