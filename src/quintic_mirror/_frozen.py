@@ -1,15 +1,19 @@
 """``@frozen``: immutable value records, without ``dataclasses``.
 
-The fields are the class's own annotations, in order, and a class
-attribute of the same name is a field's default.  The methods are
-closures over the field names, so nothing is generated or compiled at
-import.  A method the class defines itself is kept.
+The fields are the class's own annotations, in order, and a plain class
+attribute of the same name is a field's default (a slot's member
+descriptor is not).  The methods are closures over the field names, so
+nothing is generated or compiled at import.  A method the class defines
+itself is kept.
 """
+
+from types import MemberDescriptorType
 
 
 def frozen(cls):
     names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    defaults = {name: value for name, value in cls.__dict__.items()
+                if name in names and not isinstance(value, MemberDescriptorType)}
     post_init = getattr(cls, "__post_init__", None)
     title = cls.__qualname__
 

@@ -74,8 +74,8 @@ class CommandError(Exception):
 # 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
 # lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
 # Rendered as written, one coefficient at a time, `periods --order 1000` (8.1 MB
-# out) peaks at 19 MB of RSS in both formats; one component's strings at a time it
-# took 22 (26 as a table), built whole first 27 (30), as one string 43-45 MB.
+# out) peaks at 18.5 MB of RSS in both formats (15.0 at order 400); one component's
+# strings at a time took 22 (26 as a table), built whole 27 (30), one string 43-45.
 MAX_ORDER = 1000
 MAX_GW_ORDER = 300
 
@@ -420,7 +420,7 @@ def _cmd_kontsevich(args):
     chern = {"c1": classes.c1, "c2": classes.c2, "c3": classes.c3}
     euler = kontsevich.euler_number(classes)
     twist = kontsevich.quintic_twist()
-    spherical = kontsevich.quintic_spherical()
+    spherical = kontsevich.spherical_matrix(classes.todd)
     product = twist * spherical
     order = kontsevich.matrix_order(product, 10)
     if order != 5:

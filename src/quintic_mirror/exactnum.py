@@ -8,11 +8,11 @@ Everything here is exact.  Three coefficient rings are provided:
 * the cyclotomic field QQ(zeta_5), used for monodromy eigenvalues, in the
   power basis 1, zeta, zeta^2, zeta^3.
 
-Elements of the last two share one base: integer numerators over one
-positive denominator in lowest terms, with sums, quotients and powers in
-common; each ring adds only its product of numerator tuples (a
-convolution truncated at a^N, or the 4x4 one folded by zeta^5 = 1) and
-its inverse.  The ring descriptors coerce.
+Elements of the last two share one slotted base (no ``__dict__``):
+integer numerators over one positive denominator in lowest terms, with
+sums, quotients and powers in common; each ring adds only its product of
+numerator tuples (a convolution truncated at a^N, or the 4x4 one folded
+by zeta^5 = 1) and its inverse.  The ring descriptors coerce.
 
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with an optional symbolic exponent shift so that objects
@@ -73,16 +73,22 @@ class _Element:
     and hashes.  ``Class(coeffs)`` takes rationals and ``coeffs`` gives
     them back as Fractions; :meth:`from_integers` is the canonical
     constructor on ints.  A subclass supplies its constructors,
-    ``_product`` of two numerator tuples and ``inverse``.
+    ``_product`` of two numerator tuples and ``inverse``.  Elements are
+    slotted: the two fields and no ``__dict__``.
     """
 
+    __slots__ = ("num", "den")
     num: tuple
     den: int
 
     def __init__(self, coeffs: Sequence):
         # over the lcm of reduced denominators, gcd(den, *num) is already 1
         num, den = integer_form([_as_fraction(c) for c in coeffs])
-        self.__dict__.update(num=tuple(num), den=den)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    def __reduce__(self):
+        return self.from_integers, (self.num, self.den)
 
     @classmethod
     def from_integers(cls, num: Sequence[int], den: int):
@@ -93,7 +99,8 @@ class _Element:
         if g != 1:
             num, den = [n // g for n in num], den // g
         x = object.__new__(cls)
-        x.__dict__.update(num=tuple(num), den=den)
+        object.__setattr__(x, "num", tuple(num))
+        object.__setattr__(x, "den", den)
         return x
 
     @classmethod
@@ -169,6 +176,8 @@ class NilpotentElement(_Element):
     its product is :func:`int_convolve` and its inverse :func:`series_inverse`.
     """
 
+    __slots__ = ()
+
     @staticmethod
     def constant(value, degree: int) -> "NilpotentElement":
         return NilpotentElement._constant(value, degree)
@@ -212,6 +221,8 @@ def _zeta_galois(num: Sequence[int], k: int) -> tuple:
 
 class CyclotomicElement(_Element):
     """An element of QQ(zeta_5) in the power basis 1, zeta, zeta^2, zeta^3."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence):
         if len(coeffs) != 4:

@@ -80,6 +80,7 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
     QQ[a]/(a^N), with QQ as the case N = 1.  Each p_j(shift + m), scaled to
     integer numerators, is expanded once as a polynomial in m (see
     :func:`_at`), so each n costs Horner steps and one convolution per term.
+    A vanishing coefficient is the ring's one shared zero element.
     """
     shift, shift_den = series.shift.num, series.shift.den
     top, width = len(shift) - 1, max(map(len, op.terms))
@@ -94,7 +95,7 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
             value = int_convolve(value, x, len(x) - 1)
             value[0] += c * shift_den**i
         expanded.append((value, p_den * shift_den ** (len(p) - 1)))
-    out = []
+    out, zero = [], series.ring.zero()
     for n in range(series.order + 1):
         terms = []
         for j, (value, p_den) in enumerate(expanded[: n + 1]):
@@ -102,7 +103,7 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
             terms.append((int_convolve(_at(value, width, n - j), a.num, top), p_den * a.den))
         den = math.lcm(*(d for _, d in terms))
         acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
-        out.append(NilpotentElement.from_integers(acc, den))
+        out.append(NilpotentElement.from_integers(acc, den) if any(acc) else zero)
     return TruncatedSeries(series.ring, tuple(out), series.shift)
 
 

@@ -93,6 +93,69 @@ def test_one_pair_gives_each_side_its_single_value() -> None:
     assert cpu["change_wins"] == 1
 
 
+def _pairs(parent: list, change: list) -> list:
+    return [{"parent": _line(True, 0, p), "change": _line(True, 0, c)} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # 10 of 10 lower, gap 0.2 against a parent spread of 0.05
+        ([1.0, 1.02, 1.04, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.05], [0.8] * 10, "gain"),
+        # 9 lower and a tie still count as 9 of 10
+        ([1.0] * 10, [0.8] * 9 + [1.0], "gain"),
+        # 8 of 10 is no gain
+        ([1.0] * 10, [0.8] * 8 + [1.0, 1.2], "unchanged"),
+        # lower in every pair, but by less than the parent's spread
+        ([1.0] * 5 + [1.02] * 5, [0.995] * 5 + [1.015] * 5, "unchanged"),
+        # a median 30 % above the parent's, past the 25 % bound of cpu_s
+        ([1.0] * 10, [1.3] * 10, "regression"),
+        ([1.0] * 10, [1.2] * 10, "unchanged"),
+        # the parent's runs spread over 0.8 of its median, wider than the bound
+        ([0.6, 1.4] * 5, [1.4, 0.6] * 5, "unresolved"),
+        # as wide, but every change run is below every parent run
+        ([1.0] * 5 + [2.0] * 5, [0.99] * 10, "unchanged"),
+    ],
+    ids=["gain", "gain-with-a-tie", "eight-wins", "within-spread", "regression", "within-bound",
+         "unresolved", "every-run-lower"],
+)
+def test_paired_file_gives_each_end_to_end_metric_a_verdict(parent, change, expected) -> None:
+    assert bench_record.BOUNDS["cpu_s"] == 0.25
+    doc = bench_record.paired_document(
+        _pairs(parent, change), shas={"parent": "aaa", "change": "bbb"},
+        python="3.11.7", nproc=2, seed=1, seconds=20.0,
+    )
+    assert doc["metrics"]["gw-deep.cpu_s"]["verdict"] == expected
+
+
+def test_record_prints_its_gains_and_regressions(monkeypatch, tmp_path, capsys) -> None:
+    # peak_rss_mb falls past its spread, cpu_s rises past its bound, and the
+    # per-layer count gets no verdict
+    def perfbench(checkout, seed, seconds):
+        change = checkout == bench_record.ROOT
+        return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "periods-deep.peak_rss_mb": {"value": (15.2 if change else 15.5) + seed / 1000, "unit": "MB"},
+            "periods-deep.cpu_s": {"value": 0.5 if change else 0.3, "unit": "s"},
+            "periods-deep.setup_s": {"value": 0.1, "unit": "s"},
+            "periods-deep.picard_fuchs.residual_ms": {"value": 1.0 if change else 9.0, "unit": "ms"},
+        }})
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path / "change")
+    monkeypatch.setattr(bench_record, "_perfbench", perfbench)
+    monkeypatch.setattr(bench_record, "_sha", lambda checkout: checkout.name)
+    (tmp_path / "change").mkdir()
+    code = bench_record.main(["--number", "0", "--parent", str(tmp_path / "parent"), "--pairs", "10"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "gain: periods-deep.peak_rss_mb 15.5055 -> 15.2055 MB, lower in 10 of 10 pairs",
+        "regression: periods-deep.cpu_s 0.3 -> 0.5 s, lower in 0 of 10 pairs",
+    ]
+    metrics = json.loads((tmp_path / "change" / "BENCH_0.json").read_text(encoding="utf-8"))["metrics"]
+    assert metrics["periods-deep.setup_s"]["verdict"] == "unchanged"
+    assert "verdict" not in metrics["periods-deep.picard_fuchs.residual_ms"]
+
+
 _ROOT = _TOOL.parent.parent
 _BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 _END_TO_END = [f"{workload['name']}.{metric['name']}"
@@ -112,5 +175,6 @@ def test_committed_bench_file_is_whole_and_correct(path) -> None:
         for key in _END_TO_END:
             entry = doc["metrics"][key]
             assert isinstance(entry[side]["median"] if side else entry["value"], float), key
+            assert entry.get("verdict", "unchanged") in ("gain", "regression", "unresolved", "unchanged")
     if "pairs" in doc:
         assert all(run["failed"] == 0 for run in doc["runs"])

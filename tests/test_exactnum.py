@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -290,6 +292,22 @@ def test_cyclotomic_element_keeps_its_rational_api() -> None:
         CyclotomicElement((1.5, 0, 0, 0))
     with pytest.raises(AttributeError):
         x.den = 1
+
+
+@pytest.mark.parametrize(
+    "x", [NilpotentElement((Fraction(1, 2), 0, 3, Fraction(-2, 7))), CyclotomicElement((1, 0, Fraction(5, 3), 0))]
+)
+def test_ring_elements_are_slotted_and_frozen(x) -> None:
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.num = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        del x.num
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    for copied in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(copied) is type(x)
+        assert (copied.num, copied.den) == (x.num, x.den)
 
 
 # -- truncated series --------------------------------------------------------

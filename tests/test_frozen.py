@@ -94,3 +94,22 @@ def test_methods_the_class_defines_are_kept() -> None:
 
     assert repr(Interval(1, 2)) == "[1, 2]"
     assert Interval(1) == Interval(lo=1, hi=0)
+
+
+def test_a_slot_is_no_default() -> None:
+    # a slotted record's class dict holds a member descriptor under each field name
+    @frozen
+    class Pair:
+        __slots__ = ("left", "right")
+        left: int
+        right: int
+
+    pair = Pair(1, right=2)
+    assert (pair.left, pair.right) == (1, 2)
+    assert not hasattr(pair, "__dict__")
+    with pytest.raises(TypeError):
+        Pair(1)
+    with pytest.raises(TypeError):
+        Pair(right=2)
+    with pytest.raises(AttributeError):
+        pair.left = 3

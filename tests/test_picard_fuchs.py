@@ -85,6 +85,19 @@ def test_residual_is_alpha4_mod_alpha5() -> None:
         assert residual.coefficient(n).is_zero()
 
 
+def test_a_vanishing_residual_coefficient_is_the_rings_one_zero() -> None:
+    ring = NilpotentRing()
+    residual = apply_operator(PeriodOperator.quintic(), frobenius_at_zero(50).series)
+    assert len(residual.coeffs) == 51
+    assert len({id(c) for c in residual.coeffs}) == 1
+    assert residual.coeffs[0] == ring.zero()
+    bundle5 = frobenius_at_zero(50, modulus_degree=5)
+    residual5 = apply_operator(PeriodOperator.quintic(), bundle5.series)
+    assert residual5.coeffs[0] == bundle5.ring.generator() ** 4
+    assert len({id(c) for c in residual5.coeffs[1:]}) == 1
+    assert residual5.coeffs[1] == bundle5.ring.zero()
+
+
 def _frobenius_oracle(order: int, degree: int) -> list:
     """A_n(a) mod a^degree in closed form, with no recurrence in n.
 

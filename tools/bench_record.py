@@ -15,7 +15,9 @@ runs first, and writes each side's SHA and totals, each run's
 ``attempted`` and ``failed``, and per metric each side's median and
 quartiles and the number of pairs the change won.  Every end-to-end
 metric is lower-is-better (``BENCHMARK.json``); a tie counts for neither
-side.  Stdlib only; it writes nothing under ``perfbench/``.
+side.  Each end-to-end metric also gets a ``verdict`` (see :func:`verdict`),
+and the gains and regressions are printed.  Stdlib only; it reads
+``BENCHMARK.json`` for the bounds and writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# end-to-end metric name -> the relative bound a regression must exceed
+BOUNDS = {metric["name"]: metric["bound"] for metric in
+          json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def _result(stdout: str) -> dict:
@@ -61,6 +66,27 @@ def _spread(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(parent: list, change: list, bound: float) -> str:
+    """One lower-is-better metric over pairs of runs, ``parent[i]`` against ``change[i]``.
+
+    ``gain``: the change won at least 9 of 10 pairs (a tie counts for
+    neither) and its median is below the parent's by more than the parent's
+    q3 - q1.  ``regression``: the change's median is above the parent's by
+    more than ``bound`` of it.  ``unresolved``: the parent's q3 - q1 is wider
+    than ``bound`` of its median, unless every change run is below every
+    parent run.  Otherwise ``unchanged``.
+    """
+    p, c = _spread(parent), _spread(change)
+    wins = sum(y < x for x, y in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]:
+        return "gain"
+    if c["median"] > p["median"] * (1 + bound):
+        return "regression"
+    if p["q3"] - p["q1"] > bound * p["median"] and max(change) >= min(parent):
+        return "unresolved"
+    return "unchanged"
+
+
 def paired_document(pairs: list, *, shas: dict, python: str, nproc: int, seed: int,
                     seconds: float) -> dict:
     """The BENCH record of alternating parent/change runs: ``pairs[i]`` maps
@@ -80,6 +106,9 @@ def paired_document(pairs: list, *, shas: dict, python: str, nproc: int, seed: i
             **{side: _spread(values[side]) for side in SIDES},
             "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
         }
+        bound = BOUNDS.get(key.split(".", 1)[1])
+        if bound is not None:
+            metrics[key]["verdict"] = verdict(values["parent"], values["change"], bound)
     return {
         "python": python,
         "nproc": nproc,
@@ -157,6 +186,11 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.number}.json"
     write_bench(out, doc)
     print(f"{out.name}: {summary}")
+    for key, entry in doc["metrics"].items():
+        if entry.get("verdict") in ("gain", "regression"):
+            print(f"{entry['verdict']}: {key} {entry['parent']['median']:.6g} -> "
+                  f"{entry['change']['median']:.6g} {entry['unit']}, "
+                  f"lower in {entry['change_wins']} of {doc['pairs']} pairs")
     return 0
 
 
