@@ -295,7 +295,8 @@ def test_cyclotomic_element_keeps_its_rational_api() -> None:
 
 
 @pytest.mark.parametrize(
-    "x", [NilpotentElement((Fraction(1, 2), 0, 3, Fraction(-2, 7))), CyclotomicElement((1, 0, Fraction(5, 3), 0))]
+    "x",
+    [NilpotentElement((Fraction(1, 2), 0, 3, Fraction(-2, 7))), CyclotomicElement((1, 0, Fraction(5, 3), 0))],
 )
 def test_ring_elements_are_slotted_and_frozen(x) -> None:
     assert not hasattr(x, "__dict__")
