@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from ._frozen import frozen
 from .linalg import (
     canonical_kernel_basis,
+    canonical_sign,
     integer_matmul,
     integer_matrix,
     rational_rank,
@@ -173,8 +174,9 @@ def group_from_charges(t_rows) -> tuple:
     Returns the group structure together with integer charge vectors
     generating the torus part.  The structure falls out of the Smith
     form U T V = D: the cokernel-side divisors > 1 give the torsion, the
-    zero columns give the torus rank, and the integer kernel of T gives
-    the generators.
+    zero columns give the torus rank, and the columns of V over them,
+    sign-normalized as :func:`canonical_kernel_basis` does, give the
+    generators.
     """
     t = integer_matrix(t_rows)
     if not t:
@@ -185,7 +187,7 @@ def group_from_charges(t_rows) -> tuple:
     rank = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
     structure = AbelianGroupStructure(torus_rank=n - rank, torsion=torsion)
-    generators = canonical_kernel_basis(t)
+    generators = [canonical_sign(v) for v in snf.kernel]
     return structure, generators
 
 

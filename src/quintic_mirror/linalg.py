@@ -2,9 +2,9 @@
 
 Three layers live here, all exact:
 
-* one Gauss-Jordan elimination over a field descriptor, behind rank,
-  solve and inverse on plain lists of rational rows and behind rank and
-  inverse of :class:`SquareExactMatrix`,
+* one Gauss-Jordan elimination over a field descriptor, behind rank and
+  inverse on plain lists of rational rows and behind rank and inverse of
+  :class:`SquareExactMatrix`,
 * integer lattice routines: the product, dot product and Bareiss
   determinant of integer matrices, Smith normal form with its unimodular
   column transform, saturated kernel bases, and a deterministic sign
@@ -79,28 +79,6 @@ def rational_rank(rows) -> int:
     """Rank of a rectangular matrix with rational entries."""
     a = _fraction_rows(rows)
     return len(gauss_jordan(QQ, a, len(a[0]))[1]) if a else 0
-
-
-def solve_rational(rows, rhs) -> tuple | None:
-    """One rational solution of A x = b with free variables set to zero.
-
-    Returns None when the system is inconsistent.  The free-variable
-    convention makes the answer deterministic.
-    """
-    a = _fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("right-hand side length does not match row count")
-    if not a:
-        return tuple()
-    n = len(a[0])
-    reduced, pivots, _ = gauss_jordan(QQ, [r + [y] for r, y in zip(a, b)], n)
-    if any(row[n] != 0 for row in reduced[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(reduced, pivots):
-        x[col] = row[n]
-    return tuple(x)
 
 
 def rational_inverse(rows) -> tuple:
@@ -205,6 +183,13 @@ class SmithDecomposition:
                 out.append(self.d[i][i])
         return tuple(out)
 
+    @property
+    def kernel(self) -> list:
+        """The columns of V at zero diagonal entries of D: a basis of
+        {x : A x = 0} over the integers, saturated because V is unimodular."""
+        return [col for j, col in enumerate(zip(*self.v))
+                if j >= len(self.d) or self.d[j][j] == 0]
+
 
 def smith_normal_form(rows) -> SmithDecomposition:
     """Smith normal form over the integers with the column transform V.
@@ -291,23 +276,9 @@ def smith_normal_form(rows) -> SmithDecomposition:
 
 
 def integer_kernel_basis(rows) -> list:
-    """Basis of {x : A x = 0} over the integers (a saturated sublattice).
-
-    Columns of the Smith V matrix that hit zero diagonal entries form the
-    basis; V being unimodular makes it primitive.
-    """
-    a = integer_matrix(rows)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return []
-    snf = smith_normal_form(a)
-    basis = []
-    for j in range(n):
-        diag = snf.d[j][j] if j < m else 0
-        if diag == 0:
-            basis.append(tuple(snf.v[i][j] for i in range(n)))
-    return basis
+    """Basis of {x : A x = 0} over the integers (a saturated sublattice):
+    the kernel columns of the Smith form."""
+    return smith_normal_form(rows).kernel
 
 
 def integer_left_kernel_basis(rows) -> list:

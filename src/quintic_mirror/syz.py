@@ -15,7 +15,8 @@ blocks directly.
 The quintic vertex and edge counts (250, 50, 450) are not stored: they
 are recomputed from the face lattice of the degree-5 simplex pair by a
 bilinear counting rule (unit triangles in a 2-face times the lattice
-length of its dual edge, summed both ways round).
+length of its dual edge, summed both ways round), each count a gcd of
+coordinates or of 2x2 minors.
 
 A K3-sized warm-up is included: the Euler-number check sum(k_i) = 24 for
 semistable elliptic fibers, and the exact SL(2, Z) conjugacy between a
@@ -34,7 +35,6 @@ from .linalg import (
     integer_matmul,
     integer_matrix,
     rational_rank,
-    smith_normal_form,
     unimodular_inverse,
 )
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
@@ -192,26 +192,26 @@ def quintic_graph_counts(
 
 
 def _triangle_count(points) -> int:
-    """Number of unit lattice triangles in the triangle spanned by 3 points."""
+    """Number of unit lattice triangles in the triangle spanned by 3 points:
+    the gcd of the 2x2 minors of its edge vectors, which is the product of
+    their two Smith divisors."""
     a, b, c = points
-    rows = [
-        tuple(x - y for x, y in zip(b, a)),
-        tuple(x - y for x, y in zip(c, a)),
-    ]
-    divisors = smith_normal_form(rows).divisors
-    if len(divisors) != 2:
+    u = [x - y for x, y in zip(b, a)]
+    v = [x - y for x, y in zip(c, a)]
+    count = gcd(*(u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(len(a)), 2)))
+    if count == 0:
         raise ValueError("points do not span a 2-face")
-    return divisors[0] * divisors[1]
+    return count
 
 
 def _lattice_length(points) -> int:
+    """Number of lattice steps along an edge: the gcd of its coordinate
+    differences."""
     a, b = points
-    g = 0
-    for x, y in zip(a, b):
-        g = gcd(g, abs(x - y))
-    if g == 0:
+    length = gcd(*(x - y for x, y in zip(a, b)))
+    if length == 0:
         raise ValueError("edge endpoints coincide")
-    return g
+    return length
 
 
 def quintic_face_data() -> tuple:

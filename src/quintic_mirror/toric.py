@@ -10,10 +10,12 @@ the two that vanishes at the point.  Ridges are read from bitmasks of the
 points on each facet, so a hull costs about points times facets.  Lattice
 points are listed fibre by fibre, each coordinate's range taken from the
 facets of the projection onto the coordinates so far, at about the cost
-of the projections' lattice points.  Lower-dimensional polytopes are
-reduced to full dimension inside their affine hull.  The polar dual uses
-the inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the
-primal side becomes the dual vertex -n/c.
+of the projections' lattice points.  A lower-dimensional polytope is
+projected onto the pivot coordinates of its affine hull, which is
+one-to-one there: its vertices are the preimages of the projection's,
+and its lattice points the integral lifts of the projection's.  The
+polar dual uses the inequality <x, y> >= -1, so a facet <n, x> <= c
+with c > 0 on the primal side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -32,7 +34,7 @@ from .linalg import (
     integer_det,
     integer_kernel_basis,
     integer_matrix,
-    solve_rational,
+    rational_inverse,
 )
 
 LatticePoint = tuple
@@ -86,42 +88,29 @@ class LatticePolytope:
             raise ValueError("a point needs at least one coordinate")
         self._ambient = ambient
         base = pts[0]
-        affine = _affine_basis(pts)
-        self._dim = len(affine) - 1
-
+        affine, pivots = _affine_basis(pts)
+        self._dim = len(pivots)
         self._facets: tuple | None = None
-        self._reduced: LatticePolytope | None = None
-        self._hull_base = base
-        self._hull_basis: tuple | None = None
+        self._lift: tuple | None = None
 
         if self._dim == 0:
             self._vertices = (base,)
         elif self._dim == ambient:
             self._vertices, self._facets = _full_dim_hull(pts, ambient)
         else:
-            # Work inside the affine hull: a saturated basis of the
-            # direction lattice gives integer coordinates for every
-            # lattice point of the hull, reducing to the full-dim case.
-            normals = integer_kernel_basis([[x - b for x, b in zip(p, base)] for p in affine[1:]])
-            basis = integer_kernel_basis(normals)
-            self._hull_basis = tuple(basis)
-            reduced_pts = [self._to_reduced(p) for p in pts]
-            self._reduced = LatticePolytope(reduced_pts)
-            back = {self._to_reduced(p): p for p in pts}
-            self._vertices = tuple(sorted(back[q] for q in self._reduced.vertices))
-
-    # -- coordinates in the affine hull --------------------------------
-
-    def _to_reduced(self, point) -> tuple:
-        # a lattice point of the hull: the basis is saturated, so y is integral
-        delta = tuple(x - b for x, b in zip(point, self._hull_base))
-        y = solve_rational([list(col) for col in zip(*self._hull_basis)], delta)
-        return tuple(v.numerator for v in y)
-
-    def _from_reduced(self, y) -> tuple:
-        return tuple(
-            b + dot(col, y) for b, col in zip(self._hull_base, zip(*self._hull_basis))
-        )
+            # projecting onto the pivot coordinates is one-to-one on the
+            # affine hull; a point y of the projection lifts to
+            # base + (y - base's pivots) B^-1 D, where D holds the
+            # differences from base and B is their block on the pivots
+            back = {tuple(p[k] for k in pivots): p for p in pts}
+            projection = LatticePolytope(back)
+            self._vertices = tuple(sorted(back[q] for q in projection.vertices))
+            rows = [[x - b for x, b in zip(p, base)] for p in affine[1:]]
+            inverse = rational_inverse([[r[k] for k in pivots] for r in rows])
+            columns = [tuple(dot(row, col) for row in inverse) for col in zip(*rows)]
+            start = [base[k] for k in pivots]
+            offset = [b - dot(start, col) for b, col in zip(base, columns)]
+            self._lift = projection, offset, columns
 
     # -- basic queries -------------------------------------------------
 
@@ -142,7 +131,7 @@ class LatticePolytope:
         """All lattice points of the hull, in lexicographic order."""
         if self._dim == 0:
             return [self._vertices[0]]
-        if self._dim == self._ambient:
+        if self._lift is None:
             # fibre by fibre: each prefix (x_1..x_k) is a lattice point of
             # the projection to the first k coordinates, and the facets of
             # the next projection that involve x_(k+1) bound its range
@@ -157,7 +146,11 @@ class LatticePolytope:
                     max(-((c - dot(n, q)) // m) for n, c, m in lower),
                     min((c - dot(n, q)) // m for n, c, m in upper) + 1)]
             return points
-        return sorted(self._from_reduced(y) for y in self._reduced.lattice_points())
+        projection, offset, columns = self._lift
+        lifts = ([c + dot(y, col) for c, col in zip(offset, columns)]
+                 for y in projection.lattice_points())
+        return sorted(tuple(c.numerator for c in x) for x in lifts
+                      if all(c.denominator == 1 for c in x))
 
     # -- polarity ------------------------------------------------------
 
@@ -222,9 +215,12 @@ def _hyperplane_normal(points, inside) -> tuple:
     return tuple(m // g for m in minors), dot(minors, points[0]) // g
 
 
-def _affine_basis(points) -> list:
+def _affine_basis(points) -> tuple:
     """points[0] and each later point whose difference from it is independent
-    of those taken before (fraction-free elimination): dim + 1 points."""
+    of those taken before (fraction-free elimination): dim + 1 points, and
+    the pivot coordinate of each difference.  Each reduced difference
+    vanishes at the pivots before its own, so the differences' block on the
+    pivots is invertible."""
     base = points[0]
     basis, reduced = [base], []
     for p in points[1:]:
@@ -237,7 +233,7 @@ def _affine_basis(points) -> list:
             basis.append(p)
             if len(basis) > len(base):
                 break
-    return basis
+    return basis, [k for k, _ in reduced]
 
 
 def _extreme(points, functional) -> tuple:
@@ -262,7 +258,7 @@ def _full_dim_hull(points, ambient: int) -> tuple:
             break
         seed.add(_extreme(points, normals[0]))
         seed.add(_extreme(points, [-n for n in normals[0]]))
-    inserted = [points.index(p) for p in _affine_basis(sorted(seed))]
+    inserted = [points.index(p) for p in _affine_basis(sorted(seed))[0]]
     facets = [
         (*_hyperplane_normal([points[i] for i in inserted if i != j], points[j]),
          sum(1 << i for i in inserted if i != j))

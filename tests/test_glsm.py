@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from quintic_mirror import cli, glsm, linalg
 from quintic_mirror.glsm import (
     AbelianGroupStructure,
     ChargeFactorization,
@@ -17,7 +18,7 @@ from quintic_mirror.glsm import (
     transpose_mirror,
     verify_factorization,
 )
-from quintic_mirror.linalg import smith_normal_form
+from quintic_mirror.linalg import canonical_kernel_basis, smith_normal_form
 
 
 def _random_unimodular(rng: random.Random, n: int, steps: int = 8) -> list:
@@ -91,6 +92,35 @@ def test_mirror_torsion_matches_smith_divisors() -> None:
     f_hat = transpose_mirror(ExponentMatrix.quintic(), ChargeFactorization.quintic())[1]
     divisors = smith_normal_form(f_hat.t_rows).divisors
     assert divisors == (1, 1, 5, 5, 5)
+
+
+def test_one_smith_form_per_charge_matrix(monkeypatch, capsys) -> None:
+    # group_from_charges reads the torsion, the torus rank and the
+    # generators off one decomposition of T; `glsm transpose` takes one per
+    # charge matrix (T and its mirror) and one per exponent matrix (the
+    # invariant coordinates of P and of its transpose)
+    calls = []
+    smith = linalg.smith_normal_form
+
+    def counted(rows):
+        calls.append(rows)
+        return smith(rows)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(glsm, "smith_normal_form", counted)
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        t = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        calls.clear()
+        structure, generators = group_from_charges(t)
+        assert len(calls) == 1
+        assert generators == canonical_kernel_basis(t)
+        assert structure.torus_rank == len(generators)
+    calls.clear()
+    assert cli.main(["glsm", "transpose"]) == 0
+    assert "U(1) x (Z_5)^3" in capsys.readouterr().out
+    assert len(calls) == 4
 
 
 def test_group_description_spellings() -> None:

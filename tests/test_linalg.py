@@ -22,7 +22,6 @@ from quintic_mirror.linalg import (
     rational_inverse,
     rational_rank,
     smith_normal_form,
-    solve_rational,
     unimodular_inverse,
 )
 
@@ -50,12 +49,6 @@ def test_rational_rank_cases() -> None:
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[1, 0], [0, 1]]) == 2
     assert rational_rank([[0, 0]]) == 0
-
-
-def test_solve_rational_unique_and_inconsistent() -> None:
-    sol = solve_rational([[2, 0], [0, 4]], [1, 1])
-    assert sol == (Fraction(1, 2), Fraction(1, 4))
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_rational_inverse_round_trip() -> None:
@@ -99,17 +92,6 @@ def test_gauss_jordan_properties(field, seed: int = 31) -> None:
                     ma.inverse()
             else:
                 assert (ma * ma.inverse()).is_identity()
-            if field != QQ:
-                continue
-            # a consistent right-hand side b = A x and a random one
-            x = [entry() for _ in range(n)]
-            for rhs in ([dot(row, x) for row in a], [entry() for _ in range(n)]):
-                sol = solve_rational(a, rhs)
-                augmented = [row + [c] for row, c in zip(a, rhs)]
-                if rational_rank(augmented) > rational_rank(a):
-                    assert sol is None
-                else:
-                    assert [dot(row, sol) for row in a] == rhs
 
 
 def test_integer_det_matches_field_det(seed: int = 5) -> None:

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from quintic_mirror import cli
+from quintic_mirror import cli, syz
 from quintic_mirror.kontsevich import chern_from_adjunction, euler_number
-from quintic_mirror.linalg import integer_kernel_basis, rational_rank
+from quintic_mirror.linalg import integer_kernel_basis, rational_rank, smith_normal_form
 from quintic_mirror.syz import (
     VERTEX_TYPE_12,
     VERTEX_TYPE_21,
@@ -184,6 +184,39 @@ def test_quintic_summary_matches_euler_number() -> None:
     assert (summary.v21, summary.v12, summary.edges) == (250, 50, 450)
     chi = euler_number(chern_from_adjunction())
     assert summary.v21 - summary.v12 == -chi
+
+
+def test_face_counts_are_the_smith_divisor_products(seed: int = 26) -> None:
+    # The unit triangles of the triangle a, a + u, a + v number the gcd of
+    # the 2x2 minors of (u, v), which is d_1 d_2 of its Smith form, and the
+    # lattice steps of the edge a, a + u number the gcd of u, its d_1.  Every
+    # fifth v is a multiple of u and every fiftieth u is zero, so the rank
+    # drops to 1 or 0 and both routines must refuse.
+    rng = random.Random(seed)
+    degenerate = 0
+    for trial in range(1000):
+        d = 2 + trial % 4
+        u = [0] * d if trial % 50 == 0 else [rng.randint(-6, 6) for _ in range(d)]
+        if trial % 5 == 0:
+            k = rng.randint(-2, 2)
+            v = [k * x for x in u]
+        else:
+            v = [rng.randint(-6, 6) for _ in range(d)]
+        a = [rng.randint(-9, 9) for _ in range(d)]
+        b, c = ([x + y for x, y in zip(a, w)] for w in (u, v))
+        divisors = smith_normal_form([u, v]).divisors
+        if len(divisors) < 2:
+            degenerate += 1
+            with pytest.raises(ValueError, match="^points do not span a 2-face$"):
+                syz._triangle_count((a, b, c))
+        else:
+            assert syz._triangle_count((a, b, c)) == divisors[0] * divisors[1]
+        if any(u):
+            assert syz._lattice_length((a, b)) == smith_normal_form([u]).divisors[0]
+        else:
+            with pytest.raises(ValueError, match="^edge endpoints coincide$"):
+                syz._lattice_length((a, b))
+    assert degenerate >= 200
 
 
 def test_graph_counts_guards() -> None:

@@ -177,6 +177,48 @@ def test_hull_and_lattice_points_match_brute_force_on_small_boxes(ambient) -> No
         compared += 1
 
 
+# -- lower-dimensional hulls off the coordinate planes -----------------------
+
+
+def _full_dimensional_cloud(rng: random.Random, k: int) -> list:
+    while True:
+        points = sorted({tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(k + 4)})
+        if rational_rank([[x - b for x, b in zip(p, points[0])] for p in points[1:]]) == k:
+            return points
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4, 5])
+def test_lower_dimensional_hulls_are_images_of_full_dimensional_ones(ambient) -> None:
+    # The image of a full-dimensional Q in Z^k under y -> b + y U[:k], with
+    # U in GL(n, Z), has as vertices and lattice points the images of Q's:
+    # the map is one-to-one onto the lattice points of its affine hull.  The
+    # hull projects the image onto its pivot coordinates; where that
+    # projection is not unimodular, some of its lattice points lift to
+    # non-integral points, which must be dropped.
+    rng = random.Random(ambient)
+    for k in range(1, ambient):
+        dropped = 0
+        for _ in range(10):
+            q = _full_dimensional_cloud(rng, k)
+            facets = _reference_facets(q, k)
+            columns = list(zip(*_random_unimodular(rng, ambient, steps=24)[:k]))
+            b = [rng.randint(-9, 9) for _ in range(ambient)]
+
+            def move(points):
+                return sorted(tuple(c + _dot(y, col) for c, col in zip(b, columns)) for y in points)
+
+            image = move(q)
+            rng.shuffle(image)
+            poly = LatticePolytope(image)
+            assert poly.dim == k
+            assert poly.vertices == tuple(move(_reference_vertices(q, facets, k)))
+            assert poly.lattice_points() == move(_box_scan(q, facets))
+            pivots = toric._affine_basis(sorted(image))[1]
+            projection = LatticePolytope([tuple(p[i] for i in pivots) for p in image])
+            dropped += len(projection.lattice_points()) > len(poly.lattice_points())
+        assert dropped >= 3
+
+
 # -- hull from the vertices: dense inputs ------------------------------------
 
 
