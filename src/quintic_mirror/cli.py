@@ -599,13 +599,13 @@ def build_parser():
 def _json(value):
     """The structured form of a library value, for the values ``_dump`` cannot
     write itself: a Fraction as ``"num/den"``, a ring element as its
-    coefficients, a shift-free series as ``{"coefficients": ...}`` and a matrix
-    as its rows.  It is also a valid ``default`` for ``json.dump``."""
+    coefficients, a series as ``{"coefficients": ...}`` and a matrix as its
+    rows.  It is also a valid ``default`` for ``json.dump``."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (NilpotentElement, CyclotomicElement)):
         return value.coeffs
-    if isinstance(value, TruncatedSeries) and not value.has_shift():
+    if isinstance(value, TruncatedSeries):
         return {"coefficients": value.coeffs}
     if isinstance(value, SquareExactMatrix):
         return value.rows

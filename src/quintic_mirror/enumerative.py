@@ -151,8 +151,6 @@ class QuantumRing:
 
     def _series(self, value) -> TruncatedSeries:
         if isinstance(value, TruncatedSeries):
-            if value.has_shift():
-                raise ValueError("ring components must be shift-free series")
             if value.order < self.order:
                 raise ValueError("component series truncated below ring order")
             return value.truncate(self.order)

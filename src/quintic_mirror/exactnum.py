@@ -15,14 +15,14 @@ numerator tuples (a convolution truncated at a^N, or the 4x4 one folded
 by zeta^5 = 1) and its inverse.  The ring descriptors coerce.
 
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
-a fixed order, with an optional symbolic exponent shift so that objects
-like x^s * (sum of c_n x^n) can be manipulated without ever leaving exact
-arithmetic.  Series products and inverses run over QQ only, through one
-kernel each (:func:`series_product`, :func:`series_inverse`) on integer
-numerators over one denominator.  Series over the other rings are
-containers (the Frobenius bundle, the operator residual): they add and
-scale, and their products, exp and reversion raise
-:class:`RingMismatchError`.  No floats here.
+a fixed order, with no exponent prefactor: the Frobenius exponent a of a
+series sum c_n z^(a+n) is the generator of its ring QQ[a]/(a^N) (see
+``picard_fuchs.apply_operator``).  Series products and inverses run over
+QQ only, through one kernel each (:func:`series_product`,
+:func:`series_inverse`) on integer numerators over one denominator.
+Series over the other rings are containers (the Frobenius bundle, the
+operator residual): they add and scale, and their products, exp and
+reversion raise :class:`RingMismatchError`.  No floats here.
 """
 
 from __future__ import annotations
@@ -398,31 +398,27 @@ Ring = RationalField | NilpotentRing | CyclotomicField
 
 @frozen
 class TruncatedSeries:
-    """A power series x^shift * sum_{n=0}^{order} coeffs[n] x^n, exact and truncated.
+    """A power series sum_{n=0}^{order} coeffs[n] x^n, exact and truncated.
 
     ``order`` is the largest retained exponent (inclusive); arithmetic
     truncates everything beyond it and shrinks the order to whatever is
-    actually known, never inventing coefficients.  ``shift`` is a symbolic
-    exponent prefactor living in the coefficient ring; series with different
-    shifts cannot be added, and shifts add under multiplication.
+    actually known, never inventing coefficients.
     """
 
     ring: Ring
     coeffs: tuple
-    shift: object
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_coefficients(ring: Ring, coeffs: Sequence, shift=None) -> "TruncatedSeries":
-        sh = ring.coerce(shift) if shift is not None else ring.zero()
-        return TruncatedSeries(ring, tuple(ring.coerce(c) for c in coeffs), sh)
+    def from_coefficients(ring: Ring, coeffs: Sequence) -> "TruncatedSeries":
+        return TruncatedSeries(ring, tuple(ring.coerce(c) for c in coeffs))
 
     @staticmethod
     def constant(ring: Ring, value, order: int) -> "TruncatedSeries":
         coeffs = [ring.zero()] * (order + 1)
         coeffs[0] = ring.coerce(value)
-        return TruncatedSeries(ring, tuple(coeffs), ring.zero())
+        return TruncatedSeries(ring, tuple(coeffs))
 
     @staticmethod
     def zero(ring: Ring, order: int) -> "TruncatedSeries":
@@ -438,7 +434,7 @@ class TruncatedSeries:
             raise ValueError("order must be >= 1 to hold the variable itself")
         coeffs = [ring.zero()] * (order + 1)
         coeffs[1] = ring.one()
-        return TruncatedSeries(ring, tuple(coeffs), ring.zero())
+        return TruncatedSeries(ring, tuple(coeffs))
 
     # -- basic queries -------------------------------------------------
 
@@ -451,16 +447,13 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside retained range 0..{self.order}")
         return self.coeffs[n]
 
-    def has_shift(self) -> bool:
-        return bool(self.shift)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1], self.shift)
+        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
 
     def _check_ring(self, other: "TruncatedSeries") -> None:
         if self.ring != other.ring:
@@ -476,32 +469,25 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.ring, other, self.order)
-            # constants carry shift zero; fall through to the strict check
         self._check_ring(other)
-        if self.shift != other.shift:
-            raise ValueError("cannot add series with different exponent shifts")
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            self.ring,
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)),
-            self.shift,
-        )
+        out = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedSeries(self.ring, out)
 
     __radd__ = __add__
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self.ring.coerce(scalar)
-        return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs), self.shift)
+        return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs))
 
     def __mul__(self, other):
         """Product over QQ by :func:`series_product`, truncated at the smaller
-        order; shifts add."""
+        order."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_qq(other)
         n = min(self.order, other.order)
         out = series_product(self.coeffs, other.coeffs, n)
-        return TruncatedSeries(QQ, out, self.shift + other.shift)
+        return TruncatedSeries(QQ, out)
 
     def __pow__(self, k: int):
         return power(self, k, TruncatedSeries.one(self.ring, self.order))
@@ -512,7 +498,7 @@ class TruncatedSeries:
         self._check_qq()
         if self.coeffs[0] == 0:
             raise ValueError("series inverse needs a unit constant term")
-        return TruncatedSeries(QQ, series_inverse(self.coeffs), -self.shift)
+        return TruncatedSeries(QQ, series_inverse(self.coeffs))
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -526,7 +512,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("use div_by_power for negative powers")
         zeros = tuple(self.ring.zero() for _ in range(k))
-        return TruncatedSeries(self.ring, zeros + self.coeffs, self.shift)
+        return TruncatedSeries(self.ring, zeros + self.coeffs)
 
     def div_by_power(self, k: int) -> "TruncatedSeries":
         """Divide by x^k; the first k coefficients must vanish."""
@@ -534,22 +520,18 @@ class TruncatedSeries:
             raise ValueError("power must be >= 0")
         if any(self.coeffs[:k]):
             raise ValueError(f"series is not divisible by x^{k}")
-        return TruncatedSeries(self.ring, self.coeffs[k:], self.shift)
+        return TruncatedSeries(self.ring, self.coeffs[k:])
 
     # -- calculus ------------------------------------------------------
 
     def theta(self) -> "TruncatedSeries":
-        """x d/dx, valid for any shift: coefficient n picks up (shift + n)."""
-        out = tuple(
-            (self.shift + self.ring.coerce(n)) * self.coeffs[n]
-            for n in range(self.order + 1)
-        )
-        return TruncatedSeries(self.ring, out, self.shift)
+        """x d/dx: coefficient n picks up a factor n."""
+        return TruncatedSeries(self.ring, tuple(n * c for n, c in enumerate(self.coeffs)))
 
     # -- transcendental operations ------------------------------------
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential over QQ; needs shift zero and constant term 0.
+        """Series exponential over QQ; needs constant term 0.
 
         x d/dx gives m e_m = sum_{k=1}^{m} k a_k e_(m-k).  With a = A/d and
         e_j = E_j/D over one running denominator D, that is e_m = S/(m d D)
@@ -557,8 +539,6 @@ class TruncatedSeries:
         when exact, else D and the E_j first grow by the least factor that
         makes it so.  On an integral series D stays 1.
         """
-        if self.has_shift():
-            raise ValueError("exp needs a shift-free series")
         self._check_qq()
         if self.coeffs[0] != 0:
             raise ValueError("exp needs constant term exactly 0")
@@ -572,13 +552,11 @@ class TruncatedSeries:
             if scale != 1:
                 e, den = [x * scale for x in e], den * scale
             e.append(s // g)
-        return TruncatedSeries(QQ, tuple(Fraction(x, den) for x in e), Fraction(0))
+        return TruncatedSeries(QQ, tuple(Fraction(x, den) for x in e))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)); the inner series must have constant term 0."""
         self._check_ring(inner)
-        if self.has_shift() or inner.has_shift():
-            raise ValueError("composition needs shift-free series")
         if inner.coeffs[0]:
             raise ValueError("inner series must vanish at 0")
         n = min(self.order, inner.order)
@@ -591,7 +569,7 @@ class TruncatedSeries:
     def reversion(self, *outer: "TruncatedSeries"):
         """Compositional inverse b with self(b(x)) = x, and g(b) for each g in outer.
 
-        Needs shift-free QQ series, self with constant term 0 and a nonzero
+        Needs QQ series, self with constant term 0 and a nonzero
         linear coefficient.  Lagrange-Buermann: with h = (self/x)^-1,
 
             [x^m] b = (1/m) [x^(m-1)] h^m,
@@ -604,8 +582,6 @@ class TruncatedSeries:
         g's order and self's.  Returns b alone, or (b, g_1(b), ...) given
         outer.
         """
-        if any(g.has_shift() for g in (self, *outer)):
-            raise ValueError("reversion needs shift-free series")
         self._check_qq(*outer)
         if self.coeffs[0] != 0:
             raise ValueError("reversion needs constant term 0")
@@ -625,5 +601,5 @@ class TruncatedSeries:
                 if m < len(num):
                     dot = sum(map(operator.mul, num[1 : m + 1], reversed(head)))
                     out.append(Fraction(dot, m * power_den * num_den))
-        series = tuple(TruncatedSeries(QQ, tuple(c), Fraction(0)) for c in composed)
+        series = tuple(TruncatedSeries(QQ, tuple(c)) for c in composed)
         return series if outer else series[0]

@@ -11,7 +11,9 @@ A single Frobenius computation over the nilpotent ring QQ[a]/(a^N)
 produces the holomorphic solution together with its logarithmic partners:
 the bundle Phi_a = sum_n A_n(a) z^(a+n) expands as
 Phi^(0) + Phi^(1) a + Phi^(2) a^2 + ..., and component k is the plain
-rational series multiplying a^k.  The recurrence for the bundle and the
+rational series multiplying a^k.  A series holds only the A_n(a), with no
+exponent prefactor: the Frobenius exponent a is the generator of the
+series' own ring (0 when N = 1).  The recurrence for the bundle and the
 operator residual both read and write the integer numerators and common
 denominator of each QQ[a]/(a^N) element directly.
 
@@ -72,30 +74,30 @@ def _at(poly: list, width: int, n: int) -> list:
 
 
 def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeries:
-    """Apply sum_j z^j p_j(theta) to x^shift * sum_n a_n x^n coefficientwise.
+    """Apply sum_j z^j p_j(theta) to the Frobenius ansatz sum_n c_n z^(a+n).
 
-    The term z^j p_j(theta) sends a_m x^(shift+m) to
-    p_j(shift + m) a_m x^(shift+m+j), so the residual coefficient at
-    exponent shift + n is sum_j p_j(shift + n - j) a_{n-j}.  The ring is
-    QQ[a]/(a^N), with QQ as the case N = 1.  Each p_j(shift + m), scaled to
-    integer numerators, is expanded once as a polynomial in m (see
-    :func:`_at`), so each n costs Horner steps and one convolution per term.
-    A vanishing coefficient is the ring's one shared zero element.
+    The exponent a is the generator of the series' ring QQ[a]/(a^N), and 0
+    when N = 1, the case QQ.  The term z^j p_j(theta) sends c_m z^(a+m) to
+    p_j(a + m) c_m z^(a+m+j), so the residual coefficient of z^(a+n) is
+    sum_j p_j(a + n - j) c_{n-j}.  Each p_j(a + m), scaled to integer
+    numerators, is expanded once as a polynomial in (a, m) (see :func:`_at`),
+    so each n costs Horner steps and one convolution per term.  A vanishing
+    coefficient is the ring's one shared zero element.
     """
-    shift, shift_den = series.shift.num, series.shift.den
-    top, width = len(shift) - 1, max(map(len, op.terms))
-    # shift + m = (s + d m) / d with s + d m flat, as in _at
-    x = [shift[k // width] if k % width == 0 else shift_den * (k == 1)
-         for k in range((top + 1) * width)]
+    ring = series.ring
+    a = ring.generator().num if ring.modulus_degree > 1 else (0,)
+    top, width = len(a) - 1, max(map(len, op.terms))
+    # a + m, flat as in _at
+    x = [a[k // width] if k % width == 0 else int(k == 1) for k in range(len(a) * width)]
     expanded = []
     for p in op.terms:
         p, p_den = integer_form(p)
         value = [p[-1]] + [0] * (len(x) - 1)
-        for i, c in enumerate(reversed(p[:-1]), 1):
+        for c in reversed(p[:-1]):
             value = int_convolve(value, x, len(x) - 1)
-            value[0] += c * shift_den**i
-        expanded.append((value, p_den * shift_den ** (len(p) - 1)))
-    out, zero = [], series.ring.zero()
+            value[0] += c
+        expanded.append((value, p_den))
+    out, zero = [], ring.zero()
     for n in range(series.order + 1):
         terms = []
         for j, (value, p_den) in enumerate(expanded[: n + 1]):
@@ -104,12 +106,16 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
         den = math.lcm(*(d for _, d in terms))
         acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
         out.append(NilpotentElement.from_integers(acc, den) if any(acc) else zero)
-    return TruncatedSeries(series.ring, tuple(out), series.shift)
+    return TruncatedSeries(ring, tuple(out))
 
 
 @frozen
 class FrobeniusBundle:
-    """The Frobenius solution Phi_a = sum_n A_n(a) z^(a+n) over QQ[a]/(a^N)."""
+    """The Frobenius solution Phi_a = sum_n A_n(a) z^(a+n) over QQ[a]/(a^N).
+
+    ``series`` holds the A_n(a) alone; the exponent a of z^(a+n) is the
+    generator of ``ring``, as :func:`apply_operator` reads it.
+    """
 
     ring: NilpotentRing
     series: TruncatedSeries
@@ -118,9 +124,7 @@ class FrobeniusBundle:
         """The rational series multiplying a^k in the bundle."""
         if not 0 <= k < self.ring.modulus_degree:
             raise IndexError(f"component {k} outside 0..{self.ring.modulus_degree - 1}")
-        return TruncatedSeries(
-            QQ, tuple(Fraction(c.num[k], c.den) for c in self.series.coeffs), Fraction(0)
-        )
+        return TruncatedSeries(QQ, tuple(Fraction(c.num[k], c.den) for c in self.series.coeffs))
 
 
 def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
@@ -143,7 +147,6 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
     if modulus_degree < 1:
         raise ValueError("modulus degree must be >= 1")
     ring = NilpotentRing(modulus_degree)
-    alpha = ring.generator() if modulus_degree >= 2 else ring.zero()
     top, width = modulus_degree - 1, modulus_degree + 5
     step = [0] * (modulus_degree * width)
     for j in range(modulus_degree):
@@ -155,7 +158,7 @@ def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
         last = coeffs[-1]
         num = int_convolve(last.num, _at(step, width, n), top)
         coeffs.append(NilpotentElement.from_integers(num, last.den * n ** (modulus_degree + 4)))
-    return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs), alpha))
+    return FrobeniusBundle(ring, TruncatedSeries(ring, tuple(coeffs)))
 
 
 @frozen

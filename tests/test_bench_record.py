@@ -128,6 +128,29 @@ def test_paired_file_gives_each_end_to_end_metric_a_verdict(parent, change, expe
     assert doc["metrics"]["gw-deep.cpu_s"]["verdict"] == expected
 
 
+@pytest.mark.parametrize(
+    "parent_run, change_run, expected",
+    [
+        # the change fails one operation more than the parent: no gain
+        ((True, 0), (True, 1), "unchanged"),
+        # a change run that is not correct: no gain
+        ((True, 0), (False, 0), "unchanged"),
+        # as many failed operations on both sides still allow a gain
+        ((True, 1), (True, 1), "gain"),
+    ],
+    ids=["one-more-failed", "incorrect", "as-many-failed"],
+)
+def test_a_gain_needs_no_more_failed_operations(parent_run, change_run, expected) -> None:
+    # ten winning pairs; the last pair's runs carry the given correct and failed
+    pairs = _pairs([1.0] * 10, [0.8] * 10)
+    pairs[-1] = {"parent": _line(*parent_run, 1.0), "change": _line(*change_run, 0.8)}
+    doc = bench_record.paired_document(
+        pairs, shas={"parent": "aaa", "change": "bbb"}, python="3.11.7", nproc=2, seed=1, seconds=20.0,
+    )
+    assert doc["metrics"]["gw-deep.cpu_s"]["change_wins"] == 10
+    assert doc["metrics"]["gw-deep.cpu_s"]["verdict"] == expected
+
+
 def test_record_prints_its_gains_and_regressions(monkeypatch, tmp_path, capsys) -> None:
     # peak_rss_mb falls past its spread, cpu_s rises past its bound, and the
     # per-layer count gets no verdict

@@ -281,7 +281,7 @@ def test_periods_gate_runs_before_any_output(capsys, monkeypatch) -> None:
 
     def off_by_one(operator, series):
         *head, last = series.coeffs
-        return apply_operator(operator, TruncatedSeries(series.ring, (*head, last + 1), series.shift))
+        return apply_operator(operator, TruncatedSeries(series.ring, (*head, last + 1)))
 
     monkeypatch.setattr(cli.picard_fuchs, "apply_operator", off_by_one)
     for fmt in ("table", "structured"):

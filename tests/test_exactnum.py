@@ -355,21 +355,6 @@ def test_series_theta_matches_x_ddx() -> None:
     assert f.theta().coeffs == (0, 1, 8, 3, 20)
 
 
-def test_series_shift_addition_rules() -> None:
-    base = TruncatedSeries.from_coefficients(QQ, [1, 2], shift=Fraction(1, 5))
-    other = TruncatedSeries.from_coefficients(QQ, [1, 0], shift=Fraction(2, 5))
-    product = base * other
-    assert product.shift == Fraction(3, 5)
-    with pytest.raises(ValueError):
-        _ = base + other
-
-
-def test_series_shifted_theta_sees_exponent() -> None:
-    # theta(x^(1/5) * 1) = (1/5) x^(1/5)
-    s = TruncatedSeries.from_coefficients(QQ, [1, 1], shift=Fraction(1, 5))
-    assert s.theta().coeffs == (Fraction(1, 5), Fraction(6, 5))
-
-
 def test_mul_by_power_grows_and_div_shrinks() -> None:
     f = TruncatedSeries.from_coefficients(QQ, [1, 2, 3])
     g = f.mul_by_power(2)
@@ -455,14 +440,10 @@ def test_series_over_nilpotent_ring() -> None:
 
 
 def test_series_json_shape() -> None:
-    # a shift-free series renders as its coefficients; a shifted one, which no
-    # document holds, is refused
+    # a series renders as its coefficients
     plain = TruncatedSeries.from_coefficients(QQ, [1, Fraction(1, 2)])
     doc = json.loads(json.dumps(plain, default=cli._json))
     assert doc == {"coefficients": ["1/1", "1/2"]}
-    shifted = TruncatedSeries.from_coefficients(QQ, [1], shift=Fraction(2, 5))
-    with pytest.raises(TypeError, match="TruncatedSeries is not JSON serializable"):
-        json.dumps(shifted, default=cli._json)
 
 
 # -- Lagrange reversion and the integer QQ product ---------------------------
@@ -574,10 +555,8 @@ def test_reversion_pass_composes_outer_series_with_the_inverse() -> None:
             assert f.reversion(g1)[1].order == min(g1.order, order)
 
 
-def test_reversion_pass_rejects_shifted_or_foreign_outer_series() -> None:
+def test_reversion_pass_rejects_foreign_outer_series() -> None:
     f = TruncatedSeries.from_coefficients(QQ, [0, 1, 1])
-    with pytest.raises(ValueError):
-        f.reversion(TruncatedSeries.from_coefficients(QQ, [1, 1], shift=Fraction(1, 5)))
     with pytest.raises(RingMismatchError):
         f.reversion(TruncatedSeries.one(NilpotentRing(2), 2))
 
@@ -604,7 +583,7 @@ def test_qq_integer_product_matches_fraction_convolution() -> None:
 
 def test_qq_integer_inverse_matches_fraction_recurrence() -> None:
     # Constant terms other than 1 (negative, non-integer), mixed
-    # denominators, zero runs and a shift, against the triangular solve
+    # denominators and zero runs, against the triangular solve
     # sum_{j=0}^{k} a_j b_{k-j} = [k == 0] done one Fraction at a time.
     rng = random.Random(14)
     for _ in range(40):
@@ -615,10 +594,8 @@ def test_qq_integer_inverse_matches_fraction_recurrence() -> None:
         b = [1 / a[0]]
         for k in range(1, len(a)):
             b.append(-sum(a[j] * b[k - j] for j in range(1, k + 1)) / a[0])
-        series = TruncatedSeries.from_coefficients(QQ, a, shift=Fraction(2, 5))
-        inverse = series.inverse()
+        inverse = TruncatedSeries.from_coefficients(QQ, a).inverse()
         assert inverse.coeffs == tuple(b)
         assert all(type(c) is Fraction for c in inverse.coeffs)
-        assert inverse.shift == Fraction(-2, 5)
     with pytest.raises(ValueError):
         TruncatedSeries.from_coefficients(QQ, [0, 1]).inverse()

@@ -140,19 +140,21 @@ def test_corrupted_coefficient_shows_in_two_residual_terms() -> None:
     bundle = frobenius_at_zero(60)
     coeffs = list(bundle.series.coeffs)
     coeffs[37] = coeffs[37] + bundle.ring.generator() ** 2 * Fraction(1, 7)
-    corrupted = TruncatedSeries(bundle.ring, tuple(coeffs), bundle.series.shift)
+    corrupted = TruncatedSeries(bundle.ring, tuple(coeffs))
     residual = apply_operator(PeriodOperator.quintic(), corrupted)
     nonzero = [n for n, c in enumerate(residual.coeffs) if not c.is_zero()]
     assert nonzero == [37, 38]
 
 
 def _reference_residual(op, series) -> tuple:
-    """sum_j p_j(shift + n - j) a_(n-j), one ring operation at a time."""
+    """sum_j p_j(a + n - j) c_(n-j), one ring operation at a time, where the
+    exponent a is the generator of the series' ring (0 for N = 1)."""
     ring = series.ring
+    a = ring.generator() if ring.modulus_degree > 1 else ring.zero()
     return tuple(
         sum(
             (
-                _theta_poly_at(pj, series.shift + ring.coerce(n - j), ring) * series.coeffs[n - j]
+                _theta_poly_at(pj, a + ring.coerce(n - j), ring) * series.coeffs[n - j]
                 for j, pj in enumerate(op.terms)
                 if j <= n
             ),
@@ -164,8 +166,8 @@ def _reference_residual(op, series) -> tuple:
 
 @pytest.mark.parametrize("ring", [NilpotentRing(d) for d in (1, 2, 4, 5)], ids=str)
 def test_residual_matches_term_by_term_reference(ring) -> None:
-    # Theta-polynomials with rational coefficients, a shift with a
-    # denominator and a nilpotent part, and zero coefficients in the series.
+    # Theta-polynomials with rational coefficients, the exponent a of the
+    # ring, and zero coefficients in the series.
     # The last three operators add constant theta-polynomials (all of them,
     # in the last), and one has more terms than the series has coefficients.
     rng = random.Random(15)
@@ -185,10 +187,18 @@ def test_residual_matches_term_by_term_reference(ring) -> None:
         op = PeriodOperator(terms)
         coeffs = [element() for _ in range(length)]
         coeffs[3:5] = [ring.zero()] * len(coeffs[3:5])
-        series = TruncatedSeries(ring, tuple(coeffs), element())
+        series = TruncatedSeries(ring, tuple(coeffs))
         residual = apply_operator(op, series)
         assert residual.coeffs == _reference_residual(op, series)
-        assert residual.shift == series.shift
+        assert residual.ring == ring
+
+
+def test_theta_of_one_leaves_the_exponent() -> None:
+    # theta z^a = a z^a: over QQ[a]/(a^2) the series 1 leaves the residual a,
+    # which an operator applied at exponent 0 would miss
+    theta = PeriodOperator(((0, 1),))
+    residual = apply_operator(theta, TruncatedSeries.one(NilpotentRing(2), 0))
+    assert [c.coeffs for c in residual.coeffs] == [(0, 1)]
 
 
 def test_operator_over_qq_annihilates_holomorphic_period() -> None:
@@ -205,7 +215,7 @@ def test_operator_over_qq_annihilates_holomorphic_period() -> None:
 
 def test_modulus_one_gives_plain_holomorphic_series() -> None:
     bundle = frobenius_at_zero(3, modulus_degree=1)
-    assert not bundle.series.has_shift()
+    assert apply_operator(PeriodOperator.quintic(), bundle.series).is_zero()
     for n in range(4):
         assert bundle.component(0).coefficient(n) == _holomorphic_oracle(n)
 

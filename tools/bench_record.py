@@ -16,8 +16,10 @@ runs first, and writes each side's SHA and totals, each run's
 quartiles and the number of pairs the change won.  Every end-to-end
 metric is lower-is-better (``BENCHMARK.json``); a tie counts for neither
 side.  Each end-to-end metric also gets a ``verdict`` (see :func:`verdict`),
-and the gains and regressions are printed.  Stdlib only; it reads
-``BENCHMARK.json`` for the bounds and writes nothing under ``perfbench/``.
+and the gains and regressions are printed.  A metric reads ``gain`` only
+if every change run was correct and the change failed no more operations
+in total than the parent.  Stdlib only; it reads ``BENCHMARK.json`` for
+the bounds and writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -66,19 +68,20 @@ def _spread(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def verdict(parent: list, change: list, bound: float) -> str:
+def verdict(parent: list, change: list, bound: float, clean: bool) -> str:
     """One lower-is-better metric over pairs of runs, ``parent[i]`` against ``change[i]``.
 
-    ``gain``: the change won at least 9 of 10 pairs (a tie counts for
-    neither) and its median is below the parent's by more than the parent's
-    q3 - q1.  ``regression``: the change's median is above the parent's by
-    more than ``bound`` of it.  ``unresolved``: the parent's q3 - q1 is wider
-    than ``bound`` of its median, unless every change run is below every
-    parent run.  Otherwise ``unchanged``.
+    ``gain``: the change's runs are ``clean`` (all correct, with no more
+    failed operations than the parent's), it won at least 9 of 10 pairs (a
+    tie counts for neither) and its median is below the parent's by more
+    than the parent's q3 - q1.  ``regression``: the change's median is
+    above the parent's by more than ``bound`` of it.  ``unresolved``: the
+    parent's q3 - q1 is wider than ``bound`` of its median, unless every
+    change run is below every parent run.  Otherwise ``unchanged``.
     """
     p, c = _spread(parent), _spread(change)
     wins = sum(y < x for x, y in zip(parent, change))
-    if 10 * wins >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]:
+    if clean and 10 * wins >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]:
         return "gain"
     if c["median"] > p["median"] * (1 + bound):
         return "regression"
@@ -98,6 +101,10 @@ def paired_document(pairs: list, *, shas: dict, python: str, nproc: int, seed: i
             results[side].append(result)
             runs.append({"pair": i, "seed": seed + i, "side": side, "correct": result["correct"],
                          "attempted": result["attempted"], "failed": result["failed"]})
+    totals = {side: {"correct": all(r["correct"] for r in results[side]),
+                     "attempted": sum(r["attempted"] for r in results[side]),
+                     "failed": sum(r["failed"] for r in results[side])} for side in SIDES}
+    clean = totals["change"]["correct"] and totals["change"]["failed"] <= totals["parent"]["failed"]
     metrics = {}
     for key, entry in results["change"][0]["metrics"].items():
         values = {side: [r["metrics"][key]["value"] for r in results[side]] for side in SIDES}
@@ -108,17 +115,14 @@ def paired_document(pairs: list, *, shas: dict, python: str, nproc: int, seed: i
         }
         bound = BOUNDS.get(key.split(".", 1)[1])
         if bound is not None:
-            metrics[key]["verdict"] = verdict(values["parent"], values["change"], bound)
+            metrics[key]["verdict"] = verdict(values["parent"], values["change"], bound, clean)
     return {
         "python": python,
         "nproc": nproc,
         "seed": seed,
         "seconds": seconds,
         "pairs": len(pairs),
-        **{side: {"sha": shas[side],
-                  "correct": all(r["correct"] for r in results[side]),
-                  "attempted": sum(r["attempted"] for r in results[side]),
-                  "failed": sum(r["failed"] for r in results[side])} for side in SIDES},
+        **{side: {"sha": shas[side], **totals[side]} for side in SIDES},
         "runs": runs,
         "metrics": metrics,
     }
