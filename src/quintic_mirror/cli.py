@@ -325,9 +325,10 @@ def _cmd_polytope(args):
             if value > cap:
                 raise CommandError(EXIT_INPUT, f"{label}: {value} {what}, at most {cap} allowed")
         polytope = _checked(toric.LatticePolytope, points, where=label)
-    reflexive = polytope.is_reflexive().is_reflexive
-    if reflexive:
-        dual = polytope.polar_dual()
+    report = polytope.is_reflexive()
+    reflexive = report.is_reflexive
+    if reflexive:  # the certificate is the dual's vertex list, integral here
+        dual = toric.LatticePolytope(report.dual_vertices)
         count = len(dual.lattice_points())
         moduli = toric.moduli_dimension(count, 25) if builtin else None
     if args.format == "table":

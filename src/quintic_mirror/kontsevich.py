@@ -90,7 +90,7 @@ def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     identity = SquareExactMatrix.identity(m.field, m.size)
-    if m != identity and _is_nilpotent(m - identity):
+    if m != identity and is_unipotent(m):
         return None  # over a field of characteristic 0, M = I + N has infinite order
     power = m
     for k in range(1, max_order + 1):
@@ -100,8 +100,10 @@ def matrix_order(m: SquareExactMatrix, max_order: int) -> int | None:
     return None
 
 
-def _is_nilpotent(n: SquareExactMatrix) -> bool:
-    """N^size = 0, by squaring; a nonzero trace rules it out with no product."""
+def is_unipotent(m: SquareExactMatrix) -> bool:
+    """(M - I)^size = 0, by squaring; a nonzero trace of M - I rules it out
+    with no product."""
+    n = m - SquareExactMatrix.identity(m.field, m.size)
     if sum((n.rows[i][i] for i in range(n.size)), n.field.zero()):
         return False
     power, k = n, 1

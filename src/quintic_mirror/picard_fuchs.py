@@ -33,6 +33,7 @@ from .exactnum import (
     ZETA5_FIELD,
     NilpotentElement,
     NilpotentRing,
+    RingMismatchError,
     TruncatedSeries,
     int_convolve,
     integer_form,
@@ -77,14 +78,17 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
     """Apply sum_j z^j p_j(theta) to the Frobenius ansatz sum_n c_n z^(a+n).
 
     The exponent a is the generator of the series' ring QQ[a]/(a^N), and 0
-    when N = 1, which stands in for QQ.  The term z^j p_j(theta) sends
-    c_m z^(a+m) to p_j(a + m) c_m z^(a+m+j), so the residual coefficient of
-    z^(a+n) is sum_j p_j(a + n - j) c_{n-j}.  Each p_j(a + m), scaled to
-    integer numerators, is expanded once as a polynomial in (a, m) (see
-    :func:`_at`), so each n costs Horner steps and one convolution per term.
-    A vanishing coefficient is the ring's one shared zero element.
+    when N = 1, which stands in for QQ; any other ring is refused.  The term
+    z^j p_j(theta) sends c_m z^(a+m) to p_j(a + m) c_m z^(a+m+j), so the
+    residual coefficient of z^(a+n) is sum_j p_j(a + n - j) c_{n-j}.  Each
+    p_j(a + m), scaled to integer numerators, is expanded once as a
+    polynomial in (a, m) (see :func:`_at`), so each n costs Horner steps and
+    one convolution per term.  A vanishing coefficient is the ring's one
+    shared zero element.
     """
     ring = series.ring
+    if not isinstance(ring, NilpotentRing):
+        raise RingMismatchError(f"the operator acts on series over QQ[a]/(a^N), not {ring}")
     a = ring.generator().num if ring.modulus_degree > 1 else (0,)
     top, width = len(a) - 1, max(map(len, op.terms))
     # a + m, flat as in _at

@@ -7,10 +7,11 @@ of the common fixed subspace of the standard action on Z^3, and the same
 for the inverse-transpose action.  The two generic types are (2, 1) and
 (1, 2), and the transform M -> transpose(M)^{-1} exchanges them.
 
-Matrices in this module act on column vectors (the standard action);
-period monodromies elsewhere in the package use row vectors, but here
-the fixed-space computation follows the kernel of the stacked M - I
-blocks directly.
+The monodromies are integral ``SquareExactMatrix`` values over QQ, with
+the package's one product, inverse and unipotency test.  Here they act
+on column vectors (the standard action); period monodromies elsewhere in
+the package use row vectors, but the fixed-space computation follows the
+kernel of the stacked M - I blocks directly.
 
 The quintic vertex and edge counts (250, 50, 450) are not stored: they
 are recomputed from the face lattice of the degree-5 simplex pair by a
@@ -29,14 +30,9 @@ from itertools import combinations
 from math import gcd
 
 from ._frozen import frozen
-from .linalg import (
-    dot,
-    integer_det,
-    integer_matmul,
-    integer_matrix,
-    rational_rank,
-    unimodular_inverse,
-)
+from .exactnum import QQ
+from .kontsevich import is_unipotent
+from .linalg import SquareExactMatrix, dot, integer_det, integer_matmul, integer_matrix, rational_rank
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
 VERTEX_TYPE_21 = "type21"
@@ -48,49 +44,22 @@ class ProductConditionError(ValueError):
     """The three monodromies at a vertex do not multiply to the identity."""
 
 
-_IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _IDENTITY2 = ((1, 0), (0, 1))
 
 
-@frozen
 class UnipotentMonodromy3:
-    """A 3x3 integer matrix of determinant 1."""
-
-    entries: tuple
+    """The validating constructor of a vertex monodromy."""
 
     @staticmethod
-    def from_rows(rows) -> "UnipotentMonodromy3":
+    def from_rows(rows) -> SquareExactMatrix:
+        """A 3x3 integer matrix of determinant 1, as a matrix over QQ."""
         entries = integer_matrix(rows)
         if len(entries) != 3 or len(entries[0]) != 3:
             raise ValueError("need a 3x3 integer matrix")
         det = integer_det(entries)
         if det != 1:
             raise ValueError(f"determinant is {det}, not 1")
-        return UnipotentMonodromy3(entries)
-
-    def __mul__(self, other: "UnipotentMonodromy3") -> "UnipotentMonodromy3":
-        return UnipotentMonodromy3(integer_matmul(self.entries, other.entries))
-
-    def inverse(self) -> "UnipotentMonodromy3":
-        return UnipotentMonodromy3(unimodular_inverse(self.entries))
-
-    def inverse_transpose(self) -> "UnipotentMonodromy3":
-        return UnipotentMonodromy3(tuple(zip(*unimodular_inverse(self.entries))))
-
-    def minus_identity(self) -> tuple:
-        return tuple(
-            tuple(self.entries[i][j] - _IDENTITY3[i][j] for j in range(3))
-            for i in range(3)
-        )
-
-    def is_identity(self) -> bool:
-        return self.entries == _IDENTITY3
-
-    def is_unipotent(self) -> bool:
-        n = self.minus_identity()
-        n2 = integer_matmul(n, n)
-        n3 = integer_matmul(n2, n)
-        return all(x == 0 for row in n3 for x in row)
+        return SquareExactMatrix.from_rows(QQ, entries)
 
 
 @frozen
@@ -101,39 +70,36 @@ class VertexData:
 
     def __post_init__(self) -> None:
         if len(self.monodromies) != 3 or not all(
-            isinstance(m, UnipotentMonodromy3) for m in self.monodromies
+            isinstance(m, SquareExactMatrix) and m.field == QQ and m.size == 3
+            and all(x.denominator == 1 for row in m.rows for x in row)
+            for m in self.monodromies
         ):
-            raise ValueError("need an ordered triple of monodromy matrices")
+            raise ValueError("need an ordered triple of 3x3 integer matrices over QQ")
         m1, m2, m3 = self.monodromies
         if not (m1 * m2 * m3).is_identity():
             raise ProductConditionError("monodromy product is not the identity")
-        for m in self.monodromies:
-            if not m.is_unipotent():
-                raise ValueError("edge monodromy is not unipotent")
+        if not all(map(is_unipotent, self.monodromies)):
+            raise ValueError("edge monodromy is not unipotent")
 
     @staticmethod
     def from_rows_triple(rows1, rows2, rows3) -> "VertexData":
-        return VertexData(
-            (
-                UnipotentMonodromy3.from_rows(rows1),
-                UnipotentMonodromy3.from_rows(rows2),
-                UnipotentMonodromy3.from_rows(rows3),
-            )
-        )
+        return VertexData(tuple(map(UnipotentMonodromy3.from_rows, (rows1, rows2, rows3))))
+
+
+def _inverse_transpose(m: SquareExactMatrix) -> SquareExactMatrix:
+    return SquareExactMatrix(m.field, tuple(zip(*m.inverse().rows)))
 
 
 def _common_fixed_dimension(matrices) -> int:
     """dim of the joint kernel of the stacked (M - I) blocks."""
-    stacked = []
-    for m in matrices:
-        stacked.extend(m.minus_identity())
-    return 3 - rational_rank(stacked)
+    identity = SquareExactMatrix.identity(QQ, 3)
+    return 3 - rational_rank([row for m in matrices for row in (m - identity).rows])
 
 
 def fixed_space_profile(v: VertexData) -> tuple:
     """(d1, d2): joint fixed dimensions of the action and its inverse transpose."""
     d1 = _common_fixed_dimension(v.monodromies)
-    d2 = _common_fixed_dimension([m.inverse_transpose() for m in v.monodromies])
+    d2 = _common_fixed_dimension(map(_inverse_transpose, v.monodromies))
     return d1, d2
 
 
@@ -154,7 +120,7 @@ def mirror_swap(v: VertexData) -> VertexData:
     ordered product, so the product condition holds without reshuffling.
     Classification of the result is the (d1, d2) swap of the input's.
     """
-    return VertexData(tuple(m.inverse_transpose() for m in v.monodromies))
+    return VertexData(tuple(map(_inverse_transpose, v.monodromies)))
 
 
 @frozen

@@ -177,7 +177,7 @@ class LatticePolytope:
         for v in duals:
             if any(c.denominator != 1 for c in v):
                 raise NonReflexiveError(f"dual vertex {v} is not a lattice point")
-        return LatticePolytope([tuple(c.numerator for c in v) for v in duals])
+        return LatticePolytope(duals)
 
     def is_reflexive(self) -> ReflexivityReport:
         """Reflexivity test with the dual vertex list as certificate."""

@@ -15,7 +15,7 @@ from types import GeneratorType
 
 import pytest
 
-from quintic_mirror import cli, enumerative, picard_fuchs
+from quintic_mirror import cli, enumerative, picard_fuchs, toric
 from quintic_mirror.enumerative import IntegralityError
 from quintic_mirror.exactnum import QQ, CyclotomicElement, NilpotentElement, TruncatedSeries
 from quintic_mirror.linalg import SquareExactMatrix
@@ -139,6 +139,18 @@ def test_polytope_builtin_summary(capsys) -> None:
     assert doc["reflexive"] is True
     assert doc["dual_lattice_point_count"] == 126
     assert doc["moduli_dimension"] == 101
+
+
+def test_polytope_computes_the_polar_dual_once(capsys, monkeypatch) -> None:
+    # the reflexivity report's certificate is the dual's vertex list
+    calls = []
+    rational = toric.LatticePolytope.polar_dual_rational
+    monkeypatch.setattr(
+        toric.LatticePolytope, "polar_dual_rational", lambda self: calls.append(1) or rational(self)
+    )
+    code, out, err = _run(capsys, ["polytope"])
+    assert code == 0 and "dual lattice points: 126" in out
+    assert len(calls) == 1
 
 
 def test_polytope_from_file_non_reflexive(capsys, tmp_path) -> None:

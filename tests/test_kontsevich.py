@@ -11,6 +11,7 @@ from quintic_mirror.kontsevich import (
     euler_number,
     hyperplane,
     integrate,
+    is_unipotent,
     jordan_profile,
     matrix_order,
     quintic_spherical,
@@ -18,7 +19,8 @@ from quintic_mirror.kontsevich import (
     twist_matrix,
 )
 from quintic_mirror.linalg import SquareExactMatrix
-from quintic_mirror.picard_fuchs import monodromy_at_zero
+from quintic_mirror.picard_fuchs import monodromy_at_infinity, monodromy_at_zero
+from quintic_mirror.syz import VertexData, mirror_swap
 from quintic_mirror.toric import moduli_dimension
 
 
@@ -141,6 +143,28 @@ def test_jordan_profiles() -> None:
     assert jordan_profile(quintic_twist()) == (3, 2, 1, 0)
     assert jordan_profile(quintic_spherical()) == (1, 0, 0, 0)
     assert jordan_profile(SquareExactMatrix.identity(QQ, 4)) == (0, 0, 0, 0)
+
+
+def test_is_unipotent_agrees_with_the_jordan_profile() -> None:
+    # T, S and the syz shears are unipotent; T*S and the diagonal of fifth
+    # roots of unity at infinity have finite order > 1, over QQ and QQ(zeta5)
+    twist, spherical = quintic_twist(), quintic_spherical()
+    shears = VertexData.from_rows_triple(
+        [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+        [[1, 0, -1], [0, 1, -1], [0, 0, 1]],
+    )
+    cases = [
+        twist,
+        spherical,
+        twist * spherical,
+        monodromy_at_infinity().matrix,
+        *shears.monodromies,
+        *mirror_swap(shears).monodromies,
+    ]
+    verdicts = [is_unipotent(m) for m in cases]
+    assert verdicts == [jordan_profile(m)[-1] == 0 for m in cases]
+    assert verdicts == [True, True, False, False] + [True] * 6
 
 
 def test_twist_matches_period_monodromy() -> None:

@@ -2,11 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from quintic_mirror.exactnum import QQ, CyclotomicElement, NilpotentElement, NilpotentRing, TruncatedSeries
+from quintic_mirror.exactnum import (
+    QQ,
+    ZETA5_FIELD,
+    CyclotomicElement,
+    NilpotentElement,
+    NilpotentRing,
+    RingMismatchError,
+    TruncatedSeries,
+)
 from quintic_mirror.kontsevich import twist_matrix
 from quintic_mirror.linalg import gauss_jordan
 from quintic_mirror.picard_fuchs import (
@@ -211,6 +220,14 @@ def test_operator_over_qq_annihilates_holomorphic_period() -> None:
     )
     assert apply_operator(op, phi0).is_zero()
     assert not apply_operator(op, phi1).is_zero()
+
+
+@pytest.mark.parametrize("ring", [QQ, ZETA5_FIELD], ids=str)
+def test_operator_refuses_a_series_outside_the_nilpotent_rings(ring) -> None:
+    # the ansatz exponent is the generator of QQ[a]/(a^N); NilpotentRing(1)
+    # stands in for QQ, and a series over QQ itself is a ring mismatch
+    with pytest.raises(RingMismatchError, match=f", not {re.escape(str(ring))}$"):
+        apply_operator(PeriodOperator.quintic(), TruncatedSeries.one(ring, 3))
 
 
 def test_modulus_one_gives_plain_holomorphic_series() -> None:

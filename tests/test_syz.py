@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from quintic_mirror import cli, syz
-from quintic_mirror.kontsevich import chern_from_adjunction, euler_number
-from quintic_mirror.linalg import integer_kernel_basis, rational_rank, smith_normal_form
+from quintic_mirror.exactnum import QQ, ZETA5_FIELD
+from quintic_mirror.kontsevich import chern_from_adjunction, euler_number, is_unipotent
+from quintic_mirror.linalg import (
+    SquareExactMatrix,
+    integer_kernel_basis,
+    rational_rank,
+    smith_normal_form,
+)
 from quintic_mirror.syz import (
     VERTEX_TYPE_12,
     VERTEX_TYPE_21,
@@ -83,7 +90,7 @@ def test_matrix_validation() -> None:
 
 def test_inverse_transpose_involution() -> None:
     m = UnipotentMonodromy3.from_rows(_SHEAR_TRIPLE[0])
-    assert m.inverse_transpose().inverse_transpose() == m
+    assert syz._inverse_transpose(syz._inverse_transpose(m)) == m
     assert (m * m.inverse()).is_identity()
 
 
@@ -106,6 +113,26 @@ def test_vertex_requires_unipotency() -> None:
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
         VertexData.from_rows_triple(rotation, inverse, identity)
+
+
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        (QQ, [[1, 0, Fraction(1, 2)], [0, 1, 0], [0, 0, 1]]),
+        (ZETA5_FIELD, [[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+        (QQ, [[1, 1], [0, 1]]),
+    ],
+    ids=["half-integral", "over-QQ(zeta5)", "2x2"],
+)
+def test_vertex_requires_integral_3x3_matrices_over_qq(field, rows) -> None:
+    # a shear, its inverse and the identity: the product is the identity and
+    # each is unipotent, so only the entry check can refuse the triple
+    m = SquareExactMatrix.from_rows(field, rows)
+    triple = (m, m.inverse(), SquareExactMatrix.identity(field, m.size))
+    assert (triple[0] * triple[1] * triple[2]).is_identity()
+    assert all(map(is_unipotent, triple))
+    with pytest.raises(ValueError, match="^need an ordered triple of 3x3 integer matrices over QQ$"):
+        VertexData(triple)
 
 
 # -- classification ----------------------------------------------------------
@@ -149,7 +176,7 @@ def test_classification_commutes_with_swap_on_corpus(seed: int = 20260822) -> No
         assert classify_vertex(mirrored) == swap[label]
         seen_12 += 1
         for m in mirrored.monodromies:
-            assert m.is_unipotent()
+            assert is_unipotent(m)
     assert seen_21 >= 100
     assert seen_12 >= 100
 
@@ -159,7 +186,7 @@ def test_corpus_matrices_have_rank_one_logs(seed: int = 4) -> None:
     for _ in range(10):
         vertex = _rank_one_triple(rng)
         for m in vertex.monodromies:
-            n = m.minus_identity()
+            n = (m - SquareExactMatrix.identity(QQ, 3)).rows
             assert rational_rank(n) == 1
 
 
