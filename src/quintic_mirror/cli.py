@@ -463,7 +463,7 @@ def _cmd_syz_classify(args):
         raise CommandError(EXIT_INPUT, f"{path}: need exactly three matrices")
     vertex = _checked(syz.VertexData.from_rows_triple, *triple, where=path)
     profile = syz.fixed_space_profile(vertex)
-    kind = syz.classify_vertex(vertex)
+    kind = syz.classify_profile(profile)
     if args.format == "table":
         return [
             f"fixed-space profile: d1={profile[0]} d2={profile[1]}",

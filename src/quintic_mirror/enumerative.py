@@ -167,32 +167,18 @@ class QuantumRing:
             raise ValueError("basis index out of range")
         return self.element(tuple(1 if i == k else 0 for i in range(_RANK)))
 
-    def _zero(self) -> TruncatedSeries:
-        return TruncatedSeries.zero(QQ, self.order)
-
-    def _basis_product(self, a: int, b: int) -> tuple:
-        out = [self._zero()] * _RANK
-        if a + b < _RANK:
-            if (a, b) == (1, 1):
-                out[2] = self.kappa.scale(Fraction(1, 5))
-            else:
-                out[a + b] = TruncatedSeries.one(QQ, self.order)
-        return tuple(out)
-
     def product(self, x, y) -> tuple:
+        """x[a] * y[b] summed into slot a + b below rank, with kappa/5 as the
+        factor for L * L."""
         x = self.element(x)
         y = self.element(y)
-        out = [self._zero()] * _RANK
+        out = [TruncatedSeries.zero(QQ, self.order)] * _RANK
         for a in range(_RANK):
-            if x[a].is_zero():
-                continue
-            for b in range(_RANK):
-                if y[b].is_zero():
-                    continue
-                factor = x[a] * y[b]
-                for c, entry in enumerate(self._basis_product(a, b)):
-                    if not entry.is_zero():
-                        out[c] = out[c] + factor * entry
+            for b in range(_RANK - a):
+                term = x[a] * y[b]
+                if (a, b) == (1, 1):
+                    term = term * self.kappa.scale(Fraction(1, 5))
+                out[a + b] = out[a + b] + term
         return tuple(out)
 
     def trace(self, x) -> TruncatedSeries:

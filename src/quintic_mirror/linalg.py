@@ -7,8 +7,9 @@ Three layers live here, all exact:
   :class:`SquareExactMatrix`,
 * integer lattice routines: the product, dot product and Bareiss
   determinant of integer matrices, Smith normal form with its unimodular
-  column transform, saturated kernel bases, and a deterministic sign
-  normalization for kernel generators,
+  column transform (one reduction loop with one pivot search, each column
+  move applied to A and V at once), saturated kernel bases, and a
+  deterministic sign normalization for kernel generators,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
   such as rank and inverse require a field).
@@ -194,84 +195,45 @@ class SmithDecomposition:
 def smith_normal_form(rows) -> SmithDecomposition:
     """Smith normal form over the integers with the column transform V.
 
-    Pivots are chosen by minimal absolute value and reduced by Euclidean
-    steps; a final divisibility sweep enforces d_i | d_{i+1}.
+    Each round brings the nonzero entry of least magnitude in the working
+    block (the first in row order) to the pivot (t, t), makes it positive
+    and clears column and row t by Euclidean steps.  A remainder sends the
+    next round back to the search.  Once both are clear, a row holding an
+    entry the pivot fails to divide is added to row t and the same pivot
+    reduces again, which enforces d_t | d_{t+1}.  Every column move acts
+    on the rows of A and V together.
     """
     a = [list(r) for r in integer_matrix(rows)]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    t = 0
+    m, n = len(a), (len(a[0]) if a else 0)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    t, search = 0, True
     while t < min(m, n):
-        # Locate a minimal-magnitude nonzero pivot in the working block.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            clean = True
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        clean = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        clean = False
-            if clean:
-                # Fold in any entry the pivot fails to divide, then re-clean.
-                offender = None
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                add_row(t, offender, 1)
-                continue
-            # Remainders became new small entries; bring the smallest to the pivot.
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-        t += 1
-
+        if search:
+            found = min(((abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                         if a[i][j]), default=None)
+            if found is None:
+                break
+            _, i, j = found
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        pivot = a[t][t]
+        for i in range(t + 1, m):
+            if q := a[i][t] // pivot:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
+            if q := a[t][j] // pivot:
+                for row in a + v:
+                    row[j] -= q * row[t]
+        search = any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:])
+        if not search:
+            fold = next((i for i in range(t + 1, m) if any(x % pivot for x in a[i][t + 1:])), None)
+            if fold is None:
+                t, search = t + 1, True
+            else:
+                a[t] = [x + y for x, y in zip(a[t], a[fold])]
     return SmithDecomposition(tuple(map(tuple, a)), tuple(map(tuple, v)))
 
 

@@ -11,7 +11,8 @@ The monodromies are integral ``SquareExactMatrix`` values over QQ, with
 the package's one product, inverse and unipotency test.  Here they act
 on column vectors (the standard action); period monodromies elsewhere in
 the package use row vectors, but the fixed-space computation follows the
-kernel of the stacked M - I blocks directly.
+kernel of the stacked M - I blocks, and of their transposes for d2,
+directly.  Only the mirror swap takes inverses.
 
 The quintic vertex and edge counts (250, 50, 450) are not stored: they
 are recomputed from the face lattice of the degree-5 simplex pair by a
@@ -90,26 +91,27 @@ def _inverse_transpose(m: SquareExactMatrix) -> SquareExactMatrix:
     return SquareExactMatrix(m.field, tuple(zip(*m.inverse().rows)))
 
 
-def _common_fixed_dimension(matrices) -> int:
-    """dim of the joint kernel of the stacked (M - I) blocks."""
-    identity = SquareExactMatrix.identity(QQ, 3)
-    return 3 - rational_rank([row for m in matrices for row in (m - identity).rows])
-
-
 def fixed_space_profile(v: VertexData) -> tuple:
-    """(d1, d2): joint fixed dimensions of the action and its inverse transpose."""
-    d1 = _common_fixed_dimension(v.monodromies)
-    d2 = _common_fixed_dimension(map(_inverse_transpose, v.monodromies))
+    """(d1, d2): joint fixed dimensions of the action and its inverse transpose;
+    M^-T x = x exactly when M^T x = x, so d2 reads the transposed M - I blocks."""
+    identity = SquareExactMatrix.identity(QQ, 3)
+    blocks = [(m - identity).rows for m in v.monodromies]
+    d1 = 3 - rational_rank([row for block in blocks for row in block])
+    d2 = 3 - rational_rank([row for block in blocks for row in zip(*block)])
     return d1, d2
 
 
-def classify_vertex(v: VertexData) -> str:
-    profile = fixed_space_profile(v)
+def classify_profile(profile: tuple) -> str:
+    """The vertex type of a fixed-space profile (d1, d2)."""
     if profile == (2, 1):
         return VERTEX_TYPE_21
     if profile == (1, 2):
         return VERTEX_TYPE_12
     return VERTEX_TYPE_OTHER
+
+
+def classify_vertex(v: VertexData) -> str:
+    return classify_profile(fixed_space_profile(v))
 
 
 def mirror_swap(v: VertexData) -> VertexData:

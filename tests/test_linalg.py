@@ -138,6 +138,58 @@ def test_smith_frozen_example() -> None:
     assert smith_normal_form([[2, 4], [6, 8]]).divisors == (2, 4)
 
 
+# (name, A, D, V) as the Smith form gave them before its pivot search was
+# merged into one loop.  The properties below hold for any valid V; this
+# table pins the sequence of row and column operations itself.  The first
+# two take the divisibility fold, which no command or benchmark round runs.
+_SMITH_TABLE = [
+    ("fold-2x2", [[2, 0], [0, 3]],
+     ((1, 0), (0, 6)),
+     ((-1, 3), (1, -2))),
+    ("fold-diag", [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+     ((2, 0, 0), (0, 2, 0), (0, 0, 60)),
+     ((-1, -3, 15), (1, 2, -10), (0, -1, 6))),
+    ("negative-pivot", [[-2, 4, 6], [4, -6, 8]],
+     ((2, 0, 0), (0, 2, 0)),
+     ((1, 2, -17), (0, 1, -10), (0, 0, 1))),
+    ("zero-rows-and-columns", [[0, 0, 0], [0, 5, 10], [0, 0, 0]],
+     ((5, 0, 0), (0, 0, 0), (0, 0, 0)),
+     ((0, 1, 0), (1, 0, -2), (0, 0, 1))),
+    ("no-rows", [], (), ()),
+    ("zero", [[0]], ((0,),), ((1,),)),
+    ("row", [[6, 10, 15]],
+     ((1, 0, 0),),
+     ((1, -5, 5), (1, -3, 0), (-1, 4, -2))),
+    ("column", [[4], [6]], ((2,), (0,)), ((1,),)),
+    ("square", [[2, 4], [6, 8]], ((2, 0), (0, 4)), ((1, -2), (0, 1))),
+    ("wide", [[3, -7, 0, 12], [5, 0, -9, 4], [-8, 6, 2, 0]],
+     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 16, 0)),
+     ((0, -2, -3, 44), (0, -1, -3, 48), (1, -40, -11, 32), (0, 0, -1, 17))),
+    # the quintic's charge matrix T and its transpose mirror T-hat
+    ("quintic-T",
+     [[1, 0, 0, 0, 0, 5], [0, 1, 0, 0, 0, -1], [0, 0, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1],
+      [0, 0, 0, 0, 1, -1]],
+     ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+      (0, 0, 0, 0, 1, 0)),
+     ((1, 0, 0, 0, 0, -5), (0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 1),
+      (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1))),
+    ("quintic-T-hat",
+     [[1, 1, 1, 1, 1, 1], [1, 5, 0, 0, 0, 0], [1, 0, 5, 0, 0, 0], [1, 0, 0, 5, 0, 0],
+      [1, 0, 0, 0, 5, 0]],
+     ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 5, 0, 0, 0), (0, 0, 0, 5, 0, 0),
+      (0, 0, 0, 0, 5, 0)),
+     ((1, -1, 0, 0, -5, -5), (0, 0, 0, 0, 1, 1), (0, 1, -1, 0, 1, 1), (0, 0, 1, -1, 1, 1),
+      (0, 0, 0, 1, 2, 1), (0, 0, 0, 0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("rows, d, v", [case[1:] for case in _SMITH_TABLE],
+                         ids=[case[0] for case in _SMITH_TABLE])
+def test_smith_gives_the_frozen_d_and_v(rows, d, v) -> None:
+    dec = smith_normal_form(rows)
+    assert (dec.d, dec.v) == (d, v)
+
+
 def _minor_gcd(a, k: int) -> int:
     """gcd of all k x k minors of a."""
     rows, cols = range(len(a)), range(len(a[0]))

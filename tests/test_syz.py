@@ -22,6 +22,7 @@ from quintic_mirror.syz import (
     ProductConditionError,
     UnipotentMonodromy3,
     VertexData,
+    classify_profile,
     classify_vertex,
     fixed_space_profile,
     k3_semistable_check,
@@ -155,6 +156,47 @@ def test_identity_vertex_is_other() -> None:
     v = VertexData.from_rows_triple(identity, identity, identity)
     assert fixed_space_profile(v) == (3, 3)
     assert classify_vertex(v) == VERTEX_TYPE_OTHER
+
+
+def test_classify_profile_names_the_two_generic_types() -> None:
+    assert classify_profile((2, 1)) == VERTEX_TYPE_21
+    assert classify_profile((1, 2)) == VERTEX_TYPE_12
+    assert [classify_profile(p) for p in ((3, 3), (1, 1), (2, 2))] == [VERTEX_TYPE_OTHER] * 3
+
+
+def test_classify_command_takes_one_profile_and_no_inverse(monkeypatch, capsys, tmp_path) -> None:
+    # d2 comes from the transposed M - I blocks, and the command hands its
+    # one profile to classify_profile
+    calls = {"profile": 0, "inverse": 0}
+    profile, inverse = syz.fixed_space_profile, SquareExactMatrix.inverse
+
+    def counted_profile(v):
+        calls["profile"] += 1
+        return profile(v)
+
+    def counted_inverse(m):
+        calls["inverse"] += 1
+        return inverse(m)
+
+    monkeypatch.setattr(syz, "fixed_space_profile", counted_profile)
+    monkeypatch.setattr(SquareExactMatrix, "inverse", counted_inverse)
+    path = tmp_path / "vertex.json"
+    path.write_text(json.dumps({"monodromies": _SHEAR_TRIPLE}), encoding="utf-8")
+    assert cli.main(["syz", "classify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["fixed-space profile: d1=2 d2=1", "vertex type: type21"]
+    assert calls == {"profile": 1, "inverse": 0}
+
+
+def test_profile_without_inverses_matches_the_inverse_transposes(seed: int = 30) -> None:
+    # d2 read from the transposes equals the fixed dimension of the
+    # inverse-transpose triple itself, on shear vertices and their mirrors
+    rng = random.Random(seed)
+    for _ in range(20):
+        vertex = _conjugate(_rank_one_triple(rng), _random_unimodular(rng))
+        for v in (vertex, mirror_swap(vertex)):
+            mirror = [row for m in mirror_swap(v).monodromies
+                      for row in (m - SquareExactMatrix.identity(QQ, 3)).rows]
+            assert fixed_space_profile(v)[1] == 3 - rational_rank(mirror)
 
 
 def test_mirror_swap_is_an_involution() -> None:

@@ -1,22 +1,20 @@
-"""Record benchmark runs as ``BENCH_<N>.json`` at the checkout root.
+"""Record paired benchmark runs as ``BENCH_<N>.json`` at the checkout root.
 
-    python3 tools/bench_record.py --number N --seed 1 --seconds 20
-    python3 tools/bench_record.py --number N --seed 1 --seconds 20 --parent DIR --pairs 5
+    python3 tools/bench_record.py --number N --seed 1 --seconds 20 --parent DIR --pairs 10
 
-Runs ``python3 perfbench/run.py --workload all --seed S --seconds T`` of
-this checkout as a child process, parses the last line of its stdout (one
-JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``)
-and writes it together with the git SHA of the checkout, the Python
-version, the processor count, the seed and the seconds.
-
-With ``--parent DIR``, a checkout of the parent commit, it runs K pairs
-of parent and change instead, on seeds S..S+K-1, alternating which side
-runs first, and writes each side's SHA and totals, each run's
-``attempted`` and ``failed``, and per metric each side's median and
-quartiles and the number of pairs the change won.  Every end-to-end
-metric is lower-is-better (``BENCHMARK.json``); a tie counts for neither
-side.  Each end-to-end metric also gets a ``verdict`` (see :func:`verdict`),
-and the gains and regressions are printed.  A metric reads ``gain`` only
+``DIR`` is a checkout of the parent commit; a change to the benchmark
+itself pairs its checkout with itself.  The tool runs K pairs of
+``python3 perfbench/run.py --workload all --seed S --seconds T``, one in
+``DIR`` and one in this checkout, on seeds S..S+K-1, alternating which
+side runs first.  It parses the last line of each stdout (one JSON object
+with ``correct``, ``attempted``, ``failed`` and ``metrics``) and writes
+the Python version, the processor count, the seed and the seconds, each
+side's git SHA and totals, each run's ``attempted`` and ``failed``, and
+per metric each side's median and quartiles and the number of pairs the
+change won.  Every end-to-end metric is lower-is-better
+(``BENCHMARK.json``); a tie counts for neither side.  Each end-to-end
+metric also gets a ``verdict`` (see :func:`verdict`), and the gains and
+regressions are printed.  A metric reads ``gain`` only
 if every change run was correct and the change failed no more operations
 in total than the parent.  Stdlib only; it reads ``BENCHMARK.json`` for
 the bounds and writes nothing under ``perfbench/``.
@@ -42,24 +40,6 @@ BOUNDS = {metric["name"]: metric["bound"] for metric in
 
 def _result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
-
-
-def bench_document(stdout: str, *, sha: str, python: str, nproc: int, seed: int,
-                   seconds: float) -> dict:
-    """The BENCH record of one ``perfbench/run.py --workload all`` run, from
-    the result object on the last line of its stdout."""
-    result = _result(stdout)
-    return {
-        "sha": sha,
-        "python": python,
-        "nproc": nproc,
-        "seed": seed,
-        "seconds": seconds,
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": result["metrics"],
-    }
 
 
 def _spread(values: list) -> dict:
@@ -157,36 +137,30 @@ def main(argv=None) -> int:
     parser.add_argument("--number", required=True, type=int, help="N in the name BENCH_N.json")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--parent", type=Path, help="a checkout of the parent commit to pair with")
-    parser.add_argument("--pairs", type=int, default=1, help="pairs of runs with --parent")
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="a checkout of the parent commit to pair with")
+    parser.add_argument("--pairs", type=int, default=1, help="pairs of runs")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or (args.pairs > 1 and args.parent is None):
-        parser.error("--pairs takes a positive count and needs --parent")
+    if args.pairs < 1:
+        parser.error("--pairs takes a positive count")
 
     meta = {"python": platform.python_version(), "nproc": os.cpu_count() or 1,
             "seed": args.seed, "seconds": args.seconds}
-    if args.parent is None:
-        stdout = _perfbench(ROOT, args.seed, args.seconds)
-        if stdout is None:
-            return 1
-        doc = bench_document(stdout, sha=_sha(ROOT), **meta)
-        summary = f"correct={doc['correct']} attempted={doc['attempted']} failed={doc['failed']}"
-    else:
-        checkouts = {"parent": args.parent.resolve(), "change": ROOT}
-        pairs = []
-        for i in range(args.pairs):
-            stdouts = {}
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                stdouts[side] = _perfbench(checkouts[side], args.seed + i, args.seconds)
-                if stdouts[side] is None:
-                    return 1
-                result = _result(stdouts[side])
-                print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
-                      f"correct={result['correct']} failed={result['failed']}", file=sys.stderr)
-            pairs.append(stdouts)
-        doc = paired_document(pairs, shas={side: _sha(checkouts[side]) for side in SIDES}, **meta)
-        summary = " ".join(f"{side}: correct={doc[side]['correct']} attempted={doc[side]['attempted']} "
-                           f"failed={doc[side]['failed']}" for side in SIDES)
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    pairs = []
+    for i in range(args.pairs):
+        stdouts = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            stdouts[side] = _perfbench(checkouts[side], args.seed + i, args.seconds)
+            if stdouts[side] is None:
+                return 1
+            result = _result(stdouts[side])
+            print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} {side}: "
+                  f"correct={result['correct']} failed={result['failed']}", file=sys.stderr)
+        pairs.append(stdouts)
+    doc = paired_document(pairs, shas={side: _sha(checkouts[side]) for side in SIDES}, **meta)
+    summary = " ".join(f"{side}: correct={doc[side]['correct']} attempted={doc[side]['attempted']} "
+                       f"failed={doc[side]['failed']}" for side in SIDES)
     out = ROOT / f"BENCH_{args.number}.json"
     write_bench(out, doc)
     print(f"{out.name}: {summary}")
