@@ -14,10 +14,10 @@ per metric each side's median and quartiles and the number of pairs the
 change won.  Every end-to-end metric is lower-is-better
 (``BENCHMARK.json``); a tie counts for neither side.  Each end-to-end
 metric also gets a ``verdict`` (see :func:`verdict`), and the gains and
-regressions are printed.  A metric reads ``gain`` only
-if every change run was correct and the change failed no more operations
-in total than the parent.  Stdlib only; it reads ``BENCHMARK.json`` for
-the bounds and writes nothing under ``perfbench/``.
+regressions are printed.  A metric reads ``gain`` only if every change
+run was correct and the change failed no more operations in total than
+the parent.  Stdlib only; it reads ``BENCHMARK.json`` for the bounds and
+writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
