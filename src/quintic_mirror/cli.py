@@ -284,11 +284,11 @@ def _cmd_gw(args):
         raise CommandError(
             EXIT_USAGE, f"--order {order} is below --dmax {args.dmax}"
         )
-    mirror = enumerative.build_mirror_map(max(order, 2))
-    kappa = mirror.normalized_coupling(order)
     try:
+        mirror = enumerative.build_mirror_map(max(order, 2))
+        kappa = mirror.normalized_coupling(order)
         table = enumerative.extract_instantons(kappa, args.dmax)
-    except enumerative.IntegralityError as exc:
+    except (enumerative.IntegralityError, enumerative.PrepotentialError) as exc:
         raise CommandError(EXIT_INVARIANT, str(exc))
     if args.format == "table":
         return [

@@ -1,16 +1,19 @@
 """Mirror map, Yukawa coupling, curve counts, quantum ring.
 
 The pipeline runs entirely over exact rationals, and each stage runs
-once: one Frobenius solve gives phi0 and phi1, one exp gives the mirror
-map q = z exp(phi1/phi0), and one Lagrange-Buermann pass gives both z(q)
-and the normalized coupling kappa(q) = K(z(q)), where
+once: one Frobenius solve gives phi0, phi1 and phi2, one exp gives the
+mirror map q = z exp(phi1/phi0), and one Lagrange-Buermann pass gives
+z(q), the normalized coupling kappa(q) = K(z(q)) and G(z(q)), where
 
     K(z) = Y(z) / (phi0^2 (theta_z t)^3),   Y(z) = 5 / (1 - 3125 z),
     t = log q = log z + phi1/phi0,   theta_z t = 1 + theta_z (phi1/phi0)
 
 (Candelas, de la Ossa, Green and Parkes 1991; theta_q z / z = 1/theta_z t).
 K is formed in z with one series inverse and no composition.  The
-triangular extraction of the degree-d counts n_d then solves
+prepotential identity kappa = 5 + 5 theta_q^2 G, with the logarithm-free
+G = phi2/phi0 - (phi1/phi0)^2/2, is checked at each q^m with m >= 1.  It
+never reads Y, so it catches a wrong Y that keeps every count integral
+(a doubled one).  The triangular extraction of the counts n_d then solves
 
     kappa(q) = 5 + sum_{d >= 1} n_d d^3 q^d / (1 - q^d).
 
@@ -45,6 +48,14 @@ class IntegralityError(ArithmeticError):
         self.value = value
 
 
+class PrepotentialError(ArithmeticError):
+    """kappa(q) and 5 theta_q^2 G(z(q)) differ; Y or a period is wrong."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"kappa(q) breaks the prepotential identity at q^{degree}")
+        self.degree = degree
+
+
 @frozen
 class MirrorMap:
     """q as a series in z, its compositional inverse, and the coupling kappa(q)."""
@@ -64,21 +75,27 @@ def build_mirror_map(order: int) -> MirrorMap:
     """Mirror map from the period solutions, truncated past z^order.
 
     Needs order >= 2 so that the first correction coefficient (770) is
-    actually present.
+    actually present.  Raises PrepotentialError at the first q^m where
+    kappa breaks the prepotential identity.
     """
     if order < 2:
         raise ValueError("mirror map needs truncation order >= 2")
-    bundle = frobenius_at_zero(order, modulus_degree=2)
+    bundle = frobenius_at_zero(order, modulus_degree=3)
     phi0 = bundle.component(0)
-    ratio = bundle.component(1) / phi0
+    inverse = phi0.inverse()
+    ratio = bundle.component(1) * inverse
     if ratio.coefficient(0):
         raise ValueError("logarithm-free period ratio has a constant term")
     q_of_z = ratio.exp().mul_by_power(1)
     theta_t = 1 + ratio.theta()
     coupling = unnormalized_coupling(order) / (phi0 * phi0 * theta_t**3)
+    g = bundle.component(2) * inverse + (ratio * ratio).scale(Fraction(-1, 2))
     # q_of_z runs one order past phi0, so z(q) keeps the extra coefficient
     # and kappa stops at phi0's order.
-    z_of_q, kappa = q_of_z.reversion(coupling)
+    z_of_q, kappa, g_of_q = q_of_z.reversion(coupling, g)
+    for m in range(1, kappa.order + 1):
+        if 5 * m * m * g_of_q.coefficient(m) != kappa.coefficient(m):
+            raise PrepotentialError(m)
     return MirrorMap(q_of_z, z_of_q, kappa)
 
 

@@ -200,22 +200,25 @@ def smith_normal_form(rows) -> SmithDecomposition:
     and clears column and row t by Euclidean steps.  A remainder sends the
     next round back to the search.  Once both are clear, a row holding an
     entry the pivot fails to divide is added to row t and the same pivot
-    reduces again, which enforces d_t | d_{t+1}.  Every column move acts
-    on the rows of A and V together.
+    reduces again, which enforces d_t | d_{t+1}.  V is kept as rows m..
+    of the working list, so every column move acts on A and V together.
     """
     a = [list(r) for r in integer_matrix(rows)]
     m, n = len(a), (len(a[0]) if a else 0)
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
     t, search = 0, True
     while t < min(m, n):
         if search:
-            found = min(((abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n)
-                         if a[i][j]), default=None)
-            if found is None:
+            size = 0
+            for r in range(t, m):
+                row = a[r]
+                for c in range(t, n):
+                    if (x := abs(row[c])) and (x < size or not size):
+                        size, i, j = x, r, c
+            if not size:
                 break
-            _, i, j = found
             a[t], a[i] = a[i], a[t]
-            for row in a + v:
+            for row in a:
                 row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
@@ -225,7 +228,7 @@ def smith_normal_form(rows) -> SmithDecomposition:
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         for j in range(t + 1, n):
             if q := a[t][j] // pivot:
-                for row in a + v:
+                for row in a:
                     row[j] -= q * row[t]
         search = any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:])
         if not search:
@@ -234,7 +237,7 @@ def smith_normal_form(rows) -> SmithDecomposition:
                 t, search = t + 1, True
             else:
                 a[t] = [x + y for x, y in zip(a[t], a[fold])]
-    return SmithDecomposition(tuple(map(tuple, a)), tuple(map(tuple, v)))
+    return SmithDecomposition(tuple(map(tuple, a[:m])), tuple(map(tuple, a[m:])))
 
 
 def integer_kernel_basis(rows) -> list:

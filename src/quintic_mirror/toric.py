@@ -10,12 +10,12 @@ the two that vanishes at the point.  Ridges are read from bitmasks of the
 points on each facet, so a hull costs about points times facets.  Lattice
 points are listed fibre by fibre, each coordinate's range taken from the
 facets of the projection onto the coordinates so far, at about the cost
-of the projections' lattice points.  A lower-dimensional polytope is
-projected onto the pivot coordinates of its affine hull, which is
-one-to-one there: its vertices are the preimages of the projection's,
-and its lattice points the integral lifts of the projection's.  The
-polar dual uses the inequality <x, y> >= -1, so a facet <n, x> <= c
-with c > 0 on the primal side becomes the dual vertex -n/c.
+of the projections' lattice points; only a full-dimensional polytope
+lists them.  A lower-dimensional polytope is projected onto the pivot
+coordinates of its affine hull, which is one-to-one there: its vertices
+are the preimages of the projection's.  The polar dual uses the
+inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the
+primal side becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -29,13 +29,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._frozen import frozen
-from .linalg import (
-    dot,
-    integer_det,
-    integer_kernel_basis,
-    integer_matrix,
-    rational_inverse,
-)
+from .linalg import dot, integer_det, integer_kernel_basis, integer_matrix
 
 LatticePoint = tuple
 
@@ -87,30 +81,21 @@ class LatticePolytope:
         if ambient == 0:
             raise ValueError("a point needs at least one coordinate")
         self._ambient = ambient
-        base = pts[0]
-        affine, pivots = _affine_basis(pts)
+        pivots = _affine_basis(pts)[1]
         self._dim = len(pivots)
         self._facets: tuple | None = None
-        self._lift: tuple | None = None
 
         if self._dim == 0:
-            self._vertices = (base,)
+            self._vertices = (pts[0],)
         elif self._dim == ambient:
             self._vertices, self._facets = _full_dim_hull(pts, ambient)
         else:
             # projecting onto the pivot coordinates is one-to-one on the
-            # affine hull; a point y of the projection lifts to
-            # base + (y - base's pivots) B^-1 D, where D holds the
-            # differences from base and B is their block on the pivots
+            # affine hull, so the vertices are the preimages of the
+            # projection's vertices
             back = {tuple(p[k] for k in pivots): p for p in pts}
             projection = LatticePolytope(back)
             self._vertices = tuple(sorted(back[q] for q in projection.vertices))
-            rows = [[x - b for x, b in zip(p, base)] for p in affine[1:]]
-            inverse = rational_inverse([[r[k] for k in pivots] for r in rows])
-            columns = [tuple(dot(row, col) for row in inverse) for col in zip(*rows)]
-            start = [base[k] for k in pivots]
-            offset = [b - dot(start, col) for b, col in zip(base, columns)]
-            self._lift = projection, offset, columns
 
     # -- basic queries -------------------------------------------------
 
@@ -128,29 +113,22 @@ class LatticePolytope:
         return self._facets
 
     def lattice_points(self) -> list:
-        """All lattice points of the hull, in lexicographic order."""
-        if self._dim == 0:
-            return [self._vertices[0]]
-        if self._lift is None:
-            # fibre by fibre: each prefix (x_1..x_k) is a lattice point of
-            # the projection to the first k coordinates, and the facets of
-            # the next projection that involve x_(k+1) bound its range
-            points = [()]
-            for k in range(self._ambient):
-                facets = self._facets
-                if k + 1 < self._ambient:
-                    _, facets = _full_dim_hull(sorted({v[: k + 1] for v in self._vertices}), k + 1)
-                upper = [(f.normal[:k], f.offset, f.normal[k]) for f in facets if f.normal[k] > 0]
-                lower = [(f.normal[:k], f.offset, -f.normal[k]) for f in facets if f.normal[k] < 0]
-                points = [q + (x,) for q in points for x in range(
-                    max(-((c - dot(n, q)) // m) for n, c, m in lower),
-                    min((c - dot(n, q)) // m for n, c, m in upper) + 1)]
-            return points
-        projection, offset, columns = self._lift
-        lifts = ([c + dot(y, col) for c, col in zip(offset, columns)]
-                 for y in projection.lattice_points())
-        return sorted(tuple(c.numerator for c in x) for x in lifts
-                      if all(c.denominator == 1 for c in x))
+        """Lattice points of a full-dimensional hull, in lexicographic order."""
+        # fibre by fibre: each prefix (x_1..x_k) is a lattice point of the
+        # projection to the first k coordinates, and the facets of the next
+        # projection that involve x_(k+1) bound its range
+        self.facets()  # raises for a lower-dimensional polytope
+        points = [()]
+        for k in range(self._ambient):
+            facets = self._facets
+            if k + 1 < self._ambient:
+                _, facets = _full_dim_hull(sorted({v[: k + 1] for v in self._vertices}), k + 1)
+            upper = [(f.normal[:k], f.offset, f.normal[k]) for f in facets if f.normal[k] > 0]
+            lower = [(f.normal[:k], f.offset, -f.normal[k]) for f in facets if f.normal[k] < 0]
+            points = [q + (x,) for q in points for x in range(
+                max(-((c - dot(n, q)) // m) for n, c, m in lower),
+                min((c - dot(n, q)) // m for n, c, m in upper) + 1)]
+        return points
 
     # -- polarity ------------------------------------------------------
 

@@ -266,6 +266,16 @@ def test_invariant_error_exits_three(capsys, monkeypatch) -> None:
     assert err.startswith("error: invariant:")
 
 
+def test_doubled_coupling_fails_the_prepotential_gate(capsys, monkeypatch) -> None:
+    # a doubled Y doubles every count and keeps it integral (n_1 = 5750); the
+    # prepotential identity never reads Y, so it fails at the first degree
+    single = enumerative.unnormalized_coupling
+    monkeypatch.setattr(enumerative, "unnormalized_coupling", lambda order: single(order).scale(2))
+    code, out, err = _run(capsys, ["gw", "--order", "12", "--dmax", "12"])
+    assert (code, out) == (3, "")
+    assert err == "error: invariant: kappa(q) breaks the prepotential identity at q^1\n"
+
+
 def test_monodromy_gate_rejects_a_power_basis_matrix_not_conjugate_to_the_diagonal(
     capsys, monkeypatch
 ) -> None:

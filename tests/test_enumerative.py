@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_mirror import enumerative
 from quintic_mirror.enumerative import (
     IntegralityError,
+    PrepotentialError,
     build_mirror_map,
     extract_instantons,
     quantum_ring,
@@ -193,6 +195,19 @@ def test_non_integral_count_is_loud() -> None:
         extract_instantons(fake, 1)
     assert info.value.degree == 1
     assert info.value.value == Fraction(1, 2)
+
+
+def test_prepotential_gate_names_the_first_broken_degree(monkeypatch) -> None:
+    # Y off by one at z^3 leaves kappa's first three coefficients alone
+    def bumped(order):
+        coeffs = list(unnormalized_coupling(order).coeffs)
+        coeffs[3] += 1
+        return TruncatedSeries(QQ, tuple(coeffs))
+
+    monkeypatch.setattr(enumerative, "unnormalized_coupling", bumped)
+    with pytest.raises(PrepotentialError) as info:
+        build_mirror_map(8)
+    assert info.value.degree == 3
 
 
 def test_extraction_needs_enough_coefficients() -> None:
