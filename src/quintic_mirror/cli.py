@@ -5,7 +5,7 @@ invocations produce byte-identical output.  Two renderings are
 available: ``table`` (aligned, human-readable text) and ``structured``
 (versioned JSON with every rational as a "num/den" string).  The only
 floating-point numbers the interface ever emits come from
-``glsm kahler``, printed to 12 significant digits.
+``glsm kahler``, printed to 12 correctly rounded significant digits.
 
 Each subcommand is one row of ``COMMANDS``: its words, help text,
 handler and options.  ``parse`` reads a command's words and ``--flag
@@ -70,7 +70,7 @@ class CommandError(Exception):
 # Ceilings on --order and --dmax: the series kernels cost at least the cube of
 # the order in growing integers, so 10^12 would never finish but fails at once.
 # Each keeps a process within about a minute (2-vCPU Xeon VM, Python 3.11.7):
-# `periods --order 1000` takes 0.85 to 0.9 s, `gw --order 300 --dmax 300` 8 to
+# `periods --order 1000` takes 0.55 to 0.6 s, `gw --order 300 --dmax 300` 8 to
 # 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
 # lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
 # Rendered as written, one coefficient at a time, `periods --order 1000` (8.1 MB
@@ -222,8 +222,16 @@ def _cmd_periods(args):
 
     def texts(k):  # phi_k's z^n coefficient: num[k]/den of A_n(a) in lowest terms; tables drop /1
         for c in bundle.series.coeffs:
-            g = math.gcd(num := c.num[k], c.den)
-            yield str(num // g) if table and c.den == g else f"{num // g}/{c.den // g}"
+            # num = q den + r, so gcd(num, den) = gcd(den, r): one division of the
+            # long numerator, and a gcd on numbers no longer than den
+            num, den = c.num[k], c.den
+            q, r = divmod(num, den)
+            if not r:
+                yield str(q) if table else f"{q}/1"
+            elif (g := math.gcd(den, r)) == 1:
+                yield f"{num}/{den}"
+            else:
+                yield f"{q * (den // g) + r // g}/{den // g}"
 
     # rendered as written, one coefficient string at a time, after the gate above;
     # a table line is its label and then its coefficients, each after a space
@@ -327,8 +335,8 @@ def _cmd_polytope(args):
         polytope = _checked(toric.LatticePolytope, points, where=label)
     report = polytope.is_reflexive()
     reflexive = report.is_reflexive
-    if reflexive:  # the certificate is the dual's vertex list, integral here
-        dual = toric.LatticePolytope(report.dual_vertices)
+    if reflexive:
+        dual = polytope.reflexive_dual(report)
         count = len(dual.lattice_points())
         moduli = toric.moduli_dimension(count, 25) if builtin else None
     if args.format == "table":
@@ -613,13 +621,17 @@ def _json(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# the printable ASCII bytes but the quote and the backslash: json.dumps writes them unescaped
+_PLAIN_JSON_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+
+
 def _dump(value, write, pad: str) -> None:
     """Write value as ``json.dump(value, indent=2, sort_keys=True,
     default=_json)`` would, byte for byte, with pad the newline and indent of
     its own level: a generator is written item by item as it yields, and json
     is imported only for a string that needs escapes."""
     if isinstance(value, str):
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        if value.isascii() and not value.encode().translate(None, _PLAIN_JSON_BYTES):
             write(f'"{value}"')
         else:
             import json

@@ -103,12 +103,14 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
         expanded.append((value, p_den))
     out, zero = [], ring.zero()
     for n in range(series.order + 1):
-        terms = []
+        acc, den = [0] * (top + 1), 1
         for j, (value, p_den) in enumerate(expanded[: n + 1]):
             a = series.coeffs[n - j]
-            terms.append((int_convolve(_at(value, width, n - j), a.num, top), p_den * a.den))
-        den = math.lcm(*(d for _, d in terms))
-        acc = [sum(v[k] * (den // d) for v, d in terms) for k in range(top + 1)]
+            v, d = int_convolve(_at(value, width, n - j), a.num, top), p_den * a.den
+            # acc/den + v/d = (acc d/g + v den/g) / (den d/g) with g = gcd(den, d)
+            g = math.gcd(den, d)
+            widen, scale = d // g, den // g
+            acc, den = [x * widen + y * scale for x, y in zip(acc, v)], den * widen
         out.append(NilpotentElement.from_integers(acc, den) if any(acc) else zero)
     return TruncatedSeries(ring, tuple(out))
 

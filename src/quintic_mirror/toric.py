@@ -15,7 +15,8 @@ lists them.  A lower-dimensional polytope is projected onto the pivot
 coordinates of its affine hull, which is one-to-one there: its vertices
 are the preimages of the projection's.  The polar dual uses the
 inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the
-primal side becomes the dual vertex -n/c.
+primal side becomes the dual vertex -n/c; a reflexive polytope's dual
+takes its facets from the primal vertices, with no hull.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -149,13 +150,23 @@ class LatticePolytope:
         )
 
     def polar_dual(self) -> "LatticePolytope":
-        """The polar dual as a lattice polytope; raises when a dual vertex
-        is not integral."""
-        duals = self.polar_dual_rational()
-        for v in duals:
-            if any(c.denominator != 1 for c in v):
-                raise NonReflexiveError(f"dual vertex {v} is not a lattice point")
-        return LatticePolytope(duals)
+        """The polar dual as a lattice polytope; raises unless the origin is
+        interior and every dual vertex is integral."""
+        self._facets_with_interior_origin()
+        return self.reflexive_dual(self.is_reflexive())
+
+    def reflexive_dual(self, report: ReflexivityReport) -> "LatticePolytope":
+        """The polar dual from this polytope's :meth:`is_reflexive` report,
+        with no hull: the certificate is the dual's vertex list, and each
+        vertex v here gives the dual's facet <x, v> >= -1, whose normal -v is
+        primitive because the dual is reflexive too."""
+        if not report.is_reflexive:
+            raise NonReflexiveError("the polar dual is not a lattice polytope")
+        dual = object.__new__(LatticePolytope)
+        dual._ambient = dual._dim = self._ambient
+        dual._vertices = tuple(sorted(tuple(map(int, v)) for v in report.dual_vertices))
+        dual._facets = tuple(Facet(n, 1) for n in sorted(tuple(-x for x in v) for v in self._vertices))
+        return dual
 
     def is_reflexive(self) -> ReflexivityReport:
         """Reflexivity test with the dual vertex list as certificate."""

@@ -15,7 +15,7 @@ from types import GeneratorType
 
 import pytest
 
-from quintic_mirror import cli, enumerative, picard_fuchs, toric
+from quintic_mirror import cli, enumerative, glsm, picard_fuchs, toric
 from quintic_mirror.enumerative import IntegralityError
 from quintic_mirror.exactnum import QQ, CyclotomicElement, NilpotentElement, TruncatedSeries
 from quintic_mirror.linalg import SquareExactMatrix
@@ -189,6 +189,34 @@ def test_glsm_kahler_from_file(capsys, tmp_path) -> None:
     code, out, err = _run(capsys, ["glsm", "kahler", "--in", path])
     assert code == 0
     assert "r: 0 0" in out
+
+
+@pytest.mark.parametrize(
+    "magnitudes, charges, printed",
+    [
+        ([1e308, 1e-308], [[10**30], [10**30]], "1.26837435373e+13"),
+        ([10.0, 0.1], [[1], [1]], "-8.83487411518e-18"),
+        ([1000.0, 10.0], [[1], [-3]], "0"),
+    ],
+)
+def test_glsm_kahler_prints_correctly_rounded_digits(
+    capsys, tmp_path, magnitudes, charges, printed
+) -> None:
+    path = _write_json(tmp_path, "radii.json", {"magnitudes": magnitudes, "charges": charges})
+    code, out, err = _run(capsys, ["glsm", "kahler", "--in", path])
+    assert (code, out.splitlines()[-1], err) == (0, f"r: {printed}", "")
+    code, out, err = _run(capsys, ["glsm", "kahler", "--in", path, "--format", "structured"])
+    assert (code, json.loads(out)["r"], err) == (0, [printed], "")
+
+
+def test_glsm_kahler_ends_with_one_error_line_past_its_precision_cap(
+    capsys, tmp_path, monkeypatch
+) -> None:
+    monkeypatch.setattr(glsm, "MAX_KAHLER_DIGITS", 32)
+    path = _write_json(tmp_path, "radii.json", {"magnitudes": [1e308, 1e-308], "charges": [[10**30], [10**30]]})
+    code, out, err = _run(capsys, ["glsm", "kahler", "--in", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: input: {path}: r cannot be rounded to 12 digits within 32 digits\n"
 
 
 def test_syz_classify_round_trip(capsys, tmp_path) -> None:
@@ -661,6 +689,11 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
             json.dumps({"magnitudes": [1e-300], "charges": [[10**307]]}),
             "r overflows a float",
         ),
+        (
+            "glsm kahler",
+            json.dumps({"magnitudes": [2.0] * 257, "charges": [[1]] * 257}),
+            "257 magnitudes, at most 256 allowed",
+        ),
     ],
     ids=[
         "nan",
@@ -692,6 +725,7 @@ def test_structured_output_has_sorted_keys(capsys) -> None:
         "long-string-magnitude",
         "nan-kahler-parameter",
         "infinite-kahler-parameter",
+        "too-many-magnitudes",
     ],
 )
 def test_bad_input_values_exit_2_with_one_error_line(
@@ -815,6 +849,9 @@ def test_gw_table_and_order_80_output_digest_is_frozen(capsys, argv, digest) -> 
         (50, "structured", "060786ef7f1fbe48b4704d98bc22867d53cca65f40650765f1019aa9354a1cb0"),
         (400, "table", "3e58be629d35bb1d6093035ecd643ed8e11ac772a8e65d4fc9ece1c5805274ea"),
         (400, "structured", "9c8cc9a3f7d44750419c70c475df3ea6583fdbcfcaaef6d5c9baacd7f69e21f5"),
+        # the ceiling: the longest printed number has 4,142 digits
+        (1000, "table", "d10a73bec7d2966d6c2072e91e17162af135e9f740f86b0f6f0aa68640b26671"),
+        (1000, "structured", "901b5405bd693126cd550ef8f2b4f868fe7b21bba564a372f2e868b95cc013b6"),
     ],
 )
 def test_periods_output_digest_is_frozen(capsys, order, fmt, digest) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,59 @@ def test_kahler_parameter_rejects_a_non_finite_result() -> None:
         with pytest.raises(ValueError, match="overflows a float"):
             kahler_parameter(magnitudes, charges)
     assert kahler_parameter([1e-300], [[10**300]])[0] > 1e300
+
+
+def _difference_input(m: int) -> tuple:
+    """Magnitudes 1 + k eps, k = 0..m, with eps = 2^-52, and the charges of
+    the m-th finite difference: sum_k chi_k log c_k is about -eps^m (m-1)!."""
+    eps = 2.0**-52
+    return [1 + k * eps for k in range(m + 1)], [[(-1) ** k * math.comb(m, k)] for k in range(m + 1)]
+
+
+def test_kahler_parameter_is_correctly_rounded_under_cancellation() -> None:
+    # terms near 1e-8 cancel to about 1e-181; the exact sum, from the log
+    # series sum_j (-1)^(j+1) (k eps)^j / j, has no terms below j = m
+    m = 12
+    magnitudes, charges = _difference_input(m)
+    eps = Fraction(1, 2**52)
+    total = sum(
+        Fraction((-1) ** (j + 1), j) * eps**j * sum(chi * k**j for k, (chi,) in enumerate(charges))
+        for j in range(m, m + 4)
+    )
+    exact = float(-total / (2 * Fraction(math.pi)))
+    assert 1e-182 < abs(exact) < 1e-179
+    assert kahler_parameter(magnitudes, charges) == (float(f"{exact:.12g}"),)
+
+
+@pytest.mark.parametrize(
+    "magnitudes, charges, r",
+    [
+        # the three rows printed wrong by the sum in floats: 0, -5.55111512313e-17
+        # and 2.22044604925e-16
+        ([1e308, 1e-308], [[10**30], [10**30]], (1.26837435373e13,)),
+        ([10.0, 0.1], [[1], [1]], (-8.83487411518e-18,)),
+        ([1000.0, 10.0], [[1], [-3]], (0.0,)),
+        # exact products 1 through odd parts and through the smallest double
+        ([6.0, 1.5, 0.25], [[1, 1], [-1, 0], [1, 0]], (0.0, -0.285167376359)),
+        ([9.0, 3.0], [[1], [-2]], (0.0,)),
+        ([2.0**-1074, 2.0], [[1], [1074]], (0.0,)),
+    ],
+)
+def test_kahler_parameter_reads_the_exact_doubles(magnitudes, charges, r) -> None:
+    assert kahler_parameter(magnitudes, charges) == r
+
+
+def test_kahler_parameter_rejects_what_no_float_holds(monkeypatch) -> None:
+    # the sum of two terms within a float is not
+    with pytest.raises(ValueError, match="r overflows a float"):
+        kahler_parameter([1e-300, 1e-300], [[10**306], [10**306]])
+    # 21st difference: about 2^-1092 20!, below the normal floats
+    with pytest.raises(ValueError, match="r underflows a float"):
+        kahler_parameter(*_difference_input(21))
+    # the first row above needs more than 32 digits
+    monkeypatch.setattr(glsm, "MAX_KAHLER_DIGITS", 32)
+    with pytest.raises(ValueError, match="cannot be rounded to 12 digits within 32 digits"):
+        kahler_parameter([1e308, 1e-308], [[10**30], [10**30]])
 
 
 def test_kahler_parameter_rejects_non_integer_charges() -> None:

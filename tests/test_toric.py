@@ -358,6 +358,24 @@ def test_polar_involution_in_two_dimensions() -> None:
     assert set(cross.is_reflexive().dual_vertices) == set(square.vertices)
 
 
+def test_dual_from_the_certificate_is_the_hull_of_its_vertices(seed: int = 20261020) -> None:
+    # vertices, facets and lattice points match a fresh hull of the dual vertices
+    rng = random.Random(seed)
+    fan = projective_space_fan_polytope()
+    cube = LatticePolytope(itertools.product((-1, 1), repeat=3))
+    polytopes = [fan, quintic_newton_polytope(), cube, LatticePolytope([(1, 0), (0, 1), (-1, -1)])]
+    polytopes += [_transform(fan, _random_unimodular(rng, 4)) for _ in range(5)]
+    for poly in polytopes:
+        report = poly.is_reflexive()
+        dual, hull = poly.reflexive_dual(report), LatticePolytope(report.dual_vertices)
+        assert (dual.vertices, dual.dim, dual.facets()) == (hull.vertices, hull.dim, hull.facets())
+        assert dual.lattice_points() == hull.lattice_points()
+        assert dual.polar_dual() == poly
+    stretched = LatticePolytope([(2, 0), (0, 2), (-2, -2)])
+    with pytest.raises(NonReflexiveError):
+        stretched.reflexive_dual(stretched.is_reflexive())
+
+
 def test_polarity_commutes_with_lattice_symmetry(seed: int = 20260822) -> None:
     rng = random.Random(seed)
     fan = projective_space_fan_polytope()
