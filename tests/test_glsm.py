@@ -221,7 +221,7 @@ def _difference_input(m: int) -> tuple:
 
 
 def test_kahler_parameter_is_correctly_rounded_under_cancellation() -> None:
-    # terms near 1e-8 cancel to about 1e-181; the exact sum, from the log
+    # terms up to about 1e-12 cancel to about 1e-181; the exact sum, from the log
     # series sum_j (-1)^(j+1) (k eps)^j / j, has no terms below j = m
     m = 12
     magnitudes, charges = _difference_input(m)
