@@ -70,8 +70,8 @@ class CommandError(Exception):
 # Ceilings on --order and --dmax: the series kernels cost at least the cube of
 # the order in growing integers, so 10^12 would never finish but fails at once.
 # Each keeps a process within about a minute (2-vCPU Xeon VM, Python 3.11.7):
-# `periods --order 1000` takes 0.55 to 0.6 s, `gw --order 300 --dmax 300` 8 to
-# 11 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
+# `periods --order 1000` takes 0.55 to 0.6 s, `gw --order 300 --dmax 300` about
+# 5.2 s.  At 1000 the longest number `periods` prints has 4,142 digits; `main`
 # lifts CPython's int-to-str digit limit while it renders, so no limit cuts it off.
 # Rendered as written, one coefficient at a time, `periods --order 1000` (8.1 MB
 # out) peaks at 18.5 MB of RSS in both formats (15.0 at order 400); one component's

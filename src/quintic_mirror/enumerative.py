@@ -189,7 +189,7 @@ class QuantumRing:
         factor for L * L."""
         x = self.element(x)
         y = self.element(y)
-        out = [TruncatedSeries.zero(QQ, self.order)] * _RANK
+        out = [TruncatedSeries.constant(QQ, 0, self.order)] * _RANK
         for a in range(_RANK):
             for b in range(_RANK - a):
                 term = x[a] * y[b]

@@ -273,25 +273,6 @@ def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
     return out
 
 
-def int_power_head(h: Sequence[int], m: int) -> list:
-    """Coefficients 0..m-1 of h^m for an integer sequence h with h_0 != 0.
-
-    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7), from
-    h (h^m)' = m h' h^m:  N_0 = h_0^m and, for k >= 1,
-
-        N_k = sum_{j=1}^{k} ((m+1) j - k) h_j N_(k-j) / (k h_0),
-
-    where the division is exact because h^m has integer coefficients:
-    about m^2/2 products, against m products of length m by convolution.
-    """
-    h0 = h[0]
-    out = [h0**m]
-    for k in range(1, m):
-        weights = [((m + 1) * j - k) * c for j, c in enumerate(h[1 : k + 1], 1)]
-        out.append(sum(map(operator.mul, weights, reversed(out))) // (k * h0))
-    return out
-
-
 def series_product(a: Sequence, b: Sequence, order: int) -> tuple:
     """Coefficients 0..order of the product of two rational sequences.
 
@@ -421,20 +402,8 @@ class TruncatedSeries:
         return TruncatedSeries(ring, tuple(coeffs))
 
     @staticmethod
-    def zero(ring: Ring, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.constant(ring, 0, order)
-
-    @staticmethod
     def one(ring: Ring, order: int) -> "TruncatedSeries":
         return TruncatedSeries.constant(ring, 1, order)
-
-    @staticmethod
-    def variable(ring: Ring, order: int) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1 to hold the variable itself")
-        coeffs = [ring.zero()] * (order + 1)
-        coeffs[1] = ring.one()
-        return TruncatedSeries(ring, tuple(coeffs))
 
     # -- basic queries -------------------------------------------------
 
@@ -510,17 +479,9 @@ class TruncatedSeries:
     def mul_by_power(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k (k >= 0); the retained order grows accordingly."""
         if k < 0:
-            raise ValueError("use div_by_power for negative powers")
+            raise ValueError("power must be >= 0")
         zeros = tuple(self.ring.zero() for _ in range(k))
         return TruncatedSeries(self.ring, zeros + self.coeffs)
-
-    def div_by_power(self, k: int) -> "TruncatedSeries":
-        """Divide by x^k; the first k coefficients must vanish."""
-        if k < 0:
-            raise ValueError("power must be >= 0")
-        if any(self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by x^{k}")
-        return TruncatedSeries(self.ring, self.coeffs[k:])
 
     # -- calculus ------------------------------------------------------
 
@@ -575,12 +536,17 @@ class TruncatedSeries:
             [x^m] b = (1/m) [x^(m-1)] h^m,
             [x^m] g(b) = (1/m) [x^(m-1)] g' h^m   (m >= 1),   g(b)_0 = g_0.
 
-        Step m reads only coefficients 0..m-1 of h^m, which
-        :func:`int_power_head` takes from the integer numerators of h by
-        Miller's recurrence: about n^3/6 integer products at order n, plus
-        one O(m) dot product per g and m.  Each g(b) stops at the smaller of
-        g's order and self's.  Returns b alone, or (b, g_1(b), ...) given
-        outer.
+        Step m reads only coefficients 0..m-1 of h^m, on integer numerators.
+        The head N of h^p, p = m-1, is kept from step m-1; one step of
+        J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), from
+        h (h^p)' = p h' h^p, extends it to N_k, k = m-1, by the exact division
+
+            k h_0 N_k = sum_{j=1}^{k} ((p+1) j - k) h_j N_(k-j),
+
+        and one product with h truncated at m-1 gives the head of h^m:
+        still about n^3/6 integer products at order n, plus one O(m) dot
+        product per g and m.  Each g(b) stops at the smaller of g's order
+        and self's.  Returns b alone, or (b, g_1(b), ...) given outer.
         """
         self._check_qq(*outer)
         if self.coeffs[0] != 0:
@@ -588,15 +554,18 @@ class TruncatedSeries:
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("reversion needs a unit linear coefficient")
         n = self.order
-        h, den = integer_form(self.div_by_power(1).inverse().coeffs)
+        h, den = integer_form(series_inverse(self.coeffs[1:]))
         # b itself is g(b) for g = x; k g_k as integer numerators over one
         # denominator per g
-        gs = (TruncatedSeries.variable(QQ, n), *outer)
+        gs = (TruncatedSeries.from_coefficients(QQ, [0, 1] + [0] * (n - 1)), *outer)
         slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in gs]
         composed = [[g.coeffs[0]] for g in gs]
-        power_den = 1  # h^m = (integer numerators) / power_den
+        head, power_den = [1], 1  # h^m through x^(m-1) = head / power_den
         for m in range(1, n + 1):
-            head, power_den = int_power_head(h, m), power_den * den
+            if m > 1:  # Miller's step: N_(m-1) of h^(m-1)
+                weights = [(m * j - m + 1) * c for j, c in enumerate(h[1:m], 1)]
+                head.append(sum(map(operator.mul, weights, reversed(head))) // ((m - 1) * h[0]))
+            head, power_den = int_convolve(head, h, m - 1), power_den * den
             for (num, num_den), out in zip(slopes, composed):
                 if m < len(num):
                     dot = sum(map(operator.mul, num[1 : m + 1], reversed(head)))

@@ -808,6 +808,7 @@ def test_polytope_input_at_the_ceilings_is_accepted(capsys, tmp_path) -> None:
         (12, "21429ab075469d4ffe07ef8d186406a8137741e33d9e58057550a9b087b53c6a"),
         (20, "f3d3cbb02afd761c4857633d0e6eec2f9f79f1cc55cddd4920ce660627de5aac"),
         (40, "e023ae6ce1375fdb370cbd7294e44dd0e71612359b64278527595dd5a15dbba3"),
+        (150, "aa6adda45ad543455629585995db6808d5e11110bd07005a873c342b73c60175"),
     ],
 )
 def test_gw_structured_output_digest_is_frozen(capsys, order, digest) -> None:
