@@ -17,12 +17,13 @@ by zeta^5 = 1) and its inverse.  The ring descriptors coerce.
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with no exponent prefactor: the Frobenius exponent a of a
 series sum c_n z^(a+n) is the generator of its ring QQ[a]/(a^N) (see
-``picard_fuchs.apply_operator``).  Series products and inverses run over
-QQ only, through one kernel each (:func:`series_product`,
-:func:`series_inverse`) on integer numerators over one denominator.
-Series over the other rings are containers (the Frobenius bundle, the
-operator residual): they add and scale, and their products, exp and
-reversion raise :class:`RingMismatchError`.  No floats here.
+``picard_fuchs.apply_operator``).  A QQ series truncated at order n is
+an element of QQ[a]/(a^(n+1)), so it multiplies and inverts as a
+:class:`NilpotentElement`: one product (:func:`int_convolve`) and one
+inverse (:meth:`NilpotentElement.inverse`) on integer numerators over one
+denominator.  Series over the other rings are containers (the Frobenius
+bundle, the operator residual): they add and scale, and their products,
+exp and reversion raise :class:`RingMismatchError`.  No floats here.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ class _Element:
 class NilpotentElement(_Element):
     """An element c_0 + c_1 a + ... + c_{N-1} a^{N-1} of QQ[a]/(a^N).
 
-    QQ[a]/(a^N) is the ring of QQ series in a truncated at order N - 1, so
-    its product is :func:`int_convolve` and its inverse :func:`series_inverse`.
+    QQ[a]/(a^N) is the ring of QQ series in a truncated at order N - 1:
+    its product :func:`int_convolve` and its :meth:`inverse` are the one
+    product and the one inverse of QQ series, ``TruncatedSeries`` included.
     """
 
     __slots__ = ()
@@ -194,7 +196,17 @@ class NilpotentElement(_Element):
         return int_convolve(a, b, len(a) - 1)
 
     def inverse(self) -> "NilpotentElement":
-        return NilpotentElement(series_inverse(self.coeffs))
+        """With x = A/d on ints: [a^k] 1/x = d B_k A_0^(N-1-k) / A_0^N, where
+        B_0 = 1 and B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j)."""
+        a, n = self.num, len(self.num)
+        if not a[0]:
+            raise ZeroDivisionError("constant term is zero; not a unit")
+        scaled = [c * a[0] ** (j - 1) for j, c in enumerate(a) if j]
+        b = [1]
+        for k in range(1, n):
+            b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
+        num = [self.den * c * a[0] ** (n - 1 - k) for k, c in enumerate(b)]
+        return NilpotentElement.from_integers(num, a[0] ** n)
 
 
 def _zeta_product(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -271,36 +283,6 @@ def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
             for j, y in enumerate(b[: order + 1 - i]):
                 out[i + j] += x * y
     return out
-
-
-def series_product(a: Sequence, b: Sequence, order: int) -> tuple:
-    """Coefficients 0..order of the product of two rational sequences.
-
-    Each operand is scaled once to integers over the lcm of its
-    denominators, the convolution runs on Python ints, and each output
-    coefficient becomes one Fraction over the product of the two
-    denominators.
-    """
-    a, den_a = integer_form(a[: order + 1])
-    b, den_b = integer_form(b[: order + 1])
-    den = den_a * den_b
-    return tuple(Fraction(c, den) for c in int_convolve(a, b, order))
-
-
-def series_inverse(a: Sequence) -> tuple:
-    """Coefficients 0..len(a)-1 of 1/a for a rational sequence a with a_0 != 0.
-
-    With a = A/d on ints: b_k = d B_k / A_0^(k+1), where B_0 = 1 and
-    B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j).
-    """
-    if a[0] == 0:
-        raise ZeroDivisionError("constant term is zero; not a unit")
-    num, den = integer_form(a)
-    scaled = [c * num[0] ** (j - 1) for j, c in enumerate(num) if j]
-    b = [1]
-    for k in range(1, len(num)):
-        b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
-    return tuple(Fraction(den * c, num[0] ** (k + 1)) for k, c in enumerate(b))
 
 
 class _Ring:
@@ -449,25 +431,25 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs))
 
     def __mul__(self, other):
-        """Product over QQ by :func:`series_product`, truncated at the smaller
-        order."""
+        """Product over QQ, truncated at the smaller order: the operands cut
+        to that order multiply as elements of :class:`NilpotentElement`."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_qq(other)
-        n = min(self.order, other.order)
-        out = series_product(self.coeffs, other.coeffs, n)
-        return TruncatedSeries(QQ, out)
+        n = min(self.order, other.order) + 1
+        out = NilpotentElement(self.coeffs[:n]) * NilpotentElement(other.coeffs[:n])
+        return TruncatedSeries(QQ, out.coeffs)
 
     def __pow__(self, k: int):
         return power(self, k, TruncatedSeries.one(self.ring, self.order))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse over QQ by :func:`series_inverse`; needs a
-        nonzero constant term."""
+        """Multiplicative inverse over QQ by :meth:`NilpotentElement.inverse`;
+        needs a nonzero constant term."""
         self._check_qq()
         if self.coeffs[0] == 0:
             raise ValueError("series inverse needs a unit constant term")
-        return TruncatedSeries(QQ, series_inverse(self.coeffs))
+        return TruncatedSeries(QQ, NilpotentElement(self.coeffs).inverse().coeffs)
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -554,7 +536,8 @@ class TruncatedSeries:
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("reversion needs a unit linear coefficient")
         n = self.order
-        h, den = integer_form(series_inverse(self.coeffs[1:]))
+        h = NilpotentElement(self.coeffs[1:]).inverse()
+        h, den = h.num, h.den
         # b itself is g(b) for g = x; k g_k as integer numerators over one
         # denominator per g
         gs = (TruncatedSeries.from_coefficients(QQ, [0, 1] + [0] * (n - 1)), *outer)

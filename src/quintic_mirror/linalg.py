@@ -5,11 +5,12 @@ Three layers live here, all exact:
 * one Gauss-Jordan elimination over a field descriptor, behind rank and
   inverse on plain lists of rational rows and behind rank and inverse of
   :class:`SquareExactMatrix`,
-* integer lattice routines: the product, dot product and Bareiss
-  determinant of integer matrices, Smith normal form with its unimodular
-  column transform (one reduction loop with one pivot search, each column
-  move applied to A and V at once), saturated kernel bases, and a
-  deterministic sign normalization for kernel generators,
+* integer lattice routines: the product and dot product of integer
+  matrices, Smith normal form with its unimodular column transform (one
+  reduction loop with one pivot search, each column move applied to A and
+  V at once), saturated kernel bases, and a deterministic sign
+  normalization for kernel generators; a determinant is the third result
+  of the elimination,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
   such as rank and inverse require a field).
@@ -143,28 +144,6 @@ def integer_matmul(a, b) -> tuple:
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
     return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
-
-
-def integer_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination: every division is exact, so entries stay integers."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
-        previous = pivot
-    return sign * a[-1][-1] if a else 1
 
 
 @frozen

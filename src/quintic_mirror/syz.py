@@ -33,7 +33,7 @@ from math import gcd
 from ._frozen import frozen
 from .exactnum import QQ
 from .kontsevich import is_unipotent
-from .linalg import SquareExactMatrix, dot, integer_det, integer_matmul, integer_matrix, rational_rank
+from .linalg import SquareExactMatrix, dot, gauss_jordan, integer_matmul, integer_matrix, rational_rank
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
 VERTEX_TYPE_21 = "type21"
@@ -57,10 +57,11 @@ class UnipotentMonodromy3:
         entries = integer_matrix(rows)
         if len(entries) != 3 or len(entries[0]) != 3:
             raise ValueError("need a 3x3 integer matrix")
-        det = integer_det(entries)
+        m = SquareExactMatrix.from_rows(QQ, entries)
+        det = gauss_jordan(QQ, m.rows, 3)[2]
         if det != 1:
             raise ValueError(f"determinant is {det}, not 1")
-        return SquareExactMatrix.from_rows(QQ, entries)
+        return m
 
 
 @frozen

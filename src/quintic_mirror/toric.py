@@ -2,8 +2,8 @@
 
 Polytopes are stored by their vertex lists (extreme points only, sorted).
 A full-dimensional hull in Z^d grows by beneath-beyond insertion from a
-d-simplex among extreme points, whose facets have integer cofactor
-normals.  A point no facet lies strictly below is skipped; otherwise the
+d-simplex among extreme points, whose facet normals are Smith kernel
+vectors.  A point no facet lies strictly below is skipped; otherwise the
 facets it sees go, the facets through it gain it, and over each ridge
 between a seen facet and one beneath it a new facet is the combination of
 the two that vanishes at the point.  Ridges are read from bitmasks of the
@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._frozen import frozen
-from .linalg import dot, integer_det, integer_kernel_basis, integer_matrix
+from .linalg import dot, integer_kernel_basis, integer_matrix
 
 LatticePoint = tuple
 
@@ -193,15 +193,14 @@ class LatticePolytope:
 
 def _hyperplane_normal(points, inside) -> tuple:
     """(normal, offset) of the hyperplane through d affinely independent
-    points of Z^d, with <normal, inside> < offset: the signed maximal minors
-    of their differences from the first point, divided by their gcd."""
-    rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
-    minors = [
-        integer_det([r[:i] + r[i + 1:] for r in rows]) * (-1) ** i
-        for i in range(len(points[0]))
-    ]
-    g = math.gcd(*minors) * (1 if dot(minors, inside) < dot(minors, points[0]) else -1)
-    return tuple(m // g for m in minors), dot(minors, points[0]) // g
+    points of Z^d, with <normal, inside> < offset: the one vector of the
+    Smith kernel of all d differences from the first point (a single zero
+    row when d = 1), which is primitive."""
+    base = points[0]
+    normal = integer_kernel_basis([[x - b for x, b in zip(p, base)] for p in points])[0]
+    if dot(normal, inside) > dot(normal, base):
+        normal = tuple(-n for n in normal)
+    return normal, dot(normal, base)
 
 
 def _affine_basis(points) -> tuple:

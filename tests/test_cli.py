@@ -276,6 +276,18 @@ def test_input_error_for_bad_product(capsys, tmp_path) -> None:
     assert "error: input:" in err
 
 
+def test_syz_classify_refuses_a_determinant_other_than_one(capsys, tmp_path) -> None:
+    # the first monodromy has determinant k; the message prints k as an integer
+    for k, first in ((2, [[1, 1, 0], [0, 2, 0], [0, 0, 1]]),
+                     (-1, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                     (0, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])):
+        path = _write_json(tmp_path, f"det{k}.json", {"monodromies": [first, *_SHEAR_TRIPLE[1:]]})
+        for fmt in ("table", "structured"):
+            code, out, err = _run(capsys, ["syz", "classify", "--in", path, "--format", fmt])
+            assert (code, out) == (2, "")
+            assert err == f"error: input: {path}: determinant is {k}, not 1\n"
+
+
 def test_input_error_for_malformed_json(capsys, tmp_path) -> None:
     target = tmp_path / "broken.json"
     target.write_text("{not json")
@@ -942,8 +954,8 @@ def test_polytope_structured_output_digest_is_frozen(
     capsys, monkeypatch, tmp_path, points, digest
 ) -> None:
     # Digests of the output of the facet search that took one Smith-form
-    # kernel per point subset; the cofactor search must reproduce it.  The
-    # input path is printed, so it is the same relative name every run.
+    # kernel per point subset; the beneath-beyond hull must reproduce it.
+    # The input path is printed, so it is the same relative name every run.
     monkeypatch.chdir(tmp_path)
     _write_json(tmp_path, "points.json", {"points": points})
     code, out, err = _run(capsys, ["polytope", "--in", "points.json", "--format", "structured"])

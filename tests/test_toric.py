@@ -103,7 +103,8 @@ def _dot(a, b) -> int:
 
 def _reference_facets(points, ambient: int) -> tuple:
     """Reference facet search: one Smith-form kernel per point subset
-    (canonical_kernel_basis), kept to check the cofactor normals against."""
+    (canonical_kernel_basis), kept to check the hull's beneath-beyond
+    insertion against."""
     if ambient == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
