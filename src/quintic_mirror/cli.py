@@ -51,11 +51,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-_CATEGORY_BY_CODE = {
-    EXIT_USAGE: "usage",
-    EXIT_INPUT: "input",
-    EXIT_INVARIANT: "invariant",
-}
+_CATEGORY_BY_CODE = {EXIT_USAGE: "usage", EXIT_INPUT: "input", EXIT_INVARIANT: "invariant"}
 
 
 class CommandError(Exception):
@@ -289,9 +285,7 @@ def _cmd_monodromy(args):
 def _cmd_gw(args):
     order = args.order
     if order < args.dmax:
-        raise CommandError(
-            EXIT_USAGE, f"--order {order} is below --dmax {args.dmax}"
-        )
+        raise CommandError(EXIT_USAGE, f"--order {order} is below --dmax {args.dmax}")
     try:
         mirror = enumerative.build_mirror_map(max(order, 2))
         kappa = mirror.normalized_coupling(order)

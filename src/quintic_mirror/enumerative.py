@@ -9,7 +9,7 @@ z(q), the normalized coupling kappa(q) = K(z(q)) and G(z(q)), where
     t = log q = log z + phi1/phi0,   theta_z t = 1 + theta_z (phi1/phi0)
 
 (Candelas, de la Ossa, Green and Parkes 1991; theta_q z / z = 1/theta_z t).
-K is formed in z with one series inverse and no composition.  The
+K is formed in z with one series division and no composition.  The
 prepotential identity kappa = 5 + 5 theta_q^2 G, with the logarithm-free
 G = phi2/phi0 - (phi1/phi0)^2/2, is checked at each q^m with m >= 1.  It
 never reads Y, so it catches a wrong Y that keeps every count integral
@@ -75,34 +75,34 @@ def build_mirror_map(order: int) -> MirrorMap:
     """Mirror map from the period solutions, truncated past z^order.
 
     Needs order >= 2 so that the first correction coefficient (770) is
-    actually present.  Raises PrepotentialError at the first q^m where
-    kappa breaks the prepotential identity.
+    actually present.  Every series, K(z) and G included, is integer
+    numerators over one denominator; the prepotential gate cross-multiplies
+    them and raises PrepotentialError at the first q^m where kappa fails it.
     """
     if order < 2:
         raise ValueError("mirror map needs truncation order >= 2")
     bundle = frobenius_at_zero(order, modulus_degree=3)
     phi0 = bundle.component(0)
-    inverse = phi0.inverse()
-    ratio = bundle.component(1) * inverse
-    if ratio.coefficient(0):
+    ratio = bundle.component(1) / phi0
+    if ratio.terms.num[0]:
         raise ValueError("logarithm-free period ratio has a constant term")
     q_of_z = ratio.exp().mul_by_power(1)
     theta_t = 1 + ratio.theta()
-    coupling = unnormalized_coupling(order) / (phi0 * phi0 * theta_t**3)
-    g = bundle.component(2) * inverse + (ratio * ratio).scale(Fraction(-1, 2))
+    coupling = unnormalized_coupling(order) / ((phi0 * theta_t) ** 2 * theta_t)
+    g = bundle.component(2) / phi0 + (ratio * ratio).scale(Fraction(-1, 2))
     # q_of_z runs one order past phi0, so z(q) keeps the extra coefficient
     # and kappa stops at phi0's order.
     z_of_q, kappa, g_of_q = q_of_z.reversion(coupling, g)
-    for m in range(1, kappa.order + 1):
-        if 5 * m * m * g_of_q.coefficient(m) != kappa.coefficient(m):
+    k, gq = kappa.terms, g_of_q.terms
+    for m in range(1, kappa.order + 1):  # 5 m^2 [q^m] G(z(q)) = [q^m] kappa, cross-multiplied
+        if 5 * m * m * gq.num[m] * k.den != k.num[m] * gq.den:
             raise PrepotentialError(m)
     return MirrorMap(q_of_z, z_of_q, kappa)
 
 
 def unnormalized_coupling(order: int) -> TruncatedSeries:
     """Y(z) = 5/(1 - 3125 z) as a rational series in z."""
-    coeffs = [5 * Fraction(UNNORMALIZED_COUPLING_POLE) ** n for n in range(order + 1)]
-    return TruncatedSeries.from_coefficients(QQ, coeffs)
+    return TruncatedSeries.from_integers([5 * UNNORMALIZED_COUPLING_POLE**n for n in range(order + 1)])
 
 
 def yukawa_normalized(order: int) -> TruncatedSeries:
@@ -131,19 +131,15 @@ def extract_instantons(kappa: TruncatedSeries, d_max: int) -> InstantonTable:
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if kappa.order < d_max:
-        raise ValueError(
-            f"coupling truncated at order {kappa.order}, below d_max {d_max}"
-        )
+        raise ValueError(f"coupling truncated at order {kappa.order}, below d_max {d_max}")
+    num, den = kappa.terms.num, kappa.terms.den
     counts = {}
     for m in range(1, d_max + 1):
-        residue = kappa.coefficient(m)
-        for d in range(1, m):
-            if m % d == 0 and d in counts:
-                residue -= Fraction(counts[d] * d**3)
-        value = Fraction(residue) / m**3
-        if value.denominator != 1:
-            raise IntegralityError(m, value)
-        counts[m] = int(value)
+        # n_m m^3 = kappa_m - sum over proper divisors d of m of n_d d^3
+        residue = num[m] - den * sum(counts[d] * d**3 for d in range(1, m) if m % d == 0)
+        counts[m], rest = divmod(residue, den * m**3)
+        if rest:
+            raise IntegralityError(m, Fraction(residue, den * m**3))
     return InstantonTable(counts)
 
 

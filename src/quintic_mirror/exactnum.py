@@ -12,18 +12,19 @@ Elements of the last two share one slotted base (no ``__dict__``):
 integer numerators over one positive denominator in lowest terms, with
 sums, quotients and powers in common; each ring adds only its product of
 numerator tuples (a convolution truncated at a^N, or the 4x4 one folded
-by zeta^5 = 1) and its inverse.  The ring descriptors coerce.
+by zeta^5 = 1) and its inverse, and QQ[a]/(a^N) its own quotient, one
+triangular solve.  The ring descriptors coerce.
 
 On top of these sits :class:`TruncatedSeries`, a power series truncated at
 a fixed order, with no exponent prefactor: the Frobenius exponent a of a
 series sum c_n z^(a+n) is the generator of its ring QQ[a]/(a^N) (see
 ``picard_fuchs.apply_operator``).  A QQ series truncated at order n is
-an element of QQ[a]/(a^(n+1)), so it multiplies and inverts as a
-:class:`NilpotentElement`: one product (:func:`int_convolve`) and one
-inverse (:meth:`NilpotentElement.inverse`) on integer numerators over one
-denominator.  Series over the other rings are containers (the Frobenius
-bundle, the operator residual): they add and scale, and their products,
-exp and reversion raise :class:`RingMismatchError`.  No floats here.
+held as an element of QQ[a]/(a^(n+1)), so product, quotient, exp,
+compose and reversion all read and return integer numerators over one
+denominator, and Fractions appear only when ``coeffs`` is read.  Series
+over the other rings are containers (the Frobenius bundle, the operator
+residual): they add, and the rest raises :class:`RingMismatchError`.
+No floats here.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class _Element:
 
     @classmethod
     def _constant(cls, value, length: int):
-        q = _as_fraction(value)
+        q = value if isinstance(value, int) else _as_fraction(value)
         return cls.from_integers((q.numerator,) + (0,) * (length - 1), q.denominator)
 
     @property
@@ -124,9 +125,7 @@ class _Element:
         None marks a foreign operand."""
         if isinstance(other, type(self)):
             if len(other.num) != len(self.num):
-                raise RingMismatchError(
-                    f"modulus degrees differ: {len(self.num)} vs {len(other.num)}"
-                )
+                raise RingMismatchError(f"modulus degrees differ: {len(self.num)} vs {len(other.num)}")
             return other
         if isinstance(other, (int, Fraction)):
             return self._constant(other, len(self.num))
@@ -195,18 +194,25 @@ class NilpotentElement(_Element):
     def _product(a: Sequence[int], b: Sequence[int]) -> list:
         return int_convolve(a, b, len(a) - 1)
 
-    def inverse(self) -> "NilpotentElement":
-        """With x = A/d on ints: [a^k] 1/x = d B_k A_0^(N-1-k) / A_0^N, where
-        B_0 = 1 and B_k = -sum_{j>=1} A_j A_0^(j-1) B_(k-j)."""
-        a, n = self.num, len(self.num)
+    def __truediv__(self, other):
+        """With self = Y/e and other = A/d on ints, [a^k] of the quotient is
+        d C_k A_0^(N-1-k) / (e A_0^N), where C_k = Y_k A_0^k - sum_{j>=1}
+        A_j A_0^(j-1) C_(k-j): one triangular solve, with no inverse formed."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, n = o.num, len(o.num)
         if not a[0]:
             raise ZeroDivisionError("constant term is zero; not a unit")
         scaled = [c * a[0] ** (j - 1) for j, c in enumerate(a) if j]
-        b = [1]
-        for k in range(1, n):
-            b.append(-sum(map(operator.mul, scaled[:k], reversed(b))))
-        num = [self.den * c * a[0] ** (n - 1 - k) for k, c in enumerate(b)]
-        return NilpotentElement.from_integers(num, a[0] ** n)
+        c = []
+        for k, y in enumerate(self.num):
+            c.append(y * a[0] ** k - sum(map(operator.mul, scaled[:k], reversed(c))))
+        num = [o.den * x * a[0] ** (n - 1 - k) for k, x in enumerate(c)]
+        return NilpotentElement.from_integers(num, self.den * a[0] ** n)
+
+    def inverse(self) -> "NilpotentElement":
+        return NilpotentElement.constant(1, len(self.num)) / self
 
 
 def _zeta_product(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -271,8 +277,13 @@ class CyclotomicElement(_Element):
 
 def integer_form(coeffs: Sequence) -> tuple:
     """Rationals as (integer numerators, common denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return over_lcm([c.numerator for c in coeffs], [c.denominator for c in coeffs])
+
+
+def over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
+    """The fractions nums[k]/dens[k] as integer numerators over the lcm of dens."""
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
 def int_convolve(a: Sequence[int], b: Sequence[int], order: int) -> list:
@@ -361,17 +372,31 @@ Ring = RationalField | NilpotentRing | CyclotomicField
 
 @frozen
 class TruncatedSeries:
-    """A power series sum_{n=0}^{order} coeffs[n] x^n, exact and truncated.
+    """A power series sum_{n=0}^{order} c_n x^n, exact and truncated.
 
     ``order`` is the largest retained exponent (inclusive); arithmetic
     truncates everything beyond it and shrinks the order to whatever is
-    actually known, never inventing coefficients.
+    actually known, never inventing coefficients.  Over QQ, ``terms`` is
+    the :class:`NilpotentElement` of QQ[a]/(a^(order+1)) with the same
+    coefficients (integer numerators over one positive denominator in
+    lowest terms; a sequence of rationals is converted), which every QQ
+    operation reads and returns, and ``coeffs`` builds the Fractions only
+    when read.  Over the other rings ``terms`` is the coefficient tuple.
     """
 
     ring: Ring
-    coeffs: tuple
+    terms: object
+
+    def __post_init__(self):
+        if self.ring == QQ and not isinstance(self.terms, NilpotentElement):
+            object.__setattr__(self, "terms", NilpotentElement(self.terms))
 
     # -- construction -------------------------------------------------
+
+    @staticmethod
+    def from_integers(num: Sequence[int], den: int = 1) -> "TruncatedSeries":
+        """The QQ series sum_n (num[n]/den) x^n."""
+        return TruncatedSeries(QQ, NilpotentElement.from_integers(num, den))
 
     @staticmethod
     def from_coefficients(ring: Ring, coeffs: Sequence) -> "TruncatedSeries":
@@ -379,9 +404,10 @@ class TruncatedSeries:
 
     @staticmethod
     def constant(ring: Ring, value, order: int) -> "TruncatedSeries":
-        coeffs = [ring.zero()] * (order + 1)
-        coeffs[0] = ring.coerce(value)
-        return TruncatedSeries(ring, tuple(coeffs))
+        value = ring.coerce(value)
+        if ring == QQ:
+            return TruncatedSeries(QQ, NilpotentElement.constant(value, order + 1))
+        return TruncatedSeries(ring, (value,) + (ring.zero(),) * order)
 
     @staticmethod
     def one(ring: Ring, order: int) -> "TruncatedSeries":
@@ -390,45 +416,52 @@ class TruncatedSeries:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return self.terms.coeffs if self.ring == QQ else self.terms
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.terms.num if self.ring == QQ else self.terms) - 1
 
     def coefficient(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside retained range 0..{self.order}")
-        return self.coeffs[n]
+        t = self.terms
+        return Fraction(t.num[n], t.den) if self.ring == QQ else t[n]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        self._check_qq()
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
-
-    def _check_ring(self, other: "TruncatedSeries") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError(f"series rings differ: {self.ring} vs {other.ring}")
+        t = self.terms
+        return self if order == self.order else self.from_integers(t.num[: order + 1], t.den)
 
     def _check_qq(self, *others: "TruncatedSeries") -> None:
         for series in (self, *others):
             if series.ring != QQ:
-                raise RingMismatchError(f"series products run over QQ, not {series.ring}")
+                raise RingMismatchError(f"series arithmetic past + runs over QQ, not {series.ring}")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.ring, other, self.order)
-        self._check_ring(other)
-        out = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return TruncatedSeries(self.ring, out)
+        if self.ring != other.ring:
+            raise RingMismatchError(f"series rings differ: {self.ring} vs {other.ring}")
+        if self.ring != QQ:
+            return TruncatedSeries(self.ring, tuple(map(operator.add, self.terms, other.terms)))
+        n = min(self.order, other.order)
+        return TruncatedSeries(QQ, self.truncate(n).terms + other.truncate(n).terms)
 
     __radd__ = __add__
 
     def scale(self, scalar) -> "TruncatedSeries":
-        s = self.ring.coerce(scalar)
-        return TruncatedSeries(self.ring, tuple(s * c for c in self.coeffs))
+        self._check_qq()
+        s, t = QQ.coerce(scalar), self.terms
+        return self.from_integers([s.numerator * c for c in t.num], s.denominator * t.den)
 
     def __mul__(self, other):
         """Product over QQ, truncated at the smaller order: the operands cut
@@ -436,40 +469,41 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_qq(other)
-        n = min(self.order, other.order) + 1
-        out = NilpotentElement(self.coeffs[:n]) * NilpotentElement(other.coeffs[:n])
-        return TruncatedSeries(QQ, out.coeffs)
+        n = min(self.order, other.order)
+        return TruncatedSeries(QQ, self.truncate(n).terms * other.truncate(n).terms)
 
     def __pow__(self, k: int):
         return power(self, k, TruncatedSeries.one(self.ring, self.order))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse over QQ by :meth:`NilpotentElement.inverse`;
-        needs a nonzero constant term."""
-        self._check_qq()
-        if self.coeffs[0] == 0:
-            raise ValueError("series inverse needs a unit constant term")
-        return TruncatedSeries(QQ, NilpotentElement(self.coeffs).inverse().coeffs)
+        """Multiplicative inverse over QQ; needs a nonzero constant term."""
+        return TruncatedSeries.one(self.ring, self.order) / self
 
     def __truediv__(self, other):
+        """Quotient over QQ, truncated at the smaller order: one triangular
+        solve of :class:`NilpotentElement` division."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self * other.inverse()
+        self._check_qq(other)
+        if not other.terms.num[0]:
+            raise ValueError("series division needs a unit constant term")
+        n = min(self.order, other.order)
+        return TruncatedSeries(QQ, self.truncate(n).terms / other.truncate(n).terms)
 
-    # -- exponent bookkeeping -----------------------------------------
+    # -- exponent bookkeeping and calculus ----------------------------
 
     def mul_by_power(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k (k >= 0); the retained order grows accordingly."""
+        self._check_qq()
         if k < 0:
             raise ValueError("power must be >= 0")
-        zeros = tuple(self.ring.zero() for _ in range(k))
-        return TruncatedSeries(self.ring, zeros + self.coeffs)
-
-    # -- calculus ------------------------------------------------------
+        return self.from_integers((0,) * k + self.terms.num, self.terms.den)
 
     def theta(self) -> "TruncatedSeries":
         """x d/dx: coefficient n picks up a factor n."""
-        return TruncatedSeries(self.ring, tuple(n * c for n, c in enumerate(self.coeffs)))
+        self._check_qq()
+        t = self.terms
+        return self.from_integers([n * c for n, c in enumerate(t.num)], t.den)
 
     # -- transcendental operations ------------------------------------
 
@@ -483,31 +517,33 @@ class TruncatedSeries:
         makes it so.  On an integral series D stays 1.
         """
         self._check_qq()
-        if self.coeffs[0] != 0:
+        num, d = self.terms.num, self.terms.den
+        if num[0]:
             raise ValueError("exp needs constant term exactly 0")
-        num, d = integer_form(self.coeffs)
         slopes = [k * c for k, c in enumerate(num)]
         e, den = [1], 1  # e_j = e[j] / den
-        for m in range(1, self.order + 1):
+        for m in range(1, len(num)):
             s = sum(map(operator.mul, slopes[1 : m + 1], reversed(e)))
             g = math.gcd(s, m * d)
             scale = m * d // g
             if scale != 1:
                 e, den = [x * scale for x in e], den * scale
             e.append(s // g)
-        return TruncatedSeries(QQ, tuple(Fraction(x, den) for x in e))
+        return self.from_integers(e, den)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(x)); the inner series must have constant term 0."""
-        self._check_ring(inner)
-        if inner.coeffs[0]:
+        """self(inner(x)); the inner series must have constant term 0.  With
+        self = A/d, Horner's rule sums A_k inner^k on the elements of
+        QQ[a]/(a^(n+1)) and divides by d once."""
+        self._check_qq(inner)
+        if inner.terms.num[0]:
             raise ValueError("inner series must vanish at 0")
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        result = TruncatedSeries.constant(self.ring, self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner_t + TruncatedSeries.constant(self.ring, self.coeffs[k], n)
-        return result
+        x, (*rest, top) = inner.truncate(n).terms, self.terms.num[: n + 1]
+        result = NilpotentElement.constant(top, n + 1)
+        for c in reversed(rest):
+            result = result * x + c
+        return self.from_integers(result.num, result.den * self.terms.den)
 
     def reversion(self, *outer: "TruncatedSeries"):
         """Compositional inverse b with self(b(x)) = x, and g(b) for each g in outer.
@@ -522,36 +558,33 @@ class TruncatedSeries:
         The head N of h^p, p = m-1, is kept from step m-1; one step of
         J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), from
         h (h^p)' = p h' h^p, extends it to N_k, k = m-1, by the exact division
-
-            k h_0 N_k = sum_{j=1}^{k} ((p+1) j - k) h_j N_(k-j),
-
-        and one product with h truncated at m-1 gives the head of h^m:
-        still about n^3/6 integer products at order n, plus one O(m) dot
-        product per g and m.  Each g(b) stops at the smaller of g's order
-        and self's.  Returns b alone, or (b, g_1(b), ...) given outer.
+        k h_0 N_k = sum_{j=1}^{k} ((p+1) j - k) h_j N_(k-j), and one product
+        with h truncated at m-1 gives the head of h^m: about n^3/6 integer
+        products at order n.  Each g(b)_m is one dot product over its own
+        denominator, and each g(b) one lcm at the end; it stops at the
+        smaller of g's order and self's.  Returns b, or (b, g_1(b), ...).
         """
         self._check_qq(*outer)
-        if self.coeffs[0] != 0:
+        num, n = self.terms.num, self.order
+        if num[0]:
             raise ValueError("reversion needs constant term 0")
-        if self.order < 1 or self.coeffs[1] == 0:
+        if n < 1 or not num[1]:
             raise ValueError("reversion needs a unit linear coefficient")
-        n = self.order
-        h = NilpotentElement(self.coeffs[1:]).inverse()
+        h = NilpotentElement.from_integers(num[1:], self.terms.den).inverse()
         h, den = h.num, h.den
-        # b itself is g(b) for g = x; k g_k as integer numerators over one
-        # denominator per g
-        gs = (TruncatedSeries.from_coefficients(QQ, [0, 1] + [0] * (n - 1)), *outer)
-        slopes = [integer_form([k * c for k, c in enumerate(g.coeffs[: n + 1])]) for g in gs]
-        composed = [[g.coeffs[0]] for g in gs]
+        # b itself is g(b) for g = x; k g_k as numerators over g's denominator
+        gs = (NilpotentElement.generator(n + 1), *(g.terms for g in outer))
+        slopes = [([k * c for k, c in enumerate(g.num[: n + 1])], g.den) for g in gs]
+        composed = [([g.num[0]], [g.den]) for g in gs]
         head, power_den = [1], 1  # h^m through x^(m-1) = head / power_den
         for m in range(1, n + 1):
             if m > 1:  # Miller's step: N_(m-1) of h^(m-1)
                 weights = [(m * j - m + 1) * c for j, c in enumerate(h[1:m], 1)]
                 head.append(sum(map(operator.mul, weights, reversed(head))) // ((m - 1) * h[0]))
             head, power_den = int_convolve(head, h, m - 1), power_den * den
-            for (num, num_den), out in zip(slopes, composed):
-                if m < len(num):
-                    dot = sum(map(operator.mul, num[1 : m + 1], reversed(head)))
-                    out.append(Fraction(dot, m * power_den * num_den))
-        series = tuple(TruncatedSeries(QQ, tuple(c)) for c in composed)
+            for (slope, slope_den), (nums, dens) in zip(slopes, composed):
+                if m < len(slope):
+                    nums.append(sum(map(operator.mul, slope[1 : m + 1], reversed(head))))
+                    dens.append(m * power_den * slope_den)
+        series = tuple(self.from_integers(*over_lcm(*c)) for c in composed)
         return series if outer else series[0]

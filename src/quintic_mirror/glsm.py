@@ -200,9 +200,7 @@ def transpose_mirror(p: ExponentMatrix, f: ChargeFactorization) -> tuple:
     if not report.ok:
         raise FactorizationError("input factorization does not verify")
     p_hat = p.transpose()
-    f_hat = ChargeFactorization.from_rows(
-        tuple(zip(*f.t_rows)), tuple(zip(*f.s_rows))
-    )
+    f_hat = ChargeFactorization.from_rows(tuple(zip(*f.t_rows)), tuple(zip(*f.s_rows)))
     report_hat = verify_factorization(p_hat, f_hat)
     if not report_hat.ok:
         raise FactorizationError("transposed factorization does not verify")

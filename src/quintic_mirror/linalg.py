@@ -53,7 +53,7 @@ def gauss_jordan(field: Ring, rows, width: int) -> tuple:
     """
     a = [list(row) for row in rows]
     pivots = []
-    det = field.one()
+    det = one = field.one()  # the pivot's reciprocal is one / pivot, exact on ints too
     for col in range(width):
         r = len(pivots)
         if r == len(a):
@@ -65,7 +65,7 @@ def gauss_jordan(field: Ring, rows, width: int) -> tuple:
             a[r], a[pivot] = a[pivot], a[r]
             det = -det
         det = det * a[r][col]
-        inv = 1 / a[r][col]
+        inv = one / a[r][col]
         a[r] = [inv * x for x in a[r]]
         for i, row in enumerate(a):
             if i != r and row[col]:
@@ -167,8 +167,7 @@ class SmithDecomposition:
     def kernel(self) -> list:
         """The columns of V at zero diagonal entries of D: a basis of
         {x : A x = 0} over the integers, saturated because V is unimodular."""
-        return [col for j, col in enumerate(zip(*self.v))
-                if j >= len(self.d) or self.d[j][j] == 0]
+        return [col for j, col in enumerate(zip(*self.v)) if j >= len(self.d) or self.d[j][j] == 0]
 
 
 def smith_normal_form(rows) -> SmithDecomposition:
@@ -288,13 +287,9 @@ class SquareExactMatrix:
 
     @staticmethod
     def identity(field: Ring, n: int) -> "SquareExactMatrix":
-        return SquareExactMatrix(
-            field,
-            tuple(
-                tuple(field.one() if i == j else field.zero() for j in range(n))
-                for i in range(n)
-            ),
-        )
+        one, zero = field.one(), field.zero()
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return SquareExactMatrix(field, rows)
 
     @property
     def size(self) -> int:
@@ -311,13 +306,8 @@ class SquareExactMatrix:
 
     def __sub__(self, other: "SquareExactMatrix") -> "SquareExactMatrix":
         self._check(other)
-        return SquareExactMatrix(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        rows = tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return SquareExactMatrix(self.field, rows)
 
     def __mul__(self, other: "SquareExactMatrix") -> "SquareExactMatrix":
         self._check(other)

@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from ._frozen import frozen
 from .exactnum import (
-    QQ,
     ZETA5_FIELD,
     NilpotentElement,
     NilpotentRing,
@@ -37,6 +36,7 @@ from .exactnum import (
     TruncatedSeries,
     int_convolve,
     integer_form,
+    over_lcm,
 )
 from .kontsevich import twist_matrix
 from .linalg import SquareExactMatrix
@@ -101,12 +101,14 @@ def apply_operator(op: PeriodOperator, series: TruncatedSeries) -> TruncatedSeri
             value = int_convolve(value, x, len(x) - 1)
             value[0] += c
         expanded.append((value, p_den))
-    out, zero = [], ring.zero()
-    for n in range(series.order + 1):
-        acc, den = [0] * (top + 1), 1
-        for j, (value, p_den) in enumerate(expanded[: n + 1]):
-            a = series.coeffs[n - j]
-            v, d = int_convolve(_at(value, width, n - j), a.num, top), p_den * a.den
+    out, zero, coeffs = [], ring.zero(), series.coeffs
+    for n in range(len(coeffs)):
+        terms = (
+            (int_convolve(_at(value, width, n - j), coeffs[n - j].num, top), p_den * coeffs[n - j].den)
+            for j, (value, p_den) in enumerate(expanded[: n + 1])
+        )
+        acc, den = next(terms)
+        for v, d in terms:
             # acc/den + v/d = (acc d/g + v den/g) / (den d/g) with g = gcd(den, d)
             g = math.gcd(den, d)
             widen, scale = d // g, den // g
@@ -130,7 +132,8 @@ class FrobeniusBundle:
         """The rational series multiplying a^k in the bundle."""
         if not 0 <= k < self.ring.modulus_degree:
             raise IndexError(f"component {k} outside 0..{self.ring.modulus_degree - 1}")
-        return TruncatedSeries(QQ, tuple(Fraction(c.num[k], c.den) for c in self.series.coeffs))
+        cs = self.series.coeffs
+        return TruncatedSeries.from_integers(*over_lcm([c.num[k] for c in cs], [c.den for c in cs]))
 
 
 def frobenius_at_zero(order: int, modulus_degree: int = 4) -> FrobeniusBundle:
@@ -216,9 +219,7 @@ def infinity_basis_change() -> SquareExactMatrix:
     basis monodromy is B * diag(zeta^k) * B^-1.
     """
     field = ZETA5_FIELD
-    rows = [
-        [field.coerce(Fraction(k, 5) ** j) for k in range(1, 5)] for j in range(4)
-    ]
+    rows = [[field.coerce(Fraction(k, 5) ** j) for k in range(1, 5)] for j in range(4)]
     return SquareExactMatrix.from_rows(field, rows)
 
 

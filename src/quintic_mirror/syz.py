@@ -199,9 +199,7 @@ def quintic_face_data() -> tuple:
     small_verts = small.vertices
 
     def dual_face(span) -> list:
-        return [
-            v for v in small_verts if all(dot(w, v) == -1 for w in span)
-        ]
+        return [v for v in small_verts if all(dot(w, v) == -1 for w in span)]
 
     two_face_counts = []
     dual_edge_lengths = []

@@ -135,9 +135,7 @@ class LatticePolytope:
 
     def _facets_with_interior_origin(self) -> tuple:
         if self._dim != self._ambient:
-            raise OriginNotInteriorError(
-                "polar dual needs a full-dimensional polytope"
-            )
+            raise OriginNotInteriorError("polar dual needs a full-dimensional polytope")
         if any(f.offset <= 0 for f in self._facets):
             raise OriginNotInteriorError("origin is not strictly interior")
         return self._facets
@@ -145,9 +143,7 @@ class LatticePolytope:
     def polar_dual_rational(self) -> tuple:
         """Vertices of {y : <x, y> >= -1 for all x}, as rational tuples."""
         facets = self._facets_with_interior_origin()
-        return tuple(
-            tuple(Fraction(-n, f.offset) for n in f.normal) for f in facets
-        )
+        return tuple(tuple(Fraction(-n, f.offset) for n in f.normal) for f in facets)
 
     def polar_dual(self) -> "LatticePolytope":
         """The polar dual as a lattice polytope; raises unless the origin is
@@ -180,9 +176,7 @@ class LatticePolytope:
     # -- dunder plumbing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticePolytope) and self._vertices == other._vertices
-        )
+        return isinstance(other, LatticePolytope) and self._vertices == other._vertices
 
     def __hash__(self) -> int:
         return hash(self._vertices)
@@ -239,9 +233,7 @@ def _full_dim_hull(points, ambient: int) -> tuple:
     base = points[0]
     seed = {base, points[-1]}
     while True:
-        normals = integer_kernel_basis(
-            [[x - b for x, b in zip(v, base)] for v in seed]
-        )
+        normals = integer_kernel_basis([[x - b for x, b in zip(v, base)] for v in seed])
         if not normals:
             break
         seed.add(_extreme(points, normals[0]))
@@ -314,9 +306,7 @@ def projective_space_fan_polytope() -> LatticePolytope:
 def quintic_newton_polytope() -> LatticePolytope:
     """The reflexive simplex with vertices 5 e_j - (1,1,1,1) and
     -(1,1,1,1): degree-five monomials centered on x1 x2 x3 x4 x5."""
-    vertices = [
-        tuple(4 if i == j else -1 for i in range(4)) for j in range(4)
-    ]
+    vertices = [tuple(4 if i == j else -1 for i in range(4)) for j in range(4)]
     vertices.append((-1, -1, -1, -1))
     return LatticePolytope(vertices)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_mirror import enumerative
+from quintic_mirror import enumerative, exactnum
 from quintic_mirror.enumerative import (
     IntegralityError,
     PrepotentialError,
@@ -292,3 +292,16 @@ def test_structure_constants_table() -> None:
     assert table[(1, 1, 1)].coefficient(1) == LINES
     assert table[(0, 0, 3)].coefficient(0) == 5
     assert table[(3, 3, 3)].is_zero()
+
+
+def test_mirror_map_runs_on_integer_numerators_without_fraction_round_trips(monkeypatch) -> None:
+    # every QQ series stage reads and returns integer numerators over one
+    # denominator, so none converts a tuple of Fractions to that form
+    calls = []
+    integer_form = exactnum.integer_form
+    monkeypatch.setattr(exactnum, "integer_form", lambda coeffs: calls.append(1) or integer_form(coeffs))
+    mirror = build_mirror_map(32)
+    assert calls == []
+    assert extract_instantons(mirror.kappa, 3).n == {1: LINES, 2: CONICS, 3: TWISTED_CUBICS}
+    TruncatedSeries(QQ, mirror.kappa.coeffs)  # the counter does see a conversion
+    assert calls == [1]

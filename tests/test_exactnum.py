@@ -592,3 +592,101 @@ def test_qq_integer_inverse_matches_fraction_recurrence() -> None:
         assert all(type(c) is Fraction for c in inverse.coeffs)
     with pytest.raises(ValueError):
         TruncatedSeries.from_coefficients(QQ, [0, 1]).inverse()
+
+
+# -- QQ series on integer numerators against plain Fractions ------------------
+
+
+def _fractions(rng: random.Random, length: int, lead: int | None = None) -> list:
+    """Non-integral, negative and zero coefficients with a run of zeros; with
+    `lead`, the coefficients below it vanish and coefficient `lead` does not."""
+    out = [_random_fraction(rng) for _ in range(length)]
+    start = rng.randrange(length)
+    out[start : start + 2] = [Fraction(0)] * len(out[start : start + 2])
+    if lead is not None:
+        out[:lead] = [Fraction(0)] * lead
+        out[lead] = _nonzero_fraction(rng)
+    return out
+
+
+def _ref_inverse_series(a: list) -> list:
+    b = [1 / a[0]]
+    for k in range(1, len(a)):
+        b.append(-sum(a[j] * b[k - j] for j in range(1, k + 1)) / a[0])
+    return b
+
+
+def _ref_exp(a: list) -> list:
+    e = [Fraction(1)]
+    for m in range(1, len(a)):
+        e.append(sum(k * a[k] * e[m - k] for k in range(1, m + 1)) / m)
+    return e
+
+
+def _assert_integer_form(series: TruncatedSeries, want: list) -> None:
+    x = series.terms
+    assert isinstance(x, NilpotentElement) and all(type(n) is int for n in x.num)
+    _assert_lowest_terms(x)
+    assert series.coeffs == tuple(want)
+    assert all(type(c) is Fraction for c in series.coeffs)
+    assert series == TruncatedSeries(QQ, tuple(want))
+    assert hash(series) == hash(TruncatedSeries(QQ, tuple(want)))
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_qq_series_kernels_match_the_fraction_reference(seed: int) -> None:
+    rng = random.Random(seed)
+    for order in range(21):
+        a, b = _fractions(rng, order + 1), _fractions(rng, rng.randint(1, 22))
+        unit, small = _fractions(rng, order + 1, lead=0), _fractions(rng, order + 1)
+        small[0] = Fraction(0)
+        f, g, u, s = (TruncatedSeries(QQ, c) for c in (a, b, unit, small))
+        n = min(order, len(b) - 1)  # products stop at the smaller order
+        _assert_integer_form(f * g, _naive_product(QQ, a, b, n))
+        _assert_integer_form(g * f, _naive_product(QQ, a, b, n))
+        _assert_integer_form(f + g, [p + q for p, q in zip(a, b)])
+        _assert_integer_form(f + Fraction(-3, 4), [a[0] - Fraction(3, 4)] + a[1:])
+        _assert_integer_form(f.scale(Fraction(-5, 6)), [c * Fraction(-5, 6) for c in a])
+        _assert_integer_form(f.scale(0), [Fraction(0)] * len(a))
+        _assert_integer_form(f.theta(), [k * c for k, c in enumerate(a)])
+        _assert_integer_form(f.mul_by_power(3), [Fraction(0)] * 3 + a)
+        _assert_integer_form(f.truncate(order // 2), a[: order // 2 + 1])
+        _assert_integer_form(u.inverse(), _ref_inverse_series(unit))
+        _assert_integer_form(g / u, _naive_product(QQ, b, _ref_inverse_series(unit), n))
+        _assert_integer_form(s.exp(), _ref_exp(small))
+        _assert_integer_form(f.compose(s), _naive_compose(QQ, a, small, order))
+        if order:
+            r = TruncatedSeries(QQ, _fractions(rng, order + 1, lead=1))
+            inverse = list(_reference_reversion(r))
+            got = r.reversion(f, g)
+            _assert_integer_form(got[0], inverse)
+            _assert_integer_form(got[1], _naive_compose(QQ, a, inverse, order))
+            _assert_integer_form(got[2], _naive_compose(QQ, b, inverse, n))
+
+
+def test_qq_series_keep_their_fractions_and_equal_series_are_equal() -> None:
+    rng = random.Random(24)
+    for length in (1, 2, 7, 15):
+        a = tuple(_random_fraction(rng) for _ in range(length))
+        assert TruncatedSeries(QQ, a).coeffs == a
+        assert TruncatedSeries.from_coefficients(QQ, a).coeffs == a
+    x = TruncatedSeries.from_coefficients(QQ, [0, 1, 0, 0, 0])
+    one_minus_x = TruncatedSeries.one(QQ, 4) + x.scale(-1)
+    routes = [
+        TruncatedSeries.from_coefficients(QQ, [1] * 5),
+        TruncatedSeries(QQ, [Fraction(2, 4), 1, 1, 1, 1]) + Fraction(1, 2),
+        TruncatedSeries.from_integers([3] * 5, 3),
+        TruncatedSeries.from_integers([-2] * 5, -2),
+        one_minus_x.inverse(),
+        TruncatedSeries.one(QQ, 4) / one_minus_x,
+        TruncatedSeries.one(QQ, 4) + x + x * x + x**3 + x**4,
+        TruncatedSeries.from_coefficients(QQ, [1, 1, 1, 1, 1, 7]).truncate(4),
+        TruncatedSeries.from_coefficients(QQ, [1, 1, 1, 1]).mul_by_power(1) + 1,
+        TruncatedSeries.from_coefficients(QQ, [1, 1, 1, 1, 1]).scale(Fraction(3, 7)).scale(Fraction(7, 3)),
+    ]
+    for series in routes:
+        assert series == routes[0]
+        assert hash(series) == hash(routes[0])
+        assert (series.terms.num, series.terms.den) == ((1, 1, 1, 1, 1), 1)
+    assert len(set(routes)) == 1
+    assert TruncatedSeries(QQ, [Fraction(1, 2)]) != TruncatedSeries(QQ, [1])

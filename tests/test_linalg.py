@@ -115,6 +115,15 @@ def test_integer_det_matches_field_det(seed: int = 5) -> None:
             assert gauss_jordan(QQ, SquareExactMatrix.from_rows(QQ, a).rows, n)[2] == _leibniz_det(a)
 
 
+def test_gauss_jordan_over_qq_is_exact_on_plain_int_rows() -> None:
+    # the pivot's reciprocal is taken in the field, so int rows never go to floats
+    rows, pivots, det = gauss_jordan(QQ, [[3, 1], [1, 1]], 2)
+    assert (rows, pivots, det) == ([[1, 0], [0, 1]], [0, 1], 2)
+    assert all(type(x) is Fraction for row in rows for x in row) and type(det) is Fraction
+    big = gauss_jordan(QQ, [[10**20 + 1, 1], [1, 10**20]], 2)[2]
+    assert big == 10**40 + 10**20 - 1 and type(big) is Fraction
+
+
 # -- integer matrix validation -----------------------------------------------
 
 
