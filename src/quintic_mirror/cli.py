@@ -25,7 +25,11 @@ or a writer's chunk at a time, so no command holds its rendered output:
 the reader closes the pipe early (``| head``), ``main`` stops writing and
 exits 0 with nothing on stderr.  A process is start-up, imports, the
 handler and shutdown; as the entry (argv None), ``main`` freezes the heap
-for exit.
+for exit.  ``gw`` and ``periods`` load from the standard library only
+``math``, ``operator``, ``itertools``, ``types``, ``reprlib`` and
+``collections``: ``fractions`` loads only where a Fraction is built,
+``decimal`` and ``numbers`` only for ``glsm kahler``, and argparse and
+json only for help, usage errors, input files and escaped strings.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import chain
 from types import GeneratorType, SimpleNamespace
 
@@ -103,14 +106,22 @@ def _order_up_to(ceiling: int):
 # -- rendering helpers ----------------------------------------------------
 
 
-def _frac_text(q) -> str:
-    return str(Fraction(q))
+def _ratio_text(num: int, den: int, whole: str) -> str:
+    """num/den (den > 0) in lowest terms as "n/d", or "n" then `whole` when den divides num."""
+    # num = q den + r, so gcd(num, den) = gcd(den, r): one division of the
+    # long numerator, and a gcd on numbers no longer than den
+    q, r = divmod(num, den)
+    if not r:
+        return f"{q}{whole}"
+    if (g := math.gcd(den, r)) == 1:
+        return f"{num}/{den}"
+    return f"{q * (den // g) + r // g}/{den // g}"
 
 
-def _entry_text(x) -> str:
+def _entry_text(x) -> str:  # an int, a Fraction or a ring element
     if isinstance(x, (NilpotentElement, CyclotomicElement)):
-        return "[" + ",".join(_frac_text(c) for c in x.coeffs) + "]"
-    return _frac_text(x)
+        return "[" + ",".join(_ratio_text(n, x.den, "") for n in x.num) + "]"
+    return str(x)
 
 
 def _block(label: str, rows) -> list:
@@ -123,8 +134,9 @@ def _block(label: str, rows) -> list:
     return lines
 
 
-def _series_line(label: str, series) -> str:
-    return f"{label}: " + " ".join(_frac_text(c) for c in series.coeffs)
+def _series_line(label: str, series) -> str:  # over QQ
+    t = series.terms
+    return f"{label}: " + " ".join(_ratio_text(n, t.den, "") for n in t.num)
 
 
 def _profile_line(profile) -> str:
@@ -137,7 +149,7 @@ def _cohomology_text(elem) -> str:
         if c == 0:
             continue
         if k == 0:
-            parts.append(_frac_text(c))
+            parts.append(str(c))
         else:
             basis = "L" if k == 1 else f"L^{k}"
             if c == 1:
@@ -145,7 +157,7 @@ def _cohomology_text(elem) -> str:
             elif c == -1:
                 parts.append(f"-{basis}")
             else:
-                parts.append(f"{_frac_text(c)} {basis}")
+                parts.append(f"{c} {basis}")
     if not parts:
         return "0"
     return " + ".join(parts).replace("+ -", "- ")
@@ -215,19 +227,10 @@ def _cmd_periods(args):
     if not picard_fuchs.apply_operator(operator, bundle.series).is_zero():
         raise CommandError(EXIT_INVARIANT, "operator residual is nonzero")
     table = args.format == "table"
+    whole = "" if table else "/1"
 
     def texts(k):  # phi_k's z^n coefficient: num[k]/den of A_n(a) in lowest terms; tables drop /1
-        for c in bundle.series.coeffs:
-            # num = q den + r, so gcd(num, den) = gcd(den, r): one division of the
-            # long numerator, and a gcd on numbers no longer than den
-            num, den = c.num[k], c.den
-            q, r = divmod(num, den)
-            if not r:
-                yield str(q) if table else f"{q}/1"
-            elif (g := math.gcd(den, r)) == 1:
-                yield f"{num}/{den}"
-            else:
-                yield f"{q * (den // g) + r // g}/{den // g}"
+        return (_ratio_text(c.num[k], c.den, whole) for c in bundle.series.coeffs)
 
     # rendered as written, one coefficient string at a time, after the gate above;
     # a table line is its label and then its coefficients, each after a space
@@ -436,7 +439,7 @@ def _cmd_kontsevich(args):
         return [
             "tangent classes from the adjunction expansion:",
             *(f"  {name} = {_cohomology_text(c)}" for name, c in chern.items()),
-            f"euler number: {_frac_text(euler)}",
+            f"euler number: {euler}",
             f"todd class: {_cohomology_text(classes.todd)}",
             *_block("twist matrix T (basis 1, L, L^2, L^3)", twist.rows),
             _profile_line(twist_profile),
@@ -601,17 +604,18 @@ def build_parser():
 
 def _json(value):
     """The structured form of a library value, for the values ``_dump`` cannot
-    write itself: a Fraction as ``"num/den"``, a ring element as its
-    coefficients, a series as ``{"coefficients": ...}`` and a matrix as its
-    rows.  It is also a valid ``default`` for ``json.dump``."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    write itself: a Fraction as ``"num/den"``, a ring element as the list
+    of its coefficients in that form, read off its numerators, a series as
+    ``{"coefficients": ...}`` and a matrix as its rows.  It is also a valid
+    ``default`` for ``json.dump``."""
     if isinstance(value, (NilpotentElement, CyclotomicElement)):
-        return value.coeffs
-    if isinstance(value, TruncatedSeries):
-        return {"coefficients": value.coeffs}
+        return [_ratio_text(n, value.den, "/1") for n in value.num]
+    if isinstance(value, TruncatedSeries):  # terms: QQ's element of the coefficients, or a tuple
+        return {"coefficients": value.terms}
     if isinstance(value, SquareExactMatrix):
         return value.rows
+    if hasattr(value, "denominator"):  # a Fraction; _dump writes an int itself
+        return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -30,10 +30,8 @@ product L * L = (kappa/5) L^2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._frozen import frozen
-from .exactnum import QQ, TruncatedSeries
+from .exactnum import QQ, TruncatedSeries, fraction
 from .picard_fuchs import frobenius_at_zero
 
 UNNORMALIZED_COUPLING_POLE = 5**5  # reciprocal of the conifold location
@@ -42,7 +40,7 @@ UNNORMALIZED_COUPLING_POLE = 5**5  # reciprocal of the conifold location
 class IntegralityError(ArithmeticError):
     """A curve count came out non-integral; upstream conventions are wrong."""
 
-    def __init__(self, degree: int, value: Fraction):
+    def __init__(self, degree: int, value):
         super().__init__(f"n_{degree} = {value} is not an integer")
         self.degree = degree
         self.value = value
@@ -89,7 +87,8 @@ def build_mirror_map(order: int) -> MirrorMap:
     q_of_z = ratio.exp().mul_by_power(1)
     theta_t = 1 + ratio.theta()
     coupling = unnormalized_coupling(order) / ((phi0 * theta_t) ** 2 * theta_t)
-    g = bundle.component(2) / phi0 + (ratio * ratio).scale(Fraction(-1, 2))
+    r2 = (ratio * ratio).terms  # G = phi2/phi0 - r^2/2 with r = phi1/phi0
+    g = bundle.component(2) / phi0 + TruncatedSeries.from_integers([-n for n in r2.num], 2 * r2.den)
     # q_of_z runs one order past phi0, so z(q) keeps the extra coefficient
     # and kappa stops at phi0's order.
     z_of_q, kappa, g_of_q = q_of_z.reversion(coupling, g)
@@ -139,7 +138,7 @@ def extract_instantons(kappa: TruncatedSeries, d_max: int) -> InstantonTable:
         residue = num[m] - den * sum(counts[d] * d**3 for d in range(1, m) if m % d == 0)
         counts[m], rest = divmod(residue, den * m**3)
         if rest:
-            raise IntegralityError(m, Fraction(residue, den * m**3))
+            raise IntegralityError(m, fraction(residue, den * m**3))
     return InstantonTable(counts)
 
 
@@ -190,7 +189,7 @@ class QuantumRing:
             for b in range(_RANK - a):
                 term = x[a] * y[b]
                 if (a, b) == (1, 1):
-                    term = term * self.kappa.scale(Fraction(1, 5))
+                    term = term * self.kappa.scale(fraction(1, 5))
                 out[a + b] = out[a + b] + term
         return tuple(out)
 

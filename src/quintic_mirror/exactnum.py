@@ -21,7 +21,10 @@ series sum c_n z^(a+n) is the generator of its ring QQ[a]/(a^N) (see
 ``picard_fuchs.apply_operator``).  A QQ series truncated at order n is
 held as an element of QQ[a]/(a^(n+1)), so product, quotient, exp,
 compose and reversion all read and return integer numerators over one
-denominator, and Fractions appear only when ``coeffs`` is read.  Series
+denominator.  Fractions appear only when ``coeffs`` or ``coefficient`` is
+read or QQ coerces, built by :func:`fraction`, which imports ``fractions``
+at its first call (``gw`` and ``periods`` build none); an int or Fraction
+is told by its ``denominator`` attribute, with no import.  Series
 over the other rings are containers (the Frobenius bundle, the operator
 residual): they add, and the rest raises :class:`RingMismatchError`.
 No floats here.
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from fractions import Fraction
 
 from ._frozen import frozen
 
@@ -41,11 +43,21 @@ class RingMismatchError(ValueError):
     """Raised when an operation mixes elements of different rings."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+_Fraction = None  # fractions.Fraction, once fraction() has imported it
+
+
+def fraction(num, den=None):
+    """Fraction(num, den), with ``fractions`` imported at the first call only."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(num, den)
+
+
+def _rational(value):
+    """value, if it is an int or a Fraction (it has a denominator); else a TypeError."""
+    if hasattr(value, "denominator"):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
@@ -85,7 +97,7 @@ class _Element:
 
     def __init__(self, coeffs: Sequence):
         # over the lcm of reduced denominators, gcd(den, *num) is already 1
-        num, den = integer_form([_as_fraction(c) for c in coeffs])
+        num, den = integer_form([_rational(c) for c in coeffs])
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
@@ -107,12 +119,12 @@ class _Element:
 
     @classmethod
     def _constant(cls, value, length: int):
-        q = value if isinstance(value, int) else _as_fraction(value)
+        q = _rational(value)
         return cls.from_integers((q.numerator,) + (0,) * (length - 1), q.denominator)
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(Fraction(n, self.den) for n in self.num)
+        return tuple(fraction(n, self.den) for n in self.num)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -127,7 +139,7 @@ class _Element:
             if len(other.num) != len(self.num):
                 raise RingMismatchError(f"modulus degrees differ: {len(self.num)} vs {len(other.num)}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):
             return self._constant(other, len(self.num))
         return None
 
@@ -311,8 +323,10 @@ class RationalField(_Ring):
     """Descriptor for QQ; elements are ``fractions.Fraction``."""
 
     def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return _as_fraction(value)
+        if type(value) is _Fraction:
+            return value
+        if hasattr(value, "denominator"):  # a Fraction even for an int: elimination divides
+            return fraction(value)
         raise RingMismatchError(f"cannot coerce {value!r} into QQ")
 
     def __str__(self) -> str:
@@ -404,10 +418,10 @@ class TruncatedSeries:
 
     @staticmethod
     def constant(ring: Ring, value, order: int) -> "TruncatedSeries":
-        value = ring.coerce(value)
-        if ring == QQ:
-            return TruncatedSeries(QQ, NilpotentElement.constant(value, order + 1))
-        return TruncatedSeries(ring, (value,) + (ring.zero(),) * order)
+        if ring != QQ:
+            return TruncatedSeries(ring, (ring.coerce(value),) + (ring.zero(),) * order)
+        value = value if isinstance(value, int) else QQ.coerce(value)
+        return TruncatedSeries(QQ, NilpotentElement.constant(value, order + 1))
 
     @staticmethod
     def one(ring: Ring, order: int) -> "TruncatedSeries":
@@ -427,10 +441,10 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside retained range 0..{self.order}")
         t = self.terms
-        return Fraction(t.num[n], t.den) if self.ring == QQ else t[n]
+        return fraction(t.num[n], t.den) if self.ring == QQ else t[n]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.terms.num if self.ring == QQ else self.terms)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         self._check_qq()
@@ -460,7 +474,8 @@ class TruncatedSeries:
 
     def scale(self, scalar) -> "TruncatedSeries":
         self._check_qq()
-        s, t = QQ.coerce(scalar), self.terms
+        s = scalar if isinstance(scalar, int) else QQ.coerce(scalar)
+        t = self.terms
         return self.from_integers([s.numerator * c for c in t.num], s.denominator * t.den)
 
     def __mul__(self, other):

@@ -9,16 +9,15 @@ elementary divisors of T.  Transposing all three matrices produces the
 mirror model's data.
 
 The only floating-point computation in the whole package lives here, in
-:func:`kahler_parameter`.
+:func:`kahler_parameter`, the one caller of ``decimal`` and ``numbers``,
+which it imports when it runs.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections.abc import Sequence
-from decimal import Context, Decimal, localcontext
 
 from ._frozen import frozen
 from .linalg import (
@@ -260,6 +259,7 @@ def kahler_parameter(magnitudes: Sequence[float], charges: Sequence[Sequence[int
     if any(len(chi) != width for chi in charges):
         raise ValueError("charge vectors have inconsistent lengths")
     charges = integer_matrix(charges)
+    import numbers  # only this check needs it: gw and periods do not load it
     values = []
     for c, chi in zip(magnitudes, charges):
         if isinstance(c, bool) or not isinstance(c, numbers.Real):
@@ -296,6 +296,7 @@ def _rounded_kahler(values: list, columns: list) -> list:
     E = (n + 8) 10^(1-p) A / 6 of the exact one (2 pi > 6, and the bound
     allows twice the error); once value - E and value + E round alike, the
     rounding is certain, else p doubles."""
+    from decimal import Context, Decimal, localcontext
     out, digits, twelve = [None] * len(columns), 32, Context(prec=12)
     while None in out:
         if digits > MAX_KAHLER_DIGITS:
@@ -318,6 +319,7 @@ def _pi(digits: int) -> Decimal:
     """pi within 10^-digits (up to 6,000 digits), by Machin's formula on
     integers: each of its fewer than digits + 5 arctan terms is truncated at
     10^-(digits + 5) and errs by at most 16 such units."""
+    from decimal import Decimal
     one, total = 10 ** (digits + 5), 0
     for factor, x in ((16, 5), (-4, 239)):
         power, k = one // x, 1

@@ -18,10 +18,9 @@ Euler number -200.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._frozen import frozen
-from .exactnum import QQ, NilpotentElement
+from .exactnum import QQ, NilpotentElement, fraction
 from .linalg import SquareExactMatrix
 
 
@@ -32,8 +31,8 @@ def hyperplane(power: int = 1) -> NilpotentElement:
     return NilpotentElement.generator(4) ** power
 
 
-def integrate(gamma: NilpotentElement) -> Fraction:
-    """Integration over the quintic: 5 times the L^3 component."""
+def integrate(gamma: NilpotentElement):
+    """Integration over the quintic: 5 times the L^3 component, a Fraction."""
     return 5 * gamma.coeffs[3]
 
 
@@ -49,7 +48,7 @@ class CharacteristicClasses:
 
 def _todd_from(c1: NilpotentElement, c2: NilpotentElement) -> NilpotentElement:
     """1 + c1/2 + (c1^2 + c2)/12 + c1 c2 / 24, the threefold Todd expansion."""
-    return 1 + c1 * Fraction(1, 2) + (c1 * c1 + c2) * Fraction(1, 12) + c1 * c2 * Fraction(1, 24)
+    return 1 + c1 * fraction(1, 2) + (c1 * c1 + c2) * fraction(1, 12) + c1 * c2 * fraction(1, 24)
 
 
 def chern_from_adjunction() -> CharacteristicClasses:
@@ -60,14 +59,14 @@ def chern_from_adjunction() -> CharacteristicClasses:
     return CharacteristicClasses(c1, c2, c3, _todd_from(c1, c2))
 
 
-def euler_number(c: CharacteristicClasses) -> Fraction:
-    """The integral of the top Chern class."""
+def euler_number(c: CharacteristicClasses):
+    """The integral of the top Chern class, a Fraction."""
     return integrate(c.c3)
 
 
 def twist_matrix(k: int) -> SquareExactMatrix:
     """Matrix of gamma -> gamma ^ e^(k L) on row vectors in 1, L, L^2, L^3."""
-    exp_kl = NilpotentElement(tuple(Fraction(k**j, math.factorial(j)) for j in range(4)))
+    exp_kl = NilpotentElement(tuple(fraction(k**j, math.factorial(j)) for j in range(4)))
     return SquareExactMatrix.from_rows(QQ, [(hyperplane(i) * exp_kl).coeffs for i in range(4)])
 
 

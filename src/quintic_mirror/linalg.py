@@ -24,10 +24,9 @@ from __future__ import annotations
 import operator
 import reprlib
 from collections.abc import Sequence
-from fractions import Fraction
 
 from ._frozen import frozen
-from .exactnum import QQ, Ring, power
+from .exactnum import QQ, Ring, fraction, power
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ from .exactnum import QQ, Ring, power
 
 
 def _fraction_rows(rows) -> list:
-    out = [[Fraction(x) for x in row] for row in rows]
+    out = [[fraction(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

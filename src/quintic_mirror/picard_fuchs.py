@@ -25,7 +25,6 @@ upper-triangular with bands 1, 1/2, 1/6.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._frozen import frozen
 from .exactnum import (
@@ -34,6 +33,7 @@ from .exactnum import (
     NilpotentRing,
     RingMismatchError,
     TruncatedSeries,
+    fraction,
     int_convolve,
     integer_form,
     over_lcm,
@@ -219,7 +219,7 @@ def infinity_basis_change() -> SquareExactMatrix:
     basis monodromy is B * diag(zeta^k) * B^-1.
     """
     field = ZETA5_FIELD
-    rows = [[field.coerce(Fraction(k, 5) ** j) for k in range(1, 5)] for j in range(4)]
+    rows = [[field.coerce(fraction(k, 5) ** j) for k in range(1, 5)] for j in range(4)]
     return SquareExactMatrix.from_rows(field, rows)
 
 

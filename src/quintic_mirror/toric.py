@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._frozen import frozen
+from .exactnum import fraction
 from .linalg import dot, integer_kernel_basis, integer_matrix
 
 LatticePoint = tuple
@@ -143,7 +143,7 @@ class LatticePolytope:
     def polar_dual_rational(self) -> tuple:
         """Vertices of {y : <x, y> >= -1 for all x}, as rational tuples."""
         facets = self._facets_with_interior_origin()
-        return tuple(tuple(Fraction(-n, f.offset) for n in f.normal) for f in facets)
+        return tuple(tuple(fraction(-n, f.offset) for n in f.normal) for f in facets)
 
     def polar_dual(self) -> "LatticePolytope":
         """The polar dual as a lattice polytope; raises unless the origin is

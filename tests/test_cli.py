@@ -1153,17 +1153,25 @@ def test_parse_agrees_with_the_full_parser_on_random_argv() -> None:
     assert accepted > 1000
 
 
+# what gw and periods never import: argparse (which loads gettext) and json,
+# and fractions with the decimal, numbers and re it loads, since their
+# pipelines and renderings run on integer numerators and build no Fraction
+_NOT_FOR_GW_OR_PERIODS = ["argparse", "gettext", "json", "fractions", "decimal", "numbers", "re"]
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
         (["kontsevich"], ["argparse", "gettext", "json"]),
-        (["gw", "--format", "structured"], ["argparse", "gettext", "json"]),
-        (["periods", "--format", "structured"], ["argparse", "gettext", "json"]),
+        (["gw", "--format", "structured"], _NOT_FOR_GW_OR_PERIODS),
+        (["periods", "--format", "structured"], _NOT_FOR_GW_OR_PERIODS),
+        (["gw", "--order", "26", "--dmax", "26"], _NOT_FOR_GW_OR_PERIODS),
+        (["periods", "--order", "200"], _NOT_FOR_GW_OR_PERIODS),
     ],
 )
 def test_commands_import_argparse_and_json_only_when_needed(argv, absent) -> None:
-    # argparse (which loads gettext) and json add milliseconds to every process
-    # that imports them; -S keeps the interpreter's own start-up imports out.
+    # each of these modules adds milliseconds to every process that imports
+    # it; -S keeps the interpreter's own start-up imports out.
     script = (
         "import sys\n"
         "from quintic_mirror import cli\n"

@@ -199,6 +199,15 @@ def test_non_integral_count_is_loud() -> None:
     assert info.value.value == Fraction(1, 2)
 
 
+def test_non_integral_count_above_degree_one_reports_its_value() -> None:
+    # kappa_2 = n_1 + 2^3 n_2: a third above n_1 = 2875 makes n_2 = 1/24, where
+    # the denominator is kappa's 3 times 2^3, which degree 1 cannot tell from 3
+    fake = TruncatedSeries.from_coefficients(QQ, [5, LINES, LINES + Fraction(1, 3)])
+    with pytest.raises(IntegralityError, match=r"^n_2 = 1/24 is not an integer$") as info:
+        extract_instantons(fake, 2)
+    assert (info.value.degree, info.value.value) == (2, Fraction(1, 24))
+
+
 def test_prepotential_gate_names_the_first_broken_degree(monkeypatch) -> None:
     # Y off by one at z^3 leaves kappa's first three coefficients alone
     def bumped(order):
@@ -210,6 +219,20 @@ def test_prepotential_gate_names_the_first_broken_degree(monkeypatch) -> None:
     with pytest.raises(PrepotentialError) as info:
         build_mirror_map(8)
     assert info.value.degree == 3
+
+
+@pytest.mark.parametrize("order", [2, 8])
+def test_prepotential_gate_checks_kappas_top_degree(monkeypatch, order) -> None:
+    # Y off by one at z^order changes kappa at q^order alone, its last coefficient
+    def bumped(n):
+        coeffs = list(unnormalized_coupling(n).coeffs)
+        coeffs[n] += 1
+        return TruncatedSeries(QQ, tuple(coeffs))
+
+    monkeypatch.setattr(enumerative, "unnormalized_coupling", bumped)
+    with pytest.raises(PrepotentialError, match=f"at q\\^{order}$") as info:
+        build_mirror_map(order)
+    assert info.value.degree == order
 
 
 def test_extraction_needs_enough_coefficients() -> None:

@@ -230,6 +230,22 @@ def test_operator_refuses_a_series_outside_the_nilpotent_rings(ring) -> None:
         apply_operator(PeriodOperator.quintic(), TruncatedSeries.one(ring, 3))
 
 
+def test_component_index_names_the_modulus_bound() -> None:
+    bundle = frobenius_at_zero(2, modulus_degree=3)
+    for k in (-1, 3):
+        with pytest.raises(IndexError, match=rf"^component {k} outside 0\.\.2$"):
+            bundle.component(k)
+
+
+def test_order_zero_gives_the_one_term_bundle() -> None:
+    bundle = frobenius_at_zero(0)
+    assert bundle.series.order == 0
+    assert bundle.series.coeffs == (NilpotentRing(4).one(),)
+    assert [bundle.component(k).coeffs for k in range(4)] == [(1,), (0,), (0,), (0,)]
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        frobenius_at_zero(-1)
+
+
 def test_modulus_one_gives_plain_holomorphic_series() -> None:
     bundle = frobenius_at_zero(3, modulus_degree=1)
     assert apply_operator(PeriodOperator.quintic(), bundle.series).is_zero()
