@@ -25,11 +25,11 @@ or a writer's chunk at a time, so no command holds its rendered output:
 the reader closes the pipe early (``| head``), ``main`` stops writing and
 exits 0 with nothing on stderr.  A process is start-up, imports, the
 handler and shutdown; as the entry (argv None), ``main`` freezes the heap
-for exit.  ``gw`` and ``periods`` load from the standard library only
-``math``, ``operator``, ``itertools``, ``types``, ``reprlib`` and
-``collections``: ``fractions`` loads only where a Fraction is built,
-``decimal`` and ``numbers`` only for ``glsm kahler``, and argparse and
-json only for help, usage errors, input files and escaped strings.
+for exit.  ``gw``, ``periods`` and ``polytope`` load from the standard
+library only ``math``, ``operator``, ``itertools``, ``types`` and
+``reprlib``; ``fractions`` loads where a Fraction is built, ``decimal``
+and ``numbers`` for ``glsm kahler``, argparse for help and usage errors,
+and json for escaped strings and input files beyond ``_plain_json``.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 invariant
 failure (a computation gate such as curve-count integrality tripped).
@@ -174,11 +174,75 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+_PLAIN_JSON_UNQUOTED = str.maketrans("", "", "[]{},:0123456789+-.eE \t\n\r")
+
+
+def _json_number(token: str):
+    """The int or float json reads from token (ASCII), or None unless it is a
+    JSON number that converts under the int-to-str digit limit."""
+    mantissa, e, exponent = token.removeprefix("-").replace("E", "e").partition("e")
+    whole, dot, fraction = mantissa.partition(".")
+    if ((whole == "0" or whole.isdigit() and whole[0] != "0") and (not dot or fraction.isdigit())
+            and (not e or exponent[exponent[:1] in "+-":].isdigit())):
+        try:
+            return float(token) if dot or e else int(token)
+        except ValueError:  # past the digit limit: json words the error
+            pass
+
+
+def _plain_json(text: str):
+    """json.loads(text) for text in the plain subset of JSON, else None:
+    arrays and objects (string keys) nested at most 64 deep, numbers, strings
+    of printable ASCII without escapes, and only JSON's four whitespaces."""
+    parts = text.split('"')  # with no escapes, the odd parts are the strings
+    if len(parts) % 2 == 0:  # the last string is never closed
+        return None
+    tokens = []
+    for i, part in enumerate(parts):
+        if i % 2 == 0:
+            if part.translate(_PLAIN_JSON_UNQUOTED):
+                return None
+            for c in "[]{},:":
+                part = part.replace(c, f" {c} ")
+            tokens += part.split()
+        elif part.isascii() and not part.encode().translate(None, _PLAIN_JSON_BYTES):
+            tokens.append('"' + part)
+        else:
+            return None
+    stack, want = [[]], "value"  # the open containers under a root list; what comes next
+    for token in tokens:
+        top = stack[-1]
+        if want in ("open", ",") and token == ("]" if type(top) is list else "}") and len(stack) > 1:
+            stack.pop()
+            want = ","
+        elif want in (",", ":") and token == want and len(stack) > 1:
+            want = "key" if want == "," and type(top) is dict else "value"
+        elif want in ("open", "key") and type(top) is dict and token[0] == '"':
+            key, want = token[1:], ":"
+        elif (want == "value" or want == "open" and type(top) is list) and len(stack) <= 64 and (
+                value := [] if token == "[" else {} if token == "{" else
+                token[1:] if token[0] == '"' else _json_number(token)) is not None:
+            if type(top) is dict:
+                top[key] = value
+            else:
+                top.append(value)
+            want = "open" if token in ("[", "{") else ","
+            if want == "open":
+                stack.append(value)
+        else:
+            return None
+    return stack[0][0] if want == "," and len(stack) == 1 else None
+
+
 def _load_json(path: str):
-    import json
+    """The JSON value in path; json reads only what ``_plain_json`` does not."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_reject_constant)
+            text = handle.read()
+        if (value := _plain_json(text)) is not None:
+            return value
+        import json
+        return json.loads(text, parse_constant=_reject_constant)
     except OSError as exc:
         detail = exc.strerror or str(exc)
         raise CommandError(EXIT_INPUT, f"cannot read {path}: {detail}")

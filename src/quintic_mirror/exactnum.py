@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 
 from ._frozen import frozen
 

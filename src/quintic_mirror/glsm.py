@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 
 from ._frozen import frozen
 from .linalg import (

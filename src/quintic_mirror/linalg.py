@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from collections.abc import Sequence
 
 from ._frozen import frozen
 from .exactnum import QQ, Ring, fraction, power

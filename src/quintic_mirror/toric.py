@@ -26,7 +26,6 @@ and the moduli dimension.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 
 from ._frozen import frozen
 from .exactnum import fraction
@@ -57,8 +56,8 @@ class Facet:
 
 @frozen
 class ReflexivityReport:
-    """Outcome of a reflexivity test; dual_vertices is the certificate
-    (rational when the test fails on integrality)."""
+    """Outcome of a reflexivity test; dual_vertices is the certificate: int
+    coordinates, and a Fraction at each one that is not integral (a failed test)."""
 
     is_reflexive: bool
     dual_vertices: tuple
@@ -141,9 +140,10 @@ class LatticePolytope:
         return self._facets
 
     def polar_dual_rational(self) -> tuple:
-        """Vertices of {y : <x, y> >= -1 for all x}, as rational tuples."""
+        """Vertices of {y : <x, y> >= -1 for all x}: ints, or Fractions where not integral."""
         facets = self._facets_with_interior_origin()
-        return tuple(tuple(fraction(-n, f.offset) for n in f.normal) for f in facets)
+        return tuple(tuple(fraction(-n, f.offset) if n % f.offset else -n // f.offset
+                           for n in f.normal) for f in facets)
 
     def polar_dual(self) -> "LatticePolytope":
         """The polar dual as a lattice polytope; raises unless the origin is
@@ -160,7 +160,7 @@ class LatticePolytope:
             raise NonReflexiveError("the polar dual is not a lattice polytope")
         dual = object.__new__(LatticePolytope)
         dual._ambient = dual._dim = self._ambient
-        dual._vertices = tuple(sorted(tuple(map(int, v)) for v in report.dual_vertices))
+        dual._vertices = tuple(sorted(report.dual_vertices))
         dual._facets = tuple(Facet(n, 1) for n in sorted(tuple(-x for x in v) for v in self._vertices))
         return dual
 
@@ -170,8 +170,7 @@ class LatticePolytope:
             duals = self.polar_dual_rational()
         except OriginNotInteriorError:
             return ReflexivityReport(False, tuple())
-        ok = all(c.denominator == 1 for v in duals for c in v)
-        return ReflexivityReport(ok, duals)
+        return ReflexivityReport(all(c.denominator == 1 for v in duals for c in v), duals)
 
     # -- dunder plumbing ----------------------------------------------
 

@@ -1153,25 +1153,36 @@ def test_parse_agrees_with_the_full_parser_on_random_argv() -> None:
     assert accepted > 1000
 
 
-# what gw and periods never import: argparse (which loads gettext) and json,
-# and fractions with the decimal, numbers and re it loads, since their
-# pipelines and renderings run on integer numerators and build no Fraction
-_NOT_FOR_GW_OR_PERIODS = ["argparse", "gettext", "json", "fractions", "decimal", "numbers", "re"]
+# what gw, periods and polytope never import: argparse (which loads gettext)
+# and json, fractions with the decimal, numbers and re it loads, since their
+# pipelines and renderings run on integer numerators and build no Fraction,
+# and collections, since no module imports collections.abc
+_NOT_FOR_GW_PERIODS_OR_POLYTOPE = [
+    "argparse", "gettext", "json", "fractions", "decimal", "numbers", "re", "collections",
+]
 
 
 @pytest.mark.parametrize(
     "argv, absent",
     [
         (["kontsevich"], ["argparse", "gettext", "json"]),
-        (["gw", "--format", "structured"], _NOT_FOR_GW_OR_PERIODS),
-        (["periods", "--format", "structured"], _NOT_FOR_GW_OR_PERIODS),
-        (["gw", "--order", "26", "--dmax", "26"], _NOT_FOR_GW_OR_PERIODS),
-        (["periods", "--order", "200"], _NOT_FOR_GW_OR_PERIODS),
+        (["gw", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["periods", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["gw", "--order", "26", "--dmax", "26"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["periods", "--order", "200"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["polytope"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["polytope", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        # input files in the plain subset of JSON that cli._plain_json reads
+        (["polytope", "--in", "cube.json"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["syz", "k3", "--in", "k3.json"], ["argparse", "gettext", "json"]),
     ],
 )
-def test_commands_import_argparse_and_json_only_when_needed(argv, absent) -> None:
+def test_commands_import_argparse_and_json_only_when_needed(argv, absent, tmp_path) -> None:
     # each of these modules adds milliseconds to every process that imports
     # it; -S keeps the interpreter's own start-up imports out.
+    _write_json(tmp_path, "cube.json", {"points": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                                   for z in (-1, 1)]})
+    _write_json(tmp_path, "k3.json", {"multiplicities": [2] * 12})
     script = (
         "import sys\n"
         "from quintic_mirror import cli\n"
@@ -1179,10 +1190,109 @@ def test_commands_import_argparse_and_json_only_when_needed(argv, absent) -> Non
         f"print(code, sorted(set({absent!r}) & set(sys.modules)), file=sys.stderr)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", script],
+        [sys.executable, "-S", "-c", script], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True,
     )
     assert result.stderr == "0 []\n"
+
+
+_SPACES = ["", "", " ", "\n", "\t", "\r\n", "  "]
+
+
+def _random_json(rng: random.Random, depth: int = 0) -> str:
+    """A JSON document: ints up to 30 digits, floats with exponents, strings
+    with and without escapes, true, false and null, nested in arrays and
+    objects, with JSON's whitespace between tokens."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return str(rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30)))
+    if kind == 1:
+        return f"{rng.uniform(-10, 10):.{rng.randint(0, 6)}{rng.choice('eEf')}}"
+    if kind == 2:
+        return rng.choice(["true", "false", "null", "0", "-0", "0.5", "-0.0", "1e-7", "2E+30"])
+    if kind in (3, 4):  # plain, or with characters json.dumps escapes
+        alphabet = "ab z" if kind == 3 else 'a"\\\n\t\u00e9'
+        return json.dumps("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4))))
+    if kind == 5:
+        return str(rng.randint(-9, 99))
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 8:
+        items = [json.dumps(rng.choice(["points", "a", ""])) + rng.choice(_SPACES) + ":"
+                 + rng.choice(_SPACES) + item for item in items]
+    text = "{" if kind == 8 else "["
+    for i, item in enumerate(items):
+        text += rng.choice(_SPACES) + ("," if i else "") + rng.choice(_SPACES) + item
+    return text + rng.choice(_SPACES) + ("}" if kind == 8 else "]")
+
+
+# characters for single-character edits: JSON's own, and lookalikes that
+# Python's int, float, str.isdigit, str.strip or str.split accept but json does not
+_EDIT_CHARACTERS = list('[]{},:"-+.eE0123456789 \t\n\r') + [
+    "\x0b", "\x0c", "\ufeff", "\u0663", "_", "N", "I", "\\", "\x00", "\xa0", "u"]
+
+
+def test_plain_json_reader_agrees_with_json_whenever_it_reads(seed: int = 37) -> None:
+    # the reader may give up on any text (json then reads it), but what it
+    # reads must be exactly json's value: the same types, floats and key order
+    rng = random.Random(seed)
+    read = 0
+    for _ in range(20000):
+        text = _random_json(rng)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(text))
+            cut = at + rng.randint(0, 1)
+            text = text[:at] + rng.choice(_EDIT_CHARACTERS + [""]) + text[cut:]
+        value = cli._plain_json(text)
+        if value is not None:
+            read += 1
+            assert repr(value) == repr(json.loads(text, parse_constant=cli._reject_constant)), text
+    assert read > 4000
+
+
+# (text, whether cli._plain_json reads it rather than leaving it to json)
+_JSON_CASES = {
+    "leading-zero": ("01", False),
+    "bare-point": ("1.", False),
+    "point-first": (".5", False),
+    "bare-minus": ("-", False),
+    "two-minus": ("--1", False),
+    "two-signs": ("[1e+-5]", False),
+    "minus-point": ("[-.96e+172]", False),
+    "trailing-comma": ("[1,]", False),
+    "int-key": ("{1: 2}", False),
+    "bom": ('\ufeff{"points": [[1]]}', False),
+    "tab-in-string": ('{"poi\tnts": [[1]]}', False),
+    "duplicate-keys": ('{"points": [[5]], "a": 1, "points": [[1, 0], [0, 1], [-1, -1]]}', True),
+    "nan": ("[NaN]", False),
+    "digit-limit": ('{"multiplicities": [' + "9" * 700 + "]}", False),
+    "deep": ("[" * 100000 + "]" * 100000, False),
+    "plain": ('\r\n{"a": "b c", "points": [[-0, 1.5e3, -2E-2, 0.0, 10]], "c": {}, "d": [[]]}\t', True),
+}
+
+
+@pytest.mark.parametrize("text, plain", _JSON_CASES.values(), ids=_JSON_CASES)
+def test_load_json_reads_as_json_does(text, plain, tmp_path, monkeypatch) -> None:
+    # the same value, or the same error text, as when json reads every file
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 640 digits, the lowest limit CPython accepts
+        sys.set_int_max_str_digits(640)
+
+    def load():
+        try:
+            return repr(cli._load_json(str(path)))
+        except cli.CommandError as exc:
+            return exc.code, str(exc)
+
+    try:
+        assert (cli._plain_json(text) is not None) == plain
+        fast = load()
+        monkeypatch.setattr(cli, "_plain_json", lambda text: None)
+        assert load() == fast
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(

@@ -401,6 +401,27 @@ def test_non_reflexive_polytope_reported() -> None:
     )
 
 
+def test_certificate_is_integral_but_for_each_non_integral_coordinate(seed: int = 37) -> None:
+    # a coordinate -n/c of the dual vertex of a facet <n, x> <= c is an int
+    # where c divides n, and a Fraction only where it does not
+    rng = random.Random(seed)
+    fan = projective_space_fan_polytope()
+    reflexive = [fan, quintic_newton_polytope(), LatticePolytope(itertools.product((-1, 1), repeat=3))]
+    reflexive += [_transform(fan, _random_unimodular(rng, 4)) for _ in range(5)]
+    for poly in reflexive:
+        report = poly.is_reflexive()
+        assert report.is_reflexive
+        assert {type(c) for v in report.dual_vertices for c in v} == {int}
+    stretched = LatticePolytope([(2, 0), (0, 2), (-2, -2)])
+    report = stretched.is_reflexive()
+    assert not report.is_reflexive
+    want = [tuple(Fraction(-n, f.offset) for n in f.normal) for f in stretched.facets()]
+    assert [tuple(map(Fraction, v)) for v in report.dual_vertices] == want
+    types = [type(c) for v in report.dual_vertices for c in v]
+    assert types == [int if c.denominator == 1 else Fraction for v in want for c in v]
+    assert Fraction in types and int in types
+
+
 def test_polar_dual_requires_interior_origin() -> None:
     shifted = LatticePolytope([(1, 0), (0, 1), (1, 1)])
     with pytest.raises(OriginNotInteriorError):
