@@ -17,8 +17,8 @@ directly.  Only the mirror swap takes inverses.
 The quintic vertex and edge counts (250, 50, 450) are not stored: they
 are recomputed from the face lattice of the degree-5 simplex pair by a
 bilinear counting rule (unit triangles in a 2-face times the lattice
-length of its dual edge, summed both ways round), each count a gcd of
-coordinates or of 2x2 minors.
+length of its dual edge, summed both ways round), each count the product
+of the Smith divisors of the face's edge vectors.
 
 A K3-sized warm-up is included: the Euler-number check sum(k_i) = 24 for
 semistable elliptic fibers, and the exact SL(2, Z) conjugacy between a
@@ -28,12 +28,13 @@ unipotent 2x2 monodromy and its inverse transpose.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import prod
 
 from ._frozen import frozen
 from .exactnum import QQ
 from .kontsevich import is_unipotent
-from .linalg import SquareExactMatrix, dot, gauss_jordan, integer_matmul, integer_matrix, rational_rank
+from .linalg import (SquareExactMatrix, dot, gauss_jordan, integer_matmul, integer_matrix,
+                     rational_rank, smith_normal_form)
 from .toric import projective_space_fan_polytope, quintic_newton_polytope
 
 VERTEX_TYPE_21 = "type21"
@@ -160,27 +161,14 @@ def quintic_graph_counts(
     return FibrationGraphSummary(v21, v12, total // 2)
 
 
-def _triangle_count(points) -> int:
-    """Number of unit lattice triangles in the triangle spanned by 3 points:
-    the gcd of the 2x2 minors of its edge vectors, which is the product of
-    their two Smith divisors."""
-    a, b, c = points
-    u = [x - y for x, y in zip(b, a)]
-    v = [x - y for x, y in zip(c, a)]
-    count = gcd(*(u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(len(a)), 2)))
-    if count == 0:
-        raise ValueError("points do not span a 2-face")
-    return count
-
-
-def _lattice_length(points) -> int:
-    """Number of lattice steps along an edge: the gcd of its coordinate
-    differences."""
-    a, b = points
-    length = gcd(*(x - y for x, y in zip(a, b)))
-    if length == 0:
-        raise ValueError("edge endpoints coincide")
-    return length
+def _lattice_volume(points) -> int:
+    """Unit lattice simplices in the simplex on the points (lattice steps, for
+    an edge): the product of the Smith divisors of its edges from points[0]."""
+    base = points[0]
+    divisors = smith_normal_form([[x - b for x, b in zip(p, base)] for p in points[1:]]).divisors
+    if len(divisors) < len(points) - 1:
+        raise ValueError("points do not span a simplex")
+    return prod(divisors)
 
 
 def quintic_face_data() -> tuple:
@@ -193,33 +181,17 @@ def quintic_face_data() -> tuple:
     a wrong polar pair would fail loudly here rather than produce stale
     constants.
     """
-    big = quintic_newton_polytope()
-    small = projective_space_fan_polytope()
-    big_verts = big.vertices
-    small_verts = small.vertices
-
-    def dual_face(span) -> list:
-        return [v for v in small_verts if all(dot(w, v) == -1 for w in span)]
-
-    two_face_counts = []
-    dual_edge_lengths = []
-    for span in combinations(big_verts, 3):
-        dual = dual_face(span)
-        if len(dual) != 2:
-            raise ValueError("2-face of the simplex has no dual edge")
-        two_face_counts.append(_triangle_count(span))
-        dual_edge_lengths.append(_lattice_length(dual))
-
-    edge_lengths = []
-    dual_face_counts = []
-    for span in combinations(big_verts, 2):
-        dual = dual_face(span)
-        if len(dual) != 3:
-            raise ValueError("edge of the simplex has no dual 2-face")
-        edge_lengths.append(_lattice_length(span))
-        dual_face_counts.append(_triangle_count(dual))
-
-    return two_face_counts, dual_edge_lengths, edge_lengths, dual_face_counts
+    big_verts = quintic_newton_polytope().vertices
+    small_verts = projective_space_fan_polytope().vertices
+    data = ([], [], [], [])
+    for size, first in ((3, 0), (2, 2)):
+        for span in combinations(big_verts, size):
+            dual = [v for v in small_verts if all(dot(w, v) == -1 for w in span)]
+            if len(dual) != len(small_verts) - size:
+                raise ValueError(f"face of {size} vertices of the simplex has no dual face")
+            data[first].append(_lattice_volume(span))
+            data[first + 1].append(_lattice_volume(dual))
+    return data
 
 
 def quintic_fibration_summary() -> FibrationGraphSummary:

@@ -1,22 +1,21 @@
 """Lattice polytopes, polar duality, and hypersurface moduli counts.
 
 Polytopes are stored by their vertex lists (extreme points only, sorted).
-A full-dimensional hull in Z^d grows by beneath-beyond insertion from a
-d-simplex among extreme points, whose facet normals are Smith kernel
-vectors.  A point no facet lies strictly below is skipped; otherwise the
-facets it sees go, the facets through it gain it, and over each ridge
-between a seen facet and one beneath it a new facet is the combination of
-the two that vanishes at the point.  Ridges are read from bitmasks of the
-points on each facet, so a hull costs about points times facets.  Lattice
-points are listed fibre by fibre, each coordinate's range taken from the
-facets of the projection onto the coordinates so far, at about the cost
-of the projections' lattice points; only a full-dimensional polytope
-lists them.  A lower-dimensional polytope is projected onto the pivot
-coordinates of its affine hull, which is one-to-one there: its vertices
-are the preimages of the projection's.  The polar dual uses the
-inequality <x, y> >= -1, so a facet <n, x> <= c with c > 0 on the
-primal side becomes the dual vertex -n/c; a reflexive polytope's dual
-takes its facets from the primal vertices, with no hull.
+An affine basis grows from the first point, each new one the extreme
+point along a Smith kernel vector of the edges so far that leaves their
+span.  A full-dimensional hull in Z^d grows from that d-simplex by
+beneath-beyond insertion: a point no facet lies strictly below is
+skipped; otherwise the facets it sees go, the facets through it gain it,
+and over each ridge between a seen facet and one beneath it a new facet
+is the combination of the two that vanishes at the point.  Ridges are
+read from bitmasks of the points on each facet, so a hull costs about
+points times facets.  Lattice points are listed fibre by fibre, each
+coordinate's range taken from the facets of the projection onto the
+coordinates so far.  A k-dimensional polytope in a larger space is
+projected by the first k columns of the Smith column transform of its
+basis's edges, one-to-one on its affine hull: its vertices are the
+preimages of the projection's.  The polar dual uses <x, y> >= -1, so a
+facet <n, x> <= c with c > 0 becomes the dual vertex -n/c.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -29,9 +28,7 @@ import math
 
 from ._frozen import frozen
 from .exactnum import fraction
-from .linalg import dot, integer_kernel_basis, integer_matrix
-
-LatticePoint = tuple
+from .linalg import dot, integer_kernel_basis, integer_matrix, smith_normal_form
 
 
 class OriginNotInteriorError(ValueError):
@@ -40,10 +37,6 @@ class OriginNotInteriorError(ValueError):
 
 class NonReflexiveError(ValueError):
     """The polar dual is not a lattice polytope."""
-
-
-def _lattice_point(p) -> tuple:
-    return integer_matrix([p])[0]
 
 
 @frozen
@@ -56,11 +49,16 @@ class Facet:
 
 @frozen
 class ReflexivityReport:
-    """Outcome of a reflexivity test; dual_vertices is the certificate: int
+    """Outcome of a reflexivity test of a polytope (None without an interior
+    origin).  dual_vertices is the certificate, built when read: int
     coordinates, and a Fraction at each one that is not integral (a failed test)."""
 
     is_reflexive: bool
-    dual_vertices: tuple
+    polytope: "LatticePolytope | None"
+
+    @property
+    def dual_vertices(self) -> tuple:
+        return () if self.polytope is None else self.polytope.polar_dual_rational()
 
 
 class LatticePolytope:
@@ -72,7 +70,7 @@ class LatticePolytope:
     """
 
     def __init__(self, points: Iterable[Sequence[int]]):
-        pts = sorted({_lattice_point(p) for p in points})
+        pts = sorted({integer_matrix([p])[0] for p in points})
         if not pts:
             raise ValueError("a polytope needs at least one point")
         ambient = len(pts[0])
@@ -81,19 +79,20 @@ class LatticePolytope:
         if ambient == 0:
             raise ValueError("a point needs at least one coordinate")
         self._ambient = ambient
-        pivots = _affine_basis(pts)[1]
-        self._dim = len(pivots)
+        span = _affine_span(pts)
+        self._dim = len(span) - 1
         self._facets: tuple | None = None
 
         if self._dim == 0:
             self._vertices = (pts[0],)
         elif self._dim == ambient:
-            self._vertices, self._facets = _full_dim_hull(pts, ambient)
+            self._vertices, self._facets = _full_dim_hull(pts, span)
         else:
-            # projecting onto the pivot coordinates is one-to-one on the
-            # affine hull, so the vertices are the preimages of the
-            # projection's vertices
-            back = {tuple(p[k] for k in pivots): p for p in pts}
+            # the span's edges times the Smith form's column transform V vanish
+            # past column dim, so V's first dim columns project the affine hull
+            # one-to-one: the vertices are the preimages of the projection's
+            columns = tuple(zip(*smith_normal_form(_edges(span)).v))[: self._dim]
+            back = {tuple(dot(p, c) for c in columns): p for p in pts}
             projection = LatticePolytope(back)
             self._vertices = tuple(sorted(back[q] for q in projection.vertices))
 
@@ -122,7 +121,8 @@ class LatticePolytope:
         for k in range(self._ambient):
             facets = self._facets
             if k + 1 < self._ambient:
-                _, facets = _full_dim_hull(sorted({v[: k + 1] for v in self._vertices}), k + 1)
+                shadow = sorted({v[: k + 1] for v in self._vertices})
+                _, facets = _full_dim_hull(shadow, _affine_span(shadow))
             upper = [(f.normal[:k], f.offset, f.normal[k]) for f in facets if f.normal[k] > 0]
             lower = [(f.normal[:k], f.offset, -f.normal[k]) for f in facets if f.normal[k] < 0]
             points = [q + (x,) for q in points for x in range(
@@ -165,12 +165,12 @@ class LatticePolytope:
         return dual
 
     def is_reflexive(self) -> ReflexivityReport:
-        """Reflexivity test with the dual vertex list as certificate."""
+        """Reflexivity test on ints, with the dual vertex list as certificate."""
         try:
-            duals = self.polar_dual_rational()
+            facets = self._facets_with_interior_origin()
         except OriginNotInteriorError:
-            return ReflexivityReport(False, tuple())
-        return ReflexivityReport(all(c.denominator == 1 for v in duals for c in v), duals)
+            return ReflexivityReport(False, None)
+        return ReflexivityReport(all(n % f.offset == 0 for f in facets for n in f.normal), self)
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -190,31 +190,10 @@ def _hyperplane_normal(points, inside) -> tuple:
     Smith kernel of all d differences from the first point (a single zero
     row when d = 1), which is primitive."""
     base = points[0]
-    normal = integer_kernel_basis([[x - b for x, b in zip(p, base)] for p in points])[0]
+    normal = integer_kernel_basis(_edges(points))[0]
     if dot(normal, inside) > dot(normal, base):
         normal = tuple(-n for n in normal)
     return normal, dot(normal, base)
-
-
-def _affine_basis(points) -> tuple:
-    """points[0] and each later point whose difference from it is independent
-    of those taken before (fraction-free elimination): dim + 1 points, and
-    the pivot coordinate of each difference.  Each reduced difference
-    vanishes at the pivots before its own, so the differences' block on the
-    pivots is invertible."""
-    base = points[0]
-    basis, reduced = [base], []
-    for p in points[1:]:
-        r = [x - b for x, b in zip(p, base)]
-        for k, row in reduced:
-            r = [row[k] * x - r[k] * y for x, y in zip(r, row)]
-        if any(r):
-            g = math.gcd(*r)
-            reduced.append((next(k for k, x in enumerate(r) if x), [x // g for x in r]))
-            basis.append(p)
-            if len(basis) > len(base):
-                break
-    return basis, [k for k, _ in reduced]
 
 
 def _extreme(points, functional) -> tuple:
@@ -223,21 +202,35 @@ def _extreme(points, functional) -> tuple:
     return max(points, key=lambda p: (dot(functional, p), p))
 
 
-def _full_dim_hull(points, ambient: int) -> tuple:
+def _edges(points) -> list:
+    """The differences of the points from the first."""
+    return [[x - b for x, b in zip(p, points[0])] for p in points]
+
+
+def _affine_span(points) -> list:
+    """An affine basis of the points' hull, grown from points[0]: each
+    round adds the extreme point along the first Smith kernel vector of the
+    edges so far, or its negative, that leaves their span, until none does."""
+    base = points[0]
+    span = [base]
+    while len(span) <= len(base):
+        extremes = ((n, _extreme(points, [s * x for x in n]))
+                    for n in integer_kernel_basis(_edges(span)) for s in (1, -1))
+        off = next((p for n, p in extremes if dot(n, p) != dot(n, base)), None)
+        if off is None:
+            break
+        span.append(off)
+    return span
+
+
+def _full_dim_hull(points, span) -> tuple:
     """Sorted vertices and facets of the hull of distinct points spanning
-    Z^d, by beneath-beyond insertion into a d-simplex of seed points.
+    Z^d, by beneath-beyond insertion into the d-simplex span of some of them.
 
     Each facet is kept as (normal, offset, mask), where bit i of the mask
     is set when points[i] has been inserted and lies on the hyperplane."""
-    base = points[0]
-    seed = {base, points[-1]}
-    while True:
-        normals = integer_kernel_basis([[x - b for x, b in zip(v, base)] for v in seed])
-        if not normals:
-            break
-        seed.add(_extreme(points, normals[0]))
-        seed.add(_extreme(points, [-n for n in normals[0]]))
-    inserted = [points.index(p) for p in _affine_basis(sorted(seed))[0]]
+    ambient = len(points[0])
+    inserted = [points.index(p) for p in span]
     facets = [
         (*_hyperplane_normal([points[i] for i in inserted if i != j], points[j]),
          sum(1 << i for i in inserted if i != j))

@@ -1174,6 +1174,8 @@ _NOT_FOR_GW_PERIODS_OR_POLYTOPE = [
         (["polytope", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
         # input files in the plain subset of JSON that cli._plain_json reads
         (["polytope", "--in", "cube.json"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        # a polytope that is not reflexive: its certificate is never printed
+        (["polytope", "--in", "stretched.json"], ["fractions", "decimal", "numbers", "json"]),
         (["syz", "k3", "--in", "k3.json"], ["argparse", "gettext", "json"]),
     ],
 )
@@ -1182,6 +1184,7 @@ def test_commands_import_argparse_and_json_only_when_needed(argv, absent, tmp_pa
     # it; -S keeps the interpreter's own start-up imports out.
     _write_json(tmp_path, "cube.json", {"points": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
                                                    for z in (-1, 1)]})
+    _write_json(tmp_path, "stretched.json", {"points": [[2, 0], [0, 2], [-2, -2]]})
     _write_json(tmp_path, "k3.json", {"multiplicities": [2] * 12})
     script = (
         "import sys\n"

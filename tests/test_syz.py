@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,6 @@ from quintic_mirror.linalg import (
     SquareExactMatrix,
     integer_kernel_basis,
     rational_rank,
-    smith_normal_form,
 )
 from quintic_mirror.syz import (
     VERTEX_TYPE_12,
@@ -257,10 +258,10 @@ def test_quintic_summary_matches_euler_number() -> None:
 
 def test_face_counts_are_the_smith_divisor_products(seed: int = 26) -> None:
     # The unit triangles of the triangle a, a + u, a + v number the gcd of
-    # the 2x2 minors of (u, v), which is d_1 d_2 of its Smith form, and the
-    # lattice steps of the edge a, a + u number the gcd of u, its d_1.  Every
-    # fifth v is a multiple of u and every fiftieth u is zero, so the rank
-    # drops to 1 or 0 and both routines must refuse.
+    # the 2x2 minors of (u, v), and the lattice steps of the edge a, a + u
+    # number the gcd of u; _lattice_volume takes both as products of Smith
+    # divisors.  Every fifth v is a multiple of u and every fiftieth u is
+    # zero, so the rank drops to 1 or 0 and it must refuse.
     rng = random.Random(seed)
     degenerate = 0
     for trial in range(1000):
@@ -273,18 +274,18 @@ def test_face_counts_are_the_smith_divisor_products(seed: int = 26) -> None:
             v = [rng.randint(-6, 6) for _ in range(d)]
         a = [rng.randint(-9, 9) for _ in range(d)]
         b, c = ([x + y for x, y in zip(a, w)] for w in (u, v))
-        divisors = smith_normal_form([u, v]).divisors
-        if len(divisors) < 2:
+        minors = gcd(*(u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(d), 2)))
+        if minors == 0:
             degenerate += 1
-            with pytest.raises(ValueError, match="^points do not span a 2-face$"):
-                syz._triangle_count((a, b, c))
+            with pytest.raises(ValueError, match="^points do not span a simplex$"):
+                syz._lattice_volume((a, b, c))
         else:
-            assert syz._triangle_count((a, b, c)) == divisors[0] * divisors[1]
+            assert syz._lattice_volume((a, b, c)) == minors
         if any(u):
-            assert syz._lattice_length((a, b)) == smith_normal_form([u]).divisors[0]
+            assert syz._lattice_volume((a, b)) == gcd(*u)
         else:
-            with pytest.raises(ValueError, match="^edge endpoints coincide$"):
-                syz._lattice_length((a, b))
+            with pytest.raises(ValueError, match="^points do not span a simplex$"):
+                syz._lattice_volume((a, b))
     assert degenerate >= 200
 
 

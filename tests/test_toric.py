@@ -212,8 +212,9 @@ def _full_dimensional_cloud(rng: random.Random, k: int) -> list:
 def test_lower_dimensional_hulls_are_images_of_full_dimensional_ones(ambient) -> None:
     # The image of a full-dimensional Q in Z^k under y -> b + y U[:k], with
     # U in GL(n, Z), has as vertices the images of Q's: the hull projects the
-    # image onto its pivot coordinates, which is one-to-one on its affine
-    # hull, and takes the preimages of the projection's vertices.
+    # image through the first k columns of a Smith column transform, which is
+    # one-to-one on its affine hull, and takes the preimages of the
+    # projection's vertices.
     rng = random.Random(ambient)
     for k in range(1, ambient):
         for _ in range(10):
@@ -319,11 +320,8 @@ def test_cyclic_polytope_keeps_every_point_and_has_the_neighbourly_facet_count(c
     assert len(poly.facets()) == count * (count - 3) // 2
 
 
-def test_seed_grows_until_it_spans(monkeypatch) -> None:
-    # The lexicographic extremes (0,0,0) and (2,0,0) and the point between
-    # them are collinear, and the extremes along the first normal of that
-    # line, (1, +-1, 0), stay in the plane z = 0: the seed grows twice.
-    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]
+def _counted_kernel_calls(monkeypatch) -> list:
+    """The row counts of toric's integer_kernel_basis calls, as they happen."""
     calls = []
     kernel = toric.integer_kernel_basis
 
@@ -332,12 +330,65 @@ def test_seed_grows_until_it_spans(monkeypatch) -> None:
         return kernel(rows)
 
     monkeypatch.setattr(toric, "integer_kernel_basis", counted)
+    return calls
+
+
+def test_seed_grows_until_it_spans(monkeypatch) -> None:
+    # The kernel of the base's one zero edge is e1, e2, e3, and the extreme
+    # along e1 is (2,0,0); the kernel of that line starts with e2, whose
+    # extreme is (1,1,0); the plane's kernel is e3, whose extreme is (1,0,1).
+    # That is kernel calls on 1, 2 and 3 rows, then one on 3 rows for each
+    # facet of the simplex; the collinear (1,0,0) is never taken.
+    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]
+    calls = _counted_kernel_calls(monkeypatch)
     poly = LatticePolytope(points)
-    assert calls[:3] == [2, 4, 6]
+    assert calls == [1, 2, 3, 3, 3, 3, 3]
+    assert toric._affine_span(sorted(points)) == [(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1)]
     facets = _reference_facets(sorted(points), 3)
     assert poly.facets() == facets
     assert poly.vertices == _reference_vertices(sorted(points), facets, 3)
     assert (1, 0, 0) not in poly.vertices
+
+
+def test_span_skips_a_kernel_vector_whose_extremes_stay_on_it(monkeypatch) -> None:
+    # Every point has x = 0, so both extremes along e1, the first kernel
+    # vector of the base alone, stay on its span, and e2's extreme (0,3,1)
+    # leaves it.  Along the line's first kernel vector (0,1,-3) the extreme
+    # is (0,3,1) again, and along its negative it is (0,1,2).  The plane's
+    # kernel is e1 alone, whose extremes stay: the span stops at 3 points.
+    points = [(0, 0, 0), (0, 1, 1), (0, 1, 2), (0, 2, 2), (0, 3, 1)]
+    calls = _counted_kernel_calls(monkeypatch)
+    assert toric._affine_span(points) == [(0, 0, 0), (0, 3, 1), (0, 1, 2)]
+    assert calls == [1, 2, 3]
+    poly = LatticePolytope(points)
+    flat = [p[1:] for p in points]
+    facets = _reference_facets(flat, 2)
+    assert poly.dim == 2
+    assert poly.vertices == tuple((0, *q) for q in _reference_vertices(flat, facets, 2))
+
+
+def test_plane_in_space_and_its_sheared_image_match_brute_force(seed: int = 38) -> None:
+    # Points of the plane y = 0 in Z^3, and their image under the shear
+    # (x, y, z) -> (x, y + 2x - 3z, z): in both the span stops at 3 points
+    # when no kernel vector's extreme leaves the plane, and the vertices are
+    # the (images of the) vertices of the points' hull in the (x, z) plane.
+    rng = random.Random(seed)
+    shear = [[1, 2, 0], [0, 1, 0], [0, -3, 1]]
+    compared = 0
+    while compared < 20:
+        flat = sorted({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 9))})
+        if len(flat) < 3 or rational_rank([[x - b for x, b in zip(p, flat[0])] for p in flat]) < 2:
+            continue
+        facets = _reference_facets(flat, 2)
+        vertices = [(x, 0, z) for x, z in _reference_vertices(flat, facets, 2)]
+        points = [(x, 0, z) for x, z in flat]
+        for u in ([[int(i == j) for j in range(3)] for i in range(3)], shear):
+            image = _map_points(points, u)
+            assert len(toric._affine_span(sorted(image))) == 3
+            poly = LatticePolytope(image)
+            assert poly.dim == 2
+            assert poly.vertices == tuple(sorted(_map_points(vertices, u)))
+        compared += 1
 
 
 # -- polarity ----------------------------------------------------------------

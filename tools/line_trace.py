@@ -1,0 +1,87 @@
+"""Print each executable line of the package that no root runs.
+
+    python3 tools/line_trace.py
+
+The roots are the acceptance gates (``tests/test_acceptance.py``, run by
+pytest in this process) and one traced benchmark round in this process
+(``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 1``).
+Lines are recorded with ``sys.settrace`` from before the package is
+imported, so module-level code counts as run.  A line is executable when
+a code object compiled from its module lists it in ``co_lines``.  The
+output is one block per module of ``src/quintic_mirror``: each line no
+root runs, with the qualified name of its code object and its text.  A
+deletion round starts from these lines; a line listed here may still be
+reached by a test, which is not a root.  It takes about 30 s, so it is
+not a test and CI does not run it.  Stdlib only, apart from the pytest
+that runs the gates.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quintic_mirror"
+
+
+def executable_lines(path: Path) -> dict:
+    """line -> qualified name of the innermost code object that runs it."""
+    stack, lines = [compile(path.read_text(encoding="utf-8"), str(path), "exec")], {}
+    while stack:
+        code = stack.pop()
+        for _, _, line in code.co_lines():
+            if line:  # None, or 0 for an instruction the compiler adds
+                lines[line] = getattr(code, "co_qualname", code.co_name)
+        stack.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return lines
+
+
+def main() -> int:
+    modules = sorted(PACKAGE.glob("*.py"))
+    run = {str(path): set() for path in modules}
+
+    def local(frame, event, arg):
+        if event == "line":
+            run[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename in run else None
+
+    if any(name.startswith("quintic_mirror") for name in sys.modules):
+        raise SystemExit("error: the package is imported before the trace starts")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    threading.settrace(trace)
+    sys.settrace(trace)
+    try:
+        import pytest
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            gates = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])
+        import run as bench
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            bench.main("--workload all --seed 1 --seconds 0 --trace 1".split())
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    print(f"acceptance gates: pytest exit {int(gates)}; traced benchmark round: "
+          f"{out.getvalue().splitlines()[-1][:60]}...", file=sys.stderr)
+
+    for path in modules:
+        source = path.read_text(encoding="utf-8").splitlines()
+        lines = executable_lines(path)
+        missed = sorted(set(lines) - run[str(path)])
+        print(f"{path.name}: {len(missed)} lines no root runs")
+        for line in missed:
+            print(f"  {line:5d}  {lines[line]:40s} {source[line - 1].strip()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
