@@ -394,10 +394,9 @@ def _cmd_polytope(args):
             if value > cap:
                 raise CommandError(EXIT_INPUT, f"{label}: {value} {what}, at most {cap} allowed")
         polytope = _checked(toric.LatticePolytope, points, where=label)
-    report = polytope.is_reflexive()
-    reflexive = report.is_reflexive
+    reflexive = polytope.is_reflexive()
     if reflexive:
-        dual = polytope.reflexive_dual(report)
+        dual = polytope.polar_dual()
         count = len(dual.lattice_points())
         moduli = toric.moduli_dimension(count, 25) if builtin else None
     if args.format == "table":

@@ -78,7 +78,7 @@ class ChargeFactorization:
     def from_rows(s_rows, t_rows) -> "ChargeFactorization":
         s = integer_matrix(s_rows)
         t = integer_matrix(t_rows)
-        if s and t and len(s[0]) != len(t):
+        if s and len(s[0]) != len(t):
             raise ValueError("inner dimensions of S and T do not match")
         return ChargeFactorization(s, t)
 
@@ -125,7 +125,7 @@ class FactorizationReport:
 def verify_factorization(p: ExponentMatrix, f: ChargeFactorization) -> FactorizationReport:
     """Check P = S * T entry by entry and rank(P) = d, reporting offenders."""
     m, n = p.shape
-    if len(f.s_rows) != m or (f.t_rows and len(f.t_rows[0]) != n):
+    if len(f.s_rows) != m or len(f.t_rows[0] if f.t_rows else ()) != n:
         raise ValueError("factorization shapes do not match the exponent matrix")
     product = f.product()
     mismatches = []

@@ -3,14 +3,13 @@
 Three layers live here, all exact:
 
 * one Gauss-Jordan elimination over a field descriptor, behind rank and
-  inverse on plain lists of rational rows and behind rank and inverse of
-  :class:`SquareExactMatrix`,
+  inverse of :class:`SquareExactMatrix`; a determinant is its third result,
 * integer lattice routines: the product and dot product of integer
   matrices, Smith normal form with its unimodular column transform (one
   reduction loop with one pivot search, each column move applied to A and
   V at once), saturated kernel bases, and a deterministic sign
-  normalization for kernel generators; a determinant is the third result
-  of the elimination,
+  normalization for kernel generators; the rank of rational rows is the
+  number of Smith divisors of the rows cleared of denominators,
 * :class:`SquareExactMatrix`, a small dense square matrix over any of the
   coefficient rings from :mod:`quintic_mirror.exactnum` (field operations
   such as rank and inverse require a field).
@@ -25,19 +24,12 @@ import operator
 import reprlib
 
 from ._frozen import frozen
-from .exactnum import QQ, Ring, fraction, power
+from .exactnum import QQ, Ring, integer_form, power
 
 
 # ---------------------------------------------------------------------------
-# rational elimination on plain rows
+# elimination over a field
 # ---------------------------------------------------------------------------
-
-
-def _fraction_rows(rows) -> list:
-    out = [[fraction(x) for x in row] for row in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
 
 
 def gauss_jordan(field: Ring, rows, width: int) -> tuple:
@@ -54,8 +46,6 @@ def gauss_jordan(field: Ring, rows, width: int) -> tuple:
     det = one = field.one()  # the pivot's reciprocal is one / pivot, exact on ints too
     for col in range(width):
         r = len(pivots)
-        if r == len(a):
-            break
         pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
@@ -73,20 +63,6 @@ def gauss_jordan(field: Ring, rows, width: int) -> tuple:
     if len(pivots) < width:
         det = field.zero()
     return a, pivots, det
-
-
-def rational_rank(rows) -> int:
-    """Rank of a rectangular matrix with rational entries."""
-    a = _fraction_rows(rows)
-    return len(gauss_jordan(QQ, a, len(a[0]))[1]) if a else 0
-
-
-def rational_inverse(rows) -> tuple:
-    """Inverse of a square rational matrix, as tuple rows of Fractions."""
-    a = _fraction_rows(rows)
-    if any(len(r) != len(a) for r in a):
-        raise ValueError("matrix is not square")
-    return SquareExactMatrix(QQ, tuple(map(tuple, a))).inverse().rows
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +225,17 @@ def canonical_kernel_basis(rows) -> list:
     row.  A kernel of rank 1 has one primitive generator up to sign, so its
     basis depends only on the kernel, not on how the rows are written."""
     return [canonical_sign(row) for row in integer_kernel_basis(rows)]
+
+
+def rational_rank(rows) -> int:
+    """Rank of a rectangular matrix with int or Fraction entries: the number
+    of Smith divisors of its rows, each cleared of denominators."""
+    return len(smith_normal_form([integer_form(row)[0] for row in rows]).divisors)
+
+
+def rational_inverse(rows) -> tuple:
+    """Inverse of a square rational matrix, as tuple rows of Fractions."""
+    return SquareExactMatrix.from_rows(QQ, rows).inverse().rows
 
 
 def unimodular_inverse(rows) -> tuple:

@@ -60,8 +60,9 @@ class UnipotentMonodromy3:
             raise ValueError("need a 3x3 integer matrix")
         m = SquareExactMatrix.from_rows(QQ, entries)
         det = gauss_jordan(QQ, m.rows, 3)[2]
-        if det != 1:
-            raise ValueError(f"determinant is {det}, not 1")
+        if det != 1:  # printed up to 39 digits: one short line, within the int-to-str limit
+            raise ValueError(f"determinant is {det}, not 1" if abs(det) < 10**39
+                             else "determinant is not 1: it has over 39 digits")
         return m
 
 

@@ -15,7 +15,9 @@ coordinates so far.  A k-dimensional polytope in a larger space is
 projected by the first k columns of the Smith column transform of its
 basis's edges, one-to-one on its affine hull: its vertices are the
 preimages of the projection's.  The polar dual uses <x, y> >= -1, so a
-facet <n, x> <= c with c > 0 becomes the dual vertex -n/c.
+facet <n, x> <= c with c > 0 becomes the dual vertex -n/c.  The polytope
+is reflexive when every c divides its n; its dual is then built with no
+hull, each vertex v here giving the dual's facet <x, v> >= -1.
 
 The module also carries the two dual simplices of the quintic story and
 the small arithmetic around hypersurface moduli: lattice point counts
@@ -45,20 +47,6 @@ class Facet:
 
     normal: tuple
     offset: int
-
-
-@frozen
-class ReflexivityReport:
-    """Outcome of a reflexivity test of a polytope (None without an interior
-    origin).  dual_vertices is the certificate, built when read: int
-    coordinates, and a Fraction at each one that is not integral (a failed test)."""
-
-    is_reflexive: bool
-    polytope: "LatticePolytope | None"
-
-    @property
-    def dual_vertices(self) -> tuple:
-        return () if self.polytope is None else self.polytope.polar_dual_rational()
 
 
 class LatticePolytope:
@@ -146,31 +134,26 @@ class LatticePolytope:
                            for n in f.normal) for f in facets)
 
     def polar_dual(self) -> "LatticePolytope":
-        """The polar dual as a lattice polytope; raises unless the origin is
-        interior and every dual vertex is integral."""
+        """The polar dual as a lattice polytope, built with no hull: its vertices
+        are :meth:`polar_dual_rational`'s, and each vertex v here gives its facet
+        <x, v> >= -1, whose normal -v is primitive because the dual is
+        reflexive too.  Raises unless :meth:`is_reflexive`."""
         self._facets_with_interior_origin()
-        return self.reflexive_dual(self.is_reflexive())
-
-    def reflexive_dual(self, report: ReflexivityReport) -> "LatticePolytope":
-        """The polar dual from this polytope's :meth:`is_reflexive` report,
-        with no hull: the certificate is the dual's vertex list, and each
-        vertex v here gives the dual's facet <x, v> >= -1, whose normal -v is
-        primitive because the dual is reflexive too."""
-        if not report.is_reflexive:
+        if not self.is_reflexive():
             raise NonReflexiveError("the polar dual is not a lattice polytope")
         dual = object.__new__(LatticePolytope)
         dual._ambient = dual._dim = self._ambient
-        dual._vertices = tuple(sorted(report.dual_vertices))
+        dual._vertices = tuple(sorted(self.polar_dual_rational()))
         dual._facets = tuple(Facet(n, 1) for n in sorted(tuple(-x for x in v) for v in self._vertices))
         return dual
 
-    def is_reflexive(self) -> ReflexivityReport:
-        """Reflexivity test on ints, with the dual vertex list as certificate."""
+    def is_reflexive(self) -> bool:
+        """The origin is interior and every facet offset divides its normal, on ints."""
         try:
             facets = self._facets_with_interior_origin()
         except OriginNotInteriorError:
-            return ReflexivityReport(False, None)
-        return ReflexivityReport(all(n % f.offset == 0 for f in facets for n in f.normal), self)
+            return False
+        return all(n % f.offset == 0 for f in facets for n in f.normal)
 
     # -- dunder plumbing ----------------------------------------------
 

@@ -286,6 +286,18 @@ def test_syz_classify_refuses_a_determinant_other_than_one(capsys, tmp_path) -> 
             code, out, err = _run(capsys, ["syz", "classify", "--in", path, "--format", fmt])
             assert (code, out) == (2, "")
             assert err == f"error: input: {path}: determinant is {k}, not 1\n"
+    # a determinant past 39 digits is not printed: the int of the float 1e300,
+    # and a^3 for a of 4,000 digits, whose text passes the int-to-str digit
+    # limit that an --in file keeps
+    a = 10**3999 + 7
+    for name, first in (("float", [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                        ("huge", [[a, 0, 0], [0, a, 0], [0, 0, a]])):
+        doc = {"monodromies": [first, *_SHEAR_TRIPLE[1:]]}
+        path = _write_json(tmp_path, f"det_{name}.json", doc)
+        for fmt in ("table", "structured"):
+            code, out, err = _run(capsys, ["syz", "classify", "--in", path, "--format", fmt])
+            assert (code, out) == (2, "")
+            assert err == f"error: input: {path}: determinant is not 1: it has over 39 digits\n"
 
 
 def test_input_error_for_malformed_json(capsys, tmp_path) -> None:
@@ -1177,6 +1189,9 @@ _NOT_FOR_GW_PERIODS_OR_POLYTOPE = [
         # a polytope that is not reflexive: its certificate is never printed
         (["polytope", "--in", "stretched.json"], ["fractions", "decimal", "numbers", "json"]),
         (["syz", "k3", "--in", "k3.json"], ["argparse", "gettext", "json"]),
+        # the ranks of P and of its transpose come from the Smith form
+        (["glsm", "transpose"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["glsm", "transpose", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
     ],
 )
 def test_commands_import_argparse_and_json_only_when_needed(argv, absent, tmp_path) -> None:

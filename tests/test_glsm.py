@@ -65,6 +65,21 @@ def test_tampered_factorization_is_caught() -> None:
         transpose_mirror(ExponentMatrix.quintic(), broken)
 
 
+@pytest.mark.parametrize("check", [verify_factorization, transpose_mirror])
+def test_factorization_with_an_empty_t_is_refused_by_shape(check) -> None:
+    # with no rows in T the product S * T is empty, never indexed: S's width
+    # must be 0, and T's width (0) must then match P's
+    p = ExponentMatrix.from_rows([[1]])
+    shapes = "^factorization shapes do not match the exponent matrix$"
+    with pytest.raises(ValueError, match="^inner dimensions of S and T do not match$"):
+        check(p, ChargeFactorization.from_rows([[1]], []))
+    for s in (((1,),), ((),)):
+        with pytest.raises(ValueError, match=shapes):
+            check(p, ChargeFactorization(s, ()))
+    with pytest.raises(ValueError, match=shapes):
+        check(p, ChargeFactorization.from_rows([[]], []))
+
+
 # -- group structure ---------------------------------------------------------
 
 
@@ -98,8 +113,9 @@ def test_mirror_torsion_matches_smith_divisors() -> None:
 def test_one_smith_form_per_charge_matrix(monkeypatch, capsys) -> None:
     # group_from_charges reads the torsion, the torus rank and the
     # generators off one decomposition of T; `glsm transpose` takes one per
-    # charge matrix (T and its mirror) and one per exponent matrix (the
-    # invariant coordinates of P and of its transpose)
+    # charge matrix (T and its mirror) and two per exponent matrix, P and
+    # its transpose: the rank its factorization is verified against, and
+    # its invariant coordinates
     calls = []
     smith = linalg.smith_normal_form
 
@@ -121,7 +137,7 @@ def test_one_smith_form_per_charge_matrix(monkeypatch, capsys) -> None:
     calls.clear()
     assert cli.main(["glsm", "transpose"]) == 0
     assert "U(1) x (Z_5)^3" in capsys.readouterr().out
-    assert len(calls) == 4
+    assert len(calls) == 6
 
 
 def test_group_description_spellings() -> None:

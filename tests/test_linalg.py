@@ -50,6 +50,35 @@ def test_rational_rank_cases() -> None:
     assert rational_rank([[0, 0]]) == 0
 
 
+def test_rational_rank_is_the_pivot_count_of_gauss_jordan(seed: int = 39) -> None:
+    # the Smith divisors of the rows cleared of denominators against the
+    # pivots of an elimination over QQ, on Fraction entries, products of
+    # thin factors (rank below both sizes), zero rows and no rows at all
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12]))
+
+    deficient = 0
+    for trial in range(1200):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            k = rng.randint(1, 3)
+            left = [[entry() for _ in range(k)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        else:
+            rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+        if rows and trial % 4 == 0:
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        want = len(gauss_jordan(QQ, rows, n)[1])
+        deficient += want < min(m, n)
+        assert rational_rank(rows) == want, rows
+    assert deficient > 200
+    assert rational_rank([]) == 0
+    assert rational_rank([[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 3), 1]]) == 1
+
+
 def test_rational_inverse_round_trip() -> None:
     rows = [[1, 2], [3, 5]]
     inv = rational_inverse(rows)

@@ -406,8 +406,8 @@ def test_polar_involution_in_two_dimensions() -> None:
     square = LatticePolytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     assert cross.polar_dual() == square
     assert square.polar_dual() == cross
-    assert cross.is_reflexive().is_reflexive
-    assert set(cross.is_reflexive().dual_vertices) == set(square.vertices)
+    assert cross.is_reflexive() is True
+    assert set(cross.polar_dual_rational()) == set(square.vertices)
 
 
 def test_dual_from_the_certificate_is_the_hull_of_its_vertices(seed: int = 20261020) -> None:
@@ -418,14 +418,15 @@ def test_dual_from_the_certificate_is_the_hull_of_its_vertices(seed: int = 20261
     polytopes = [fan, quintic_newton_polytope(), cube, LatticePolytope([(1, 0), (0, 1), (-1, -1)])]
     polytopes += [_transform(fan, _random_unimodular(rng, 4)) for _ in range(5)]
     for poly in polytopes:
-        report = poly.is_reflexive()
-        dual, hull = poly.reflexive_dual(report), LatticePolytope(report.dual_vertices)
+        assert poly.is_reflexive()
+        dual, hull = poly.polar_dual(), LatticePolytope(poly.polar_dual_rational())
         assert (dual.vertices, dual.dim, dual.facets()) == (hull.vertices, hull.dim, hull.facets())
         assert dual.lattice_points() == hull.lattice_points()
         assert dual.polar_dual() == poly
     stretched = LatticePolytope([(2, 0), (0, 2), (-2, -2)])
-    with pytest.raises(NonReflexiveError):
-        stretched.reflexive_dual(stretched.is_reflexive())
+    assert not stretched.is_reflexive()
+    with pytest.raises(NonReflexiveError, match="^the polar dual is not a lattice polytope$"):
+        stretched.polar_dual()
 
 
 def test_polarity_commutes_with_lattice_symmetry(seed: int = 20260822) -> None:
@@ -442,8 +443,7 @@ def test_polarity_commutes_with_lattice_symmetry(seed: int = 20260822) -> None:
 
 def test_non_reflexive_polytope_reported() -> None:
     stretched = LatticePolytope([(2, 0), (0, 2), (-2, -2)])
-    report = stretched.is_reflexive()
-    assert not report.is_reflexive
+    assert stretched.is_reflexive() is False
     with pytest.raises(NonReflexiveError):
         stretched.polar_dual()
     duals = stretched.polar_dual_rational()
@@ -460,15 +460,14 @@ def test_certificate_is_integral_but_for_each_non_integral_coordinate(seed: int 
     reflexive = [fan, quintic_newton_polytope(), LatticePolytope(itertools.product((-1, 1), repeat=3))]
     reflexive += [_transform(fan, _random_unimodular(rng, 4)) for _ in range(5)]
     for poly in reflexive:
-        report = poly.is_reflexive()
-        assert report.is_reflexive
-        assert {type(c) for v in report.dual_vertices for c in v} == {int}
+        assert poly.is_reflexive() is True
+        assert {type(c) for v in poly.polar_dual_rational() for c in v} == {int}
     stretched = LatticePolytope([(2, 0), (0, 2), (-2, -2)])
-    report = stretched.is_reflexive()
-    assert not report.is_reflexive
+    assert stretched.is_reflexive() is False
+    certificate = stretched.polar_dual_rational()
     want = [tuple(Fraction(-n, f.offset) for n in f.normal) for f in stretched.facets()]
-    assert [tuple(map(Fraction, v)) for v in report.dual_vertices] == want
-    types = [type(c) for v in report.dual_vertices for c in v]
+    assert [tuple(map(Fraction, v)) for v in certificate] == want
+    types = [type(c) for v in certificate for c in v]
     assert types == [int if c.denominator == 1 else Fraction for v in want for c in v]
     assert Fraction in types and int in types
 

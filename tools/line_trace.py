@@ -3,8 +3,9 @@
     python3 tools/line_trace.py
 
 The roots are the acceptance gates (``tests/test_acceptance.py``, run by
-pytest in this process) and one traced benchmark round in this process
-(``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 1``).
+pytest in this process) and two traced benchmark rounds in this process
+(``perfbench/run.py --workload all --seed S --seconds 0 --trace 1`` for S
+= 1 and 2; only seed 2's inputs reach the Smith form's divisibility fold).
 Lines are recorded with ``sys.settrace`` from before the package is
 imported, so module-level code counts as run.  A line is executable when
 a code object compiled from its module lists it in ``co_lines``.  The
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 import threading
 from pathlib import Path
@@ -64,14 +66,18 @@ def main() -> int:
             gates = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])
         import run as bench
 
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            bench.main("--workload all --seed 1 --seconds 0 --trace 1".split())
+        rounds = []
+        for seed in (1, 2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                bench.main(f"--workload all --seed {seed} --seconds 0 --trace 1".split())
+            result = json.loads(out.getvalue().splitlines()[-1])
+            rounds.append(f"seed {seed} correct {result['correct']}, failed {result['failed']}")
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    print(f"acceptance gates: pytest exit {int(gates)}; traced benchmark round: "
-          f"{out.getvalue().splitlines()[-1][:60]}...", file=sys.stderr)
+    print(f"acceptance gates: pytest exit {int(gates)}; traced benchmark rounds: "
+          + "; ".join(rounds), file=sys.stderr)
 
     for path in modules:
         source = path.read_text(encoding="utf-8").splitlines()
