@@ -26,7 +26,7 @@ read or QQ coerces, built by :func:`fraction`, which imports ``fractions``
 at its first call (``gw`` and ``periods`` build none); an int or Fraction
 is told by its ``denominator`` attribute, with no import.  Series
 over the other rings are containers (the Frobenius bundle, the operator
-residual): they add, and the rest raises :class:`RingMismatchError`.
+residual), read only: their arithmetic raises :class:`RingMismatchError`.
 No floats here.
 """
 
@@ -100,9 +100,6 @@ class _Element:
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
-    def __reduce__(self):
-        return self.from_integers, (self.num, self.den)
-
     @classmethod
     def from_integers(cls, num: Sequence[int], den: int):
         """The element num/den, with common factors and the sign of den divided out."""
@@ -171,10 +168,6 @@ class _Element:
     def __truediv__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, k: int):
         return power(self, k, self._coerce(1))
@@ -455,17 +448,14 @@ class TruncatedSeries:
     def _check_qq(self, *others: "TruncatedSeries") -> None:
         for series in (self, *others):
             if series.ring != QQ:
-                raise RingMismatchError(f"series arithmetic past + runs over QQ, not {series.ring}")
+                raise RingMismatchError(f"series arithmetic runs over QQ, not {series.ring}")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.ring, other, self.order)
-        if self.ring != other.ring:
-            raise RingMismatchError(f"series rings differ: {self.ring} vs {other.ring}")
-        if self.ring != QQ:
-            return TruncatedSeries(self.ring, tuple(map(operator.add, self.terms, other.terms)))
+        self._check_qq(other)
         n = min(self.order, other.order)
         return TruncatedSeries(QQ, self.truncate(n).terms + other.truncate(n).terms)
 

@@ -113,9 +113,7 @@ def integer_matmul(a, b) -> tuple:
     """Product of two integer matrices as tuple rows."""
     a = integer_matrix(a)
     b = integer_matrix(b)
-    if not a or not b:
-        return tuple()
-    if len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
     return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 

@@ -160,12 +160,6 @@ class LatticePolytope:
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticePolytope) and self._vertices == other._vertices
 
-    def __hash__(self) -> int:
-        return hash(self._vertices)
-
-    def __repr__(self) -> str:
-        return f"LatticePolytope(vertices={list(self._vertices)!r})"
-
 
 def _hyperplane_normal(points, inside) -> tuple:
     """(normal, offset) of the hyperplane through d affinely independent

@@ -1165,10 +1165,11 @@ def test_parse_agrees_with_the_full_parser_on_random_argv() -> None:
     assert accepted > 1000
 
 
-# what gw, periods and polytope never import: argparse (which loads gettext)
-# and json, fractions with the decimal, numbers and re it loads, since their
-# pipelines and renderings run on integer numerators and build no Fraction,
-# and collections, since no module imports collections.abc
+# what gw, periods, polytope and the other commands listed with it never
+# import: argparse (which loads gettext) and json, fractions with the decimal,
+# numbers and re it loads, since their pipelines and renderings run on integer
+# numerators and build no Fraction, and collections, since no module imports
+# collections.abc
 _NOT_FOR_GW_PERIODS_OR_POLYTOPE = [
     "argparse", "gettext", "json", "fractions", "decimal", "numbers", "re", "collections",
 ]
@@ -1188,7 +1189,11 @@ _NOT_FOR_GW_PERIODS_OR_POLYTOPE = [
         (["polytope", "--in", "cube.json"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
         # a polytope that is not reflexive: its certificate is never printed
         (["polytope", "--in", "stretched.json"], ["fractions", "decimal", "numbers", "json"]),
-        (["syz", "k3", "--in", "k3.json"], ["argparse", "gettext", "json"]),
+        (["syz", "k3", "--in", "k3.json"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["syz", "k3"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["syz", "k3", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["syz", "quintic-counts"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
+        (["syz", "quintic-counts", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
         # the ranks of P and of its transpose come from the Smith form
         (["glsm", "transpose"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),
         (["glsm", "transpose", "--format", "structured"], _NOT_FOR_GW_PERIODS_OR_POLYTOPE),

@@ -164,6 +164,14 @@ def test_group_invariant_under_row_basis_change(seed: int = 20260822) -> None:
         assert structure.torsion == base_structure.torsion
 
 
+def test_basis_change_of_inner_dimension_zero_keeps_the_rows_of_s() -> None:
+    p = ExponentMatrix.from_rows([[], []])
+    f = ChargeFactorization.from_rows([[], []], [])
+    changed = basis_change(f, [])
+    assert changed == ChargeFactorization(((), ()), ())
+    assert verify_factorization(p, changed).ok
+
+
 def test_basis_change_rejects_non_unimodular() -> None:
     f = ChargeFactorization.quintic()
     scaled = [[2 if i == j else 0 for j in range(5)] for i in range(5)]

@@ -349,6 +349,15 @@ def test_canonical_kernel_basis_depends_only_on_the_kernel(seed: int = 41) -> No
     assert coranks.count(1) >= 30 and len(coranks) - coranks.count(1) >= 15
 
 
+def test_integer_matmul_with_no_inner_rows() -> None:
+    # an m x 0 matrix times no rows is m empty rows; a matrix with columns
+    # times no rows is a shape error, and no rows times anything is none
+    assert integer_matmul([[], []], []) == ((), ())
+    assert integer_matmul([], [[1, 2]]) == ()
+    with pytest.raises(ValueError, match="^inner dimensions do not match$"):
+        integer_matmul([[1, 2]], [])
+
+
 def test_unimodular_inverse_round_trip(seed: int = 9) -> None:
     rng = random.Random(seed)
     for _ in range(20):
